@@ -23,7 +23,8 @@ class FormatError(ValueError):
 
 
 def parse_rational(x) -> Fraction:
-    if isinstance(x, int):
+    # bool is an int subclass, but JSON true/false is not a number
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         s = x.strip()
@@ -31,7 +32,10 @@ def parse_rational(x) -> Fraction:
             raise FormatError(
                 f"bad rational {x!r}: use an integer or 'p/q' (decimals are rejected)"
             )
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise FormatError(f"bad rational {x!r}: zero denominator") from None
     raise FormatError(f"bad rational {x!r}: expected string or integer")
 
 
@@ -77,10 +81,6 @@ def polytope_from_json(data) -> Polytope:
         raise FormatError("polytope payload needs a nonempty vertex list")
     pts = [parse_point(v, dim) for v in raw]
     return convex_hull(pts, dim)
-
-
-def dual_from_json(data) -> DualPolytope:
-    return DualPolytope(polytope_from_json(data))
 
 
 def body_from_json(data) -> Polytope | DualPolytope:

@@ -10,7 +10,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -21,37 +20,12 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Sequence, b: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def vec_neg(a: Sequence) -> tuple:
-    return tuple(-x for x in a)
-
-
-def is_zero_vec(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
-
-
-def as_fractions(a: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in a)
-
-
 def mat_apply(A: Sequence[Sequence], x: Sequence) -> tuple:
     return tuple(dot(row, x) for row in A)
-
-
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
-    cols = list(zip(*B))
-    return tuple(tuple(dot(row, col) for col in cols) for row in A)
 
 
 def mat_transpose(A: Sequence[Sequence]) -> Matrix:
@@ -104,11 +78,6 @@ def mat_inverse(A: Sequence[Sequence]) -> Matrix:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
-
-
-def solve(A: Sequence[Sequence], b: Sequence) -> Vec:
-    """Solve the square system A x = b exactly."""
-    return mat_apply(mat_inverse(A), b)
 
 
 def minor_det_int(rows: Sequence[IntVec], cols: Sequence[int]) -> int:
@@ -170,7 +139,7 @@ def clear_denominators(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[
     for p in points:
         for x in p:
             s = lcm(s, x.denominator)
-    scaled = [tuple(int(x * s) for x in p) for p in points]
+    scaled = [tuple(x.numerator * (s // x.denominator) for x in p) for p in points]
     return s, scaled
 
 
@@ -205,10 +174,3 @@ class IntRowBasis:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    basis = IntRowBasis()
-    for v in vectors:
-        basis.add(v)
-    return basis.rank

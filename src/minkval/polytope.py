@@ -1,18 +1,24 @@
 """Exact rational convex polytopes in ambient dimension 2, 3, 4.
 
 Vertex-representation polytopes with exact Fraction coordinates.  Hulls are
-computed by an incremental beneath-beyond walk over integer-cleared
-coordinates with exact sign predicates; coplanar simplicial facets are merged
-by their primitive integer normal, so facet identity and area-measure atoms
-are canonical.  Lower-dimensional polytopes are first-class: operations
-degrade per contract rather than erroring.
+computed by an incremental beneath-beyond walk (Clarkson-Shor) over the
+integer-cleared points s * x, with integer-only sign predicates unrolled per
+dimension.  Each simplicial facet piece is kept as its primitive outward
+normal u, offset c and the gcd g of its cross product, which is g * u.
+Coplanar pieces are merged by u into facets (u, c, G) with G the sum of their
+g, so facet identity and area-measure atoms are canonical, and
+
+    vol(P) = sum_F G * c / (n! * s^n),    atom_F = G * u / ((n-1)! * s^(n-1))
+
+need no triangulation once the hull is built.  Lower-dimensional polytopes
+are first-class: operations degrade per contract rather than erroring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -67,106 +73,152 @@ class AreaMeasure:
         return len(self.atoms)
 
 
-def _dedupe(points: list[Coords]) -> list[Coords]:
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int):
+    """Hyperplane through d points of Z^d, oriented away from the point ref / k.
 
-
-def _facet_plane(ipts, vert_ids, extra=None):
-    """Primitive normal and offset of the hyperplane through the given points."""
-    ids = list(vert_ids)
-    base = ipts[ids[0]]
-    vecs = [vec_sub(ipts[i], base) for i in ids[1:]]
-    if extra is not None:
-        vecs.append(vec_sub(extra, base))
-    n = primitive(cross_general(vecs))
-    if all(x == 0 for x in n):
-        raise RuntimeError("degenerate facet candidate")
-    return n, dot(n, base)
+    Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
+    and g the gcd of the simplex's cross product, which is therefore +/- g * n.
+    In Z^4 the cross product is unrolled over the six 2x2 minors of the last
+    two edges.
+    """
+    b = points[0]
+    if len(b) == 4:
+        b0, b1, b2, b3 = b
+        u0, u1, u2, u3 = points[1]
+        v0, v1, v2, v3 = points[2]
+        w0, w1, w2, w3 = points[3]
+        u0 -= b0; u1 -= b1; u2 -= b2; u3 -= b3
+        v0 -= b0; v1 -= b1; v2 -= b2; v3 -= b3
+        w0 -= b0; w1 -= b1; w2 -= b2; w3 -= b3
+        m01 = v0 * w1 - v1 * w0
+        m02 = v0 * w2 - v2 * w0
+        m03 = v0 * w3 - v3 * w0
+        m12 = v1 * w2 - v2 * w1
+        m13 = v1 * w3 - v3 * w1
+        m23 = v2 * w3 - v3 * w2
+        x0 = u1 * m23 - u2 * m13 + u3 * m12
+        x1 = u2 * m03 - u0 * m23 - u3 * m02
+        x2 = u0 * m13 - u1 * m03 + u3 * m01
+        x3 = u1 * m02 - u0 * m12 - u2 * m01
+        g = gcd(x0, x1, x2, x3)
+        if g == 0:
+            raise RuntimeError("degenerate facet candidate")
+        x0 //= g; x1 //= g; x2 //= g; x3 //= g
+        c = x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3
+        r0, r1, r2, r3 = ref
+        side = x0 * r0 + x1 * r1 + x2 * r2 + x3 * r3 - k * c
+        if side > 0:
+            x0 = -x0; x1 = -x1; x2 = -x2; x3 = -x3; c = -c
+        n = (x0, x1, x2, x3)
+    else:
+        w = cross_general([vec_sub(p, b) for p in points[1:]])
+        g = gcd(*w)
+        if g == 0:
+            raise RuntimeError("degenerate facet candidate")
+        n = tuple(x // g for x in w)
+        c = dot(n, b)
+        side = dot(n, ref) - k * c
+        if side > 0:
+            n, c = tuple(-x for x in n), -c
+    if side == 0:
+        raise RuntimeError("interior reference lies on facet hyperplane")
+    return n, c, g
 
 
 def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     """Beneath-beyond hull of deduped integer points with affine rank d >= 2.
 
-    Returns (vertex_ids, simplicial_facets, merged_pairs) where simplicial
-    facets are (point_id_tuple, primitive_normal, int_offset) triples and
-    merged pairs are (normal, offset) facet directions after coplanar merge.
-    Simplicial facets may reference non-extreme points; vertex_ids hold the
-    extreme ones only.
+    Returns (vertex_ids, simplicial_facets, merged_facets).  Simplicial facets
+    are (point_id_tuple, normal, offset, g) with the outward primitive normal
+    and g the gcd of the piece's cross product, so the piece's outward cross
+    product is g * normal.  Merged facets are (normal, offset, G) after the
+    coplanar merge, with G the sum of g over the pieces.  Simplicial facets
+    may reference non-extreme points; vertex_ids hold the extreme ones only.
     """
+    # the simplex's centroid, interior2 / (d + 1), is interior to every step
     interior2 = tuple(sum(ipts[i][k] for i in simplex) for k in range(d))
-    scale = d + 1
 
-    facets: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+    # facets[fid] = (sorted point ids, n, c, g); planes[fid] = (*n, c) for
+    # the visibility scan.  Both keep insertion order.
+    facets: dict[int, tuple] = {}
+    planes: dict[int, tuple] = {}
     next_id = 0
 
-    def orient(n, c):
-        v = dot(n, interior2)
-        if v > scale * c:
-            return tuple(-x for x in n), -c
-        if v == scale * c:
-            raise RuntimeError("interior reference lies on facet hyperplane")
-        return n, c
-
-    def add_facet(vert_ids, n, c):
+    def add_facet(vert_ids, points):
         nonlocal next_id
-        facets[next_id] = (tuple(sorted(vert_ids)), n, c)
+        n, c, g = _plane(points, interior2, d + 1)
+        facets[next_id] = (vert_ids, n, c, g)
+        planes[next_id] = n + (c,)
         next_id += 1
 
     for i in range(d + 1):
         verts = [simplex[j] for j in range(d + 1) if j != i]
-        n, c = _facet_plane(ipts, verts)
-        n, c = orient(n, c)
-        add_facet(verts, n, c)
+        add_facet(tuple(sorted(verts)), [ipts[v] for v in verts])
 
     in_simplex = set(simplex)
     for p_idx in range(len(ipts)):
         if p_idx in in_simplex:
             continue
         p = ipts[p_idx]
-        visible = [fid for fid, (_, n, c) in facets.items() if dot(n, p) > c]
+        if d == 4:
+            x0, x1, x2, x3 = p
+            visible = [
+                fid for fid, (a, b, e, f, c) in planes.items()
+                if a * x0 + b * x1 + e * x2 + f * x3 > c
+            ]
+        elif d == 3:
+            x0, x1, x2 = p
+            visible = [
+                fid for fid, (a, b, e, c) in planes.items() if a * x0 + b * x1 + e * x2 > c
+            ]
+        else:
+            x0, x1 = p
+            visible = [fid for fid, (a, b, c) in planes.items() if a * x0 + b * x1 > c]
         if not visible:
             continue
-        ridge_count: dict[frozenset[int], int] = {}
+        # each ridge of the visible region borders two facets; the horizon
+        # keeps the ones seen once, in order of first sight
+        horizon: dict[tuple[int, ...], None] = {}
         for fid in visible:
-            verts = facets[fid][0]
+            verts = facets.pop(fid)[0]
+            del planes[fid]
             for k in range(d):
-                ridge = frozenset(verts[:k] + verts[k + 1:])
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        for fid in visible:
-            del facets[fid]
-        for ridge, count in ridge_count.items():
-            if count != 1:
-                continue
-            n, c = _facet_plane(ipts, sorted(ridge), extra=p)
-            n, c = orient(n, c)
-            add_facet(tuple(ridge) + (p_idx,), n, c)
+                ridge = verts[:k] + verts[k + 1:]
+                if ridge in horizon:
+                    del horizon[ridge]
+                else:
+                    horizon[ridge] = None
+        for ridge in horizon:
+            # ridges are sorted; p_idx exceeds them unless they hold a later simplex point
+            verts = ridge + (p_idx,) if p_idx > ridge[-1] else tuple(sorted(ridge + (p_idx,)))
+            add_facet(verts, [ipts[v] for v in ridge] + [p])
 
-    simplicial = [(verts, n, c) for verts, n, c in facets.values()]
+    simplicial = list(facets.values())
 
-    merged: dict[tuple[int, ...], int] = {}
-    for _, n, c in simplicial:
-        if n in merged and merged[n] != c:
+    merged: dict[tuple[int, ...], list[int]] = {}
+    incident: dict[int, set[tuple[int, ...]]] = {}
+    for verts, n, c, g in simplicial:
+        acc = merged.get(n)
+        if acc is None:
+            merged[n] = [c, g]
+        elif acc[0] != c:
             raise RuntimeError("parallel facets with distinct offsets")
-        merged[n] = c
+        else:
+            acc[1] += g
+        for v in verts:
+            incident.setdefault(v, set()).add(n)
 
-    candidates = sorted({v for verts, _, _ in simplicial for v in verts})
-    merged_items = list(merged.items())
+    # a point is extreme iff the facets through it have normals of rank d;
+    # every facet through an extreme point has a piece with it as a corner
     vertex_ids = []
-    for v in candidates:
+    for v in sorted(incident):
         basis = IntRowBasis()
-        for n, c in merged_items:
-            if dot(n, ipts[v]) == c:
-                basis.add(n)
-                if basis.rank == d:
-                    vertex_ids.append(v)
-                    break
-    return vertex_ids, simplicial, merged_items
+        for n in incident[v]:
+            basis.add(n)
+            if basis.rank == d:
+                vertex_ids.append(v)
+                break
+    return vertex_ids, simplicial, [(n, c, g) for n, (c, g) in merged.items()]
 
 
 class Polytope:
@@ -183,7 +235,6 @@ class Polytope:
         "affine_dim",
         "_scale",
         "_ivertices",
-        "_simplicial",
         "_merged",
         "_facets",
         "_area",
@@ -200,7 +251,6 @@ class Polytope:
             self.affine_dim,
             self._scale,
             self._ivertices,
-            self._simplicial,
             self._merged,
             self._basis_ids,
         ) = _raw
@@ -216,7 +266,7 @@ class Polytope:
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(_raw=(ambient_dim, (), -1, 1, (), (), (), ()))
+        return Polytope(_raw=(ambient_dim, (), -1, 1, (), (), ()))
 
     @staticmethod
     def point(coords: Sequence) -> "Polytope":
@@ -231,10 +281,6 @@ class Polytope:
     @property
     def is_empty(self) -> bool:
         return self.affine_dim < 0
-
-    @property
-    def is_point(self) -> bool:
-        return self.affine_dim == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polytope):
@@ -262,7 +308,7 @@ class Polytope:
                 self._facets = ()
             else:
                 out = []
-                for n, c_int in self._merged:
+                for n, c_int, _ in self._merged:
                     offset = Fraction(c_int, self._scale)
                     ids = frozenset(
                         i for i, v in enumerate(self.vertices) if dot(n, v) == offset
@@ -283,46 +329,35 @@ class Polytope:
     def volume(self) -> Fraction:
         """Top-dimensional volume; zero for lower-dimensional bodies.
 
-        Computed via the divergence identity vol = (1/n) sum_F h(P, sigma_F)
-        evaluated exactly over the simplicial facet pieces.
+        Computed via the divergence identity vol = (1/n) sum_F h(P, sigma_F).
+        With facets (u, c, G) in the integer-cleared coordinates s * x, the
+        facet's cross-product weight is G * u and its support value c, so
+        vol = sum_F G * c / (n! * s^n).
         """
         if self._volume is None:
             n = self.ambient_dim
             if self.affine_dim < n:
                 self._volume = Fraction(0)
             else:
-                total = 0
-                for verts, normal, _ in self._simplicial:
-                    base = self._ivertices[verts[0]]
-                    vecs = [vec_sub(self._ivertices[v], base) for v in verts[1:]]
-                    w = cross_general(vecs)
-                    if dot(w, normal) < 0:
-                        w = tuple(-x for x in w)
-                    total += dot(w, base)
+                total = sum(g * c for _, c, g in self._merged)
                 self._volume = Fraction(total, factorial(n) * self._scale**n)
         return self._volume
 
     def area_measure(self) -> AreaMeasure:
-        """Surface area measure as exact weighted-normal atoms."""
+        """Surface area measure as exact weighted-normal atoms.
+
+        For a full-dimensional body each facet (u, c, G) gives the atom
+        G * u / ((n-1)! * s^(n-1)), the summed cross products of its
+        simplicial pieces rescaled from the integer-cleared coordinates.
+        """
         if self._area is None:
             n = self.ambient_dim
             if self.affine_dim == n:
-                groups: dict[tuple[int, ...], list[int]] = {}
-                for verts, normal, _ in self._simplicial:
-                    base = self._ivertices[verts[0]]
-                    vecs = [vec_sub(self._ivertices[v], base) for v in verts[1:]]
-                    w = cross_general(vecs)
-                    if dot(w, normal) < 0:
-                        w = tuple(-x for x in w)
-                    acc = groups.get(normal)
-                    if acc is None:
-                        groups[normal] = list(w)
-                    else:
-                        for i, x in enumerate(w):
-                            acc[i] += x
                 denom = factorial(n - 1) * self._scale ** (n - 1)
                 atoms = tuple(
-                    sorted(tuple(Fraction(x, denom) for x in w) for w in groups.values())
+                    sorted(
+                        tuple(Fraction(g * x, denom) for x in u) for u, _, g in self._merged
+                    )
                 )
             elif self.affine_dim == n - 1:
                 atoms = self._codim1_atoms()
@@ -394,7 +429,7 @@ def _body_triangulation(ipts: Sequence[tuple[int, ...]], r: int) -> list[tuple[i
     vertex_ids, simplicial, _ = _hull_engine(icoords, r, simplex)
     base = vertex_ids[0]
     out = []
-    for verts, _, _ in simplicial:
+    for verts, *_ in simplicial:
         if base not in verts:
             out.append((base,) + tuple(verts))
     return out
@@ -443,7 +478,7 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
     The result is independent of input order and duplicates.  Raises
     ValueError on an empty input or inconsistent point dimensions.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    pts = [tuple(x if type(x) is Fraction else Fraction(x) for x in p) for p in points]
     if not pts:
         raise ValueError("convex hull of an empty point set")
     dim = ambient_dim if ambient_dim is not None else len(pts[0])
@@ -453,26 +488,31 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
     if not 2 <= dim <= 4:
         raise ValueError("ambient dimension must be between 2 and 4")
 
-    pts = _dedupe(pts)
     scale, ipts = clear_denominators(pts)
+    # drop repeats, keeping first occurrences in input order
+    first = {}
+    for i, q in enumerate(ipts):
+        first.setdefault(q, i)
+    ipts = list(first)
+    pts = [pts[i] for i in first.values()]
 
     basis = IntRowBasis()
     chosen = []
     for i in range(1, len(ipts)):
         if basis.add(vec_sub(ipts[i], ipts[0])):
             chosen.append(i)
+            if basis.rank == dim:
+                break
     r = basis.rank
 
     if r == 0:
         v = pts[0]
-        return Polytope(_raw=(dim, (v,), 0, scale, (ipts[0],), (), (), ()))
+        return Polytope(_raw=(dim, (v,), 0, scale, (ipts[0],), (), ()))
 
     if r == dim:
-        ids, simplicial, merged = _hull_engine(ipts, dim, [0] + chosen)
+        ids, _, merged = _hull_engine(ipts, dim, [0] + chosen)
         vertices = tuple(sorted(pts[i] for i in ids))
-        return Polytope(
-            _raw=(dim, vertices, dim, scale, tuple(ipts), tuple(simplicial), tuple(merged), tuple(chosen))
-        )
+        return Polytope(_raw=(dim, vertices, dim, scale, (), tuple(merged), ()))
 
     # lower-dimensional body: find extreme points in flat coordinates
     coords, chosen = _flat_coordinates(ipts)
@@ -486,7 +526,7 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
         simplex = _initial_simplex(icoords, r)
         ids, _, _ = _hull_engine(icoords, r, simplex)
     vertices = tuple(sorted(pts[i] for i in ids))
-    return Polytope(_raw=(dim, vertices, r, scale, tuple(ipts), (), (), tuple(chosen)))
+    return Polytope(_raw=(dim, vertices, r, scale, tuple(ipts), (), tuple(chosen)))
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence], t: Sequence | None = None) -> Polytope:

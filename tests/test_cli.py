@@ -273,6 +273,21 @@ def test_bad_direction_count(bodies, capsys):
     assert "4" in err
 
 
+@pytest.mark.parametrize(
+    "coord,message",
+    # JSON true is a bool, which Python treats as the int 1
+    [("true", "True"), ('"1/0"', "zero denominator")],
+)
+def test_bad_coordinate_exits_two(tmp_path, capsys, coord, message):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"ambient_dim": 2, "vertices": [[{coord}, "0"], ["1", "0"], ["0", "1"]]}}')
+    for argv in (["hull", str(path)], ["support", str(path), "--dir", "1,0"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
 def test_usage_error_exit_two(capsys):
     assert cli.main(["nope-command"]) == 2
     assert cli.main([]) == 2
@@ -284,7 +299,7 @@ def test_usage_error_exit_two(capsys):
 def test_parse_rational_strictness():
     assert parse_rational("-3/7") == F(-3, 7)
     assert parse_rational(5) == 5
-    for bad in ("1.5", "1e3", "x", "3/", None, 2.5):
+    for bad in ("1.5", "1e3", "x", "3/", None, 2.5, True, False, "1/0", "-0/0"):
         with pytest.raises(FormatError):
             parse_rational(bad)
 

@@ -7,6 +7,7 @@ fan-triangulation volume oracle for random bodies.
 
 from fractions import Fraction
 import itertools
+from math import gcd
 import random
 
 import pytest
@@ -362,3 +363,209 @@ def test_hyp_support_additivity(pts1, pts2, xi):
 def test_hyp_area_closure(pts):
     P = convex_hull(pts)
     assert all(x == 0 for x in P.area_measure().closure_sum())
+
+
+# -- brute-force 4-D oracle ----------------------------------------------------------
+#
+# Facets, vertices, volume and area atoms from first principles, in plain
+# Fraction arithmetic written here: a hyperplane through k of the points is a
+# facet when every point lies on one side of it.  Nothing below calls the hull
+# engine's helpers or minkval.linalg.
+
+
+def _odot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _orref(rows, k):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
+    m = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def _orank(vectors, k):
+    return len(_orref(vectors, k)[1]) if vectors else 0
+
+
+def _oprimitive(vec):
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def _onormal(sub, k):
+    """Primitive integer normal of the hyperplane the points span in R^k, or
+    None when their affine hull is not a hyperplane."""
+    m, pivots = _orref([[x - y for x, y in zip(q, sub[0])] for q in sub[1:]], k)
+    if len(pivots) != k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivots)
+    v = [F(0)] * k
+    v[free] = F(1)
+    for i, col in enumerate(pivots):
+        v[col] = -m[i][free]
+    return _oprimitive(v)
+
+
+def _ofacets(pts, k):
+    """{outward primitive normal: offset} of a point set spanning R^k."""
+    found = {}
+    for sub in itertools.combinations(pts, k):
+        a = _onormal(sub, k)
+        if a is None:
+            continue
+        c = _odot(a, sub[0])
+        vals = [_odot(a, p) for p in pts]
+        if all(v <= c for v in vals):
+            found[a] = c
+        elif all(v >= c for v in vals):
+            found[tuple(-x for x in a)] = -c
+    return found
+
+
+def _overtices(pts, facets, k):
+    """A point is a vertex when the normals of the facets through it span R^k."""
+    return sorted(
+        p for p in pts if _orank([a for a, c in facets.items() if _odot(a, p) == c], k) == k
+    )
+
+
+def _ovolume(pts, k):
+    """k-volume by cones from the centroid over the facets, recursively.
+
+    A facet with normal a is measured by its projection along a coordinate
+    axis j with a_j != 0, which scales its (k-1)-volume by |a_j| / |a|.
+    """
+    if k == 1:
+        return max(p[0] for p in pts) - min(p[0] for p in pts)
+    o = tuple(sum(p[i] for p in pts) / len(pts) for i in range(k))
+    total = F(0)
+    for a, c in _ofacets(pts, k).items():
+        j = next(i for i, x in enumerate(a) if x != 0)
+        face = [p[:j] + p[j + 1:] for p in pts if _odot(a, p) == c]
+        total += (c - _odot(a, o)) / abs(a[j]) * _ovolume(face, k - 1)
+    return total / k
+
+
+def _oatom(pts, a, c, k):
+    """vol_{k-1}(F) * a / |a| for the face of pts on <a, x> = c."""
+    j = next(i for i, x in enumerate(a) if x != 0)
+    face = [p[:j] + p[j + 1:] for p in pts if _odot(a, p) == c]
+    w = _ovolume(face, k - 1) / abs(a[j])
+    return tuple(w * x for x in a)
+
+
+def _oflat_chart(pts, r):
+    """Coordinates J (|J| = r) on which the r-flat of pts projects injectively."""
+    diffs = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]
+    for J in itertools.combinations(range(4), r):
+        if _orank([tuple(d[j] for j in J) for d in diffs], r) == r:
+            return J
+    raise AssertionError("no injective chart")
+
+
+small_int = st.integers(min_value=-2, max_value=2)
+lattice_point = st.tuples(small_int, small_int, small_int, small_int)
+rational_point = st.tuples(small_rational, small_rational, small_rational, small_rational)
+
+
+@st.composite
+def clouds_4d(draw):
+    """Up to nine distinct points in R^4, often degenerate, sometimes repeated."""
+    shape = draw(st.sampled_from(["rational", "lattice", "coplanar", "flat2", "flat3"]))
+    if shape == "rational":
+        pts = draw(st.lists(rational_point, min_size=5, max_size=9))
+    elif shape == "lattice":
+        pts = draw(st.lists(lattice_point, min_size=5, max_size=9))
+    elif shape == "coplanar":
+        # a cluster on one hyperplane <a, x> = c, plus points off it
+        a = draw(lattice_point.filter(lambda v: any(v)))
+        c = draw(small_int)
+        j = next(i for i, x in enumerate(a) if x != 0)
+        cluster = []
+        for q in draw(st.lists(rational_point, min_size=3, max_size=6)):
+            rest = sum(a[i] * q[i] for i in range(4) if i != j)
+            cluster.append(q[:j] + (F(c - rest, a[j]),) + q[j + 1:])
+        pts = cluster + draw(st.lists(lattice_point, min_size=1, max_size=9 - len(cluster)))
+    else:
+        r = 2 if shape == "flat2" else 3
+        base = draw(lattice_point)
+        gens = [draw(lattice_point) for _ in range(r)]
+        pts = []
+        for _ in range(draw(st.integers(min_value=r + 1, max_value=9))):
+            coef = [draw(small_rational) for _ in range(r)]
+            pts.append(tuple(base[i] + sum(t * g[i] for t, g in zip(coef, gens)) for i in range(4)))
+    pts = [tuple(F(x) for x in p) for p in pts]
+    repeats = draw(st.lists(st.sampled_from(pts), max_size=3))
+    return pts + repeats
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds_4d())
+def test_hyp_hull_4d_matches_bruteforce_facets(pts):
+    P = convex_hull(pts)
+    distinct = sorted(set(pts))
+    diffs = [tuple(x - y for x, y in zip(p, distinct[0])) for p in distinct[1:]]
+    r = _orank(diffs, 4)
+    assert P.affine_dim == r
+    if r < 4:
+        assert P.facets == ()
+        if r == 0:
+            assert P.vertices == tuple(distinct)
+            return
+        J = _oflat_chart(distinct, r)
+        chart = {tuple(p[j] for j in J): p for p in distinct}
+        proj = list(chart)
+        if r == 1:
+            ends = [min(proj), max(proj)]
+        else:
+            ends = _overtices(proj, _ofacets(proj, r), r)
+        assert P.vertices == tuple(sorted(chart[q] for q in ends))
+        return
+    facets = _ofacets(distinct, 4)
+    verts = _overtices(distinct, facets, 4)
+    assert P.vertices == tuple(verts)
+    expected = {
+        (a, c, frozenset(i for i, v in enumerate(verts) if _odot(a, v) == c))
+        for a, c in facets.items()
+    }
+    assert {(f.normal, f.offset, f.vertex_ids) for f in P.facets} == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds_4d())
+def test_hyp_volume_and_area_4d_match_cone_decomposition(pts):
+    P = convex_hull(pts)
+    distinct = sorted(set(pts))
+    if P.affine_dim == 4:
+        assert P.volume() == _ovolume(distinct, 4)
+        atoms = {_oatom(distinct, a, c, 4) for a, c in _ofacets(distinct, 4).items()}
+        assert set(P.area_measure().atoms) == atoms
+        assert len(P.area_measure()) == len(atoms)
+        return
+    assert P.volume() == 0
+    if P.affine_dim == 3:
+        u = _onormal(distinct, 4)
+        atom = _oatom(distinct, u, _odot(u, distinct[0]), 4)
+        assert set(P.area_measure().atoms) == {atom, tuple(-x for x in atom)}
+    else:
+        assert P.area_measure().atoms == ()
+
