@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cplx import ComplexMatrix2, Cplx, DualPolytope
 from .polytope import Polytope, convex_hull
-from .valuations import ValuationOp
+from .valuations import ValuationOp, covariant_of
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -104,10 +104,16 @@ def load_polytope(path: str) -> Polytope:
         raise FormatError(f"{path}: {e}") from None
 
 
+def write_text(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise FormatError(f"cannot write {path}: {e}") from None
+
+
 def save_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cplx_from_json(pair) -> Cplx:
@@ -140,9 +146,6 @@ def matrix2_to_json(g: ComplexMatrix2) -> dict:
     return {"entries": [[pair(g.a), pair(g.b)], [pair(g.c), pair(g.d)]]}
 
 
-OP_KINDS = ("proj", "diff", "d_m", "pi_n", "dtilde_m", "z_combined")
-
-
 def op_from_json(data) -> ValuationOp:
     """Operator spec: {"op": "z_combined", "M": <planar body>, "N": <planar body>}."""
     if not isinstance(data, dict) or "op" not in data:
@@ -165,23 +168,14 @@ def op_to_json(op: ValuationOp) -> dict:
 
 def build_op(kind: str, M: Polytope | None, N: Polytope | None) -> ValuationOp:
     """Build an operator from a kind token, accepting cov_of:<kind> wrappers."""
-    from .valuations import covariant_of
-
-    wrap = False
-    if isinstance(kind, str) and kind.startswith("cov_of:"):
-        wrap = True
-        kind = kind[len("cov_of:"):]
-    if kind not in OP_KINDS:
-        raise FormatError(f"unknown operator kind {kind!r}; known: {', '.join(OP_KINDS)}")
+    if not isinstance(kind, str):
+        raise FormatError(f"bad operator kind {kind!r}: expected a string")
     try:
-        op = ValuationOp(kind, M=M, N=N)
+        if kind.startswith("cov_of:"):
+            return covariant_of(ValuationOp(kind[len("cov_of:"):], M=M, N=N))
+        return ValuationOp(kind, M=M, N=N)
     except ValueError as e:
         raise FormatError(str(e)) from None
-    if wrap:
-        if not op.is_contravariant:
-            raise FormatError(f"cov_of wraps contravariant kinds, not {kind!r}")
-        op = covariant_of(op)
-    return op
 
 
 def parse_inline_direction(text: str, dim: int = 4) -> tuple:

@@ -24,13 +24,12 @@ from .bodyio import (
     parse_inline_direction,
     polytope_to_json,
     save_json,
+    write_text,
 )
 from .cplx import DualPolytope
 from .harness import CHECKS, homogeneous_decomposition, run_suite
 from .mixed import mixed_volume
-from .valuations import SupportEvaluator, apply_valuation
-
-KIND_CHOICES = "proj, diff, d_m, pi_n, dtilde_m, z_combined, cov_of:<kind>"
+from .valuations import OPERATORS, SupportEvaluator, apply_valuation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed", help="exact mixed volume of four bodies")
     p.add_argument("bodies", nargs=4, metavar="K")
 
-    p = sub.add_parser("op", help=f"apply a valuation operator ({KIND_CHOICES})")
+    kinds = ", ".join(OPERATORS) + ", cov_of:<kind>"
+    p = sub.add_parser("op", help=f"apply a valuation operator ({kinds})")
     p.add_argument("kind")
     p.add_argument("--body", required=True)
     p.add_argument("--M", dest="m_file")
@@ -199,17 +199,17 @@ def _cmd_sample(args) -> int:
     op = _load_op(args)
     K = _load_source_body(args)
     ev = SupportEvaluator(op, K)
-    rows = []
+    lines = [
+        "# lossy decimal output (IEEE double, 17 significant digits);"
+        " all other commands are exact",
+        "w1,w2,w3,w4,h",
+    ]
     for d in _sphere_grid(args.sphere_grid):
         norm = math.sqrt(sum(x * x for x in d))
         h = ev.at(d)
-        rows.append([x / norm for x in d] + [float(h) / norm])
-    with open(args.csv, "w") as fh:
-        fh.write("# lossy decimal output (IEEE double, 17 significant digits);"
-                 " all other commands are exact\n")
-        fh.write("w1,w2,w3,w4,h\n")
-        for row in rows:
-            fh.write(",".join(repr(x) for x in row) + "\n")
+        row = [x / norm for x in d] + [float(h) / norm]
+        lines.append(",".join(repr(x) for x in row))
+    write_text(args.csv, "\n".join(lines) + "\n")
     return 0
 
 

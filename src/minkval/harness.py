@@ -25,6 +25,7 @@ from .linalg import dot, mat_apply, mat_inverse, mat_transpose
 from .mixed import mixed_volume, mixed_volume_31
 from .polytope import Polytope, convex_hull, split_by_hyperplane
 from .valuations import (
+    OPERATORS,
     SupportEvaluator,
     ValuationOp,
     apply_valuation,
@@ -173,20 +174,31 @@ def rand_e_plane_body(rng: random.Random) -> Polytope:
 
 
 def _suite_ops(rng: random.Random) -> list[ValuationOp]:
-    M = rand_planar_body(rng)
-    N = rand_planar_body(rng)
+    """One operator of every kind, sharing one random M and one random N."""
+    bodies = {"M": rand_planar_body(rng), "N": rand_planar_body(rng)}
     return [
-        ValuationOp.proj(),
-        ValuationOp.diff(),
-        ValuationOp.d_m(M),
-        ValuationOp.pi_n(N),
-        ValuationOp.dtilde_m(M),
-        ValuationOp.z_combined(M, N),
+        ValuationOp(kind, **{p: bodies[p] for p in spec.params})
+        for kind, spec in OPERATORS.items()
     ]
 
 
+def _strs(v) -> list[str]:
+    return [str(x) for x in v]
+
+
 def _body_witness(P: Polytope) -> list:
-    return [[str(x) for x in v] for v in P.vertices]
+    return [_strs(v) for v in P.vertices]
+
+
+def _run_trials(check: str, seed: int, trials: int, rng: random.Random,
+                trial_fn) -> PropertyReport:
+    """Run trial_fn(rng, trial) for each trial; the first witness it returns
+    fails the check, tagged with its trial index."""
+    for trial in range(trials):
+        witness = trial_fn(rng, trial)
+        if witness is not None:
+            return PropertyReport(check, seed, trial + 1, "fail", {"trial": trial, **witness})
+    return PropertyReport(check, seed, trials, "pass")
 
 
 # -- instance-level checks ----------------------------------------------------------
@@ -223,9 +235,9 @@ def check_valuation_additivity(op: ValuationOp, P: Polytope, xi, c, dirs,
             witness = {
                 "op": op.kind,
                 "P": _body_witness(P),
-                "xi": [str(x) for x in xi],
+                "xi": _strs(xi),
                 "c": str(c),
-                "w": [str(x) for x in w],
+                "w": _strs(w),
                 "lhs": str(lhs),
                 "rhs": str(rhs),
             }
@@ -254,9 +266,8 @@ def check_equivariance(op: ValuationOp, K: Polytope, g: ComplexMatrix2, dirs,
             witness = {
                 "op": op.kind,
                 "K": _body_witness(K),
-                "g": [[str(g.a.re), str(g.a.im)], [str(g.b.re), str(g.b.im)],
-                      [str(g.c.re), str(g.c.im)], [str(g.d.re), str(g.d.im)]],
-                "w": [str(x) for x in w],
+                "g": [_strs((z.re, z.im)) for z in (g.a, g.b, g.c, g.d)],
+                "w": _strs(w),
                 "lhs": str(lhs),
                 "rhs": str(rhs),
             }
@@ -306,9 +317,9 @@ def verify_shear_simplex_area_measure(a, b, gamma: Cplx, seed: int = 0) -> Prope
         witness = {
             "a": str(a),
             "b": str(b),
-            "gamma": [str(gamma.re), str(gamma.im)],
-            "computed": sorted([str(x) for x in atom] for atom in got),
-            "expected": sorted([str(x) for x in atom] for atom in want),
+            "gamma": _strs((gamma.re, gamma.im)),
+            "computed": sorted(_strs(atom) for atom in got),
+            "expected": sorted(_strs(atom) for atom in want),
         }
     return PropertyReport("shear_simplex_atoms", seed, 1, "pass" if ok else "fail", witness)
 
@@ -318,44 +329,40 @@ def check_degenerate_vanishing(op: ValuationOp, stratum: str, seed: int,
     """Degree-3 operators vanish on bodies in C-independent 2-planes; on
     3-dimensional bodies in span{e1, ie1, e2} the support in direction
     alpha e1 + beta e2 only sees beta e2."""
-    if op.kind not in ("proj", "pi_n"):
+    if not op.is_contravariant or op.homogeneity_degrees != {3}:
         raise ValueError("degenerate vanishing applies to the degree-3 operators")
-    rng = random.Random(f"{seed}:degenerate:{stratum}:{op.kind}")
-    for trial in range(trials):
+    if stratum not in ("plane2", "e_plane"):
+        raise ValueError(f"unknown stratum {stratum!r}")
+
+    def trial_fn(rng, trial):
         if stratum == "plane2":
             K = rand_complex_plane_body(rng)
             ev = SupportEvaluator(op, K)
             body = apply_valuation(op, K).body
             dirs = [rand_direction(rng) for _ in range(10)]
             if body != zero_body() or any(ev.at(w) != 0 for w in dirs):
-                return PropertyReport(
-                    "degenerate_vanishing", seed, trial + 1, "fail",
-                    {"stratum": stratum, "trial": trial, "K": _body_witness(K)},
-                )
-        elif stratum == "e_plane":
-            K = rand_e_plane_body(rng)
-            ev = SupportEvaluator(op, K)
-            for _ in range(10):
-                alpha = Cplx(rand_rational(rng), rand_rational(rng))
-                beta = Cplx(rand_rational(rng), rand_rational(rng))
-                lhs = ev.at((alpha.re, alpha.im, beta.re, beta.im))
-                rhs = ev.at((F(0), F(0), beta.re, beta.im))
-                if lhs != rhs:
-                    return PropertyReport(
-                        "degenerate_vanishing", seed, trial + 1, "fail",
-                        {
-                            "stratum": stratum,
-                            "trial": trial,
-                            "K": _body_witness(K),
-                            "alpha": [str(alpha.re), str(alpha.im)],
-                            "beta": [str(beta.re), str(beta.im)],
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                        },
-                    )
-        else:
-            raise ValueError(f"unknown stratum {stratum!r}")
-    return PropertyReport("degenerate_vanishing", seed, trials, "pass")
+                return {"stratum": stratum, "K": _body_witness(K)}
+            return None
+        K = rand_e_plane_body(rng)
+        ev = SupportEvaluator(op, K)
+        for _ in range(10):
+            alpha = Cplx(rand_rational(rng), rand_rational(rng))
+            beta = Cplx(rand_rational(rng), rand_rational(rng))
+            lhs = ev.at((alpha.re, alpha.im, beta.re, beta.im))
+            rhs = ev.at((F(0), F(0), beta.re, beta.im))
+            if lhs != rhs:
+                return {
+                    "stratum": stratum,
+                    "K": _body_witness(K),
+                    "alpha": _strs((alpha.re, alpha.im)),
+                    "beta": _strs((beta.re, beta.im)),
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                }
+        return None
+
+    rng = random.Random(f"{seed}:degenerate:{stratum}:{op.kind}")
+    return _run_trials("degenerate_vanishing", seed, trials, rng, trial_fn)
 
 
 def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
@@ -366,18 +373,14 @@ def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
     searches for a witness (K, w) separating the two operators.  The probe is
     a falsifiable heuristic, not a proof of uniqueness.
     """
-    if kind not in ("d_m", "dtilde_m", "pi_n"):
-        raise ValueError("uniqueness check applies to the parametrized operators")
-    rng = random.Random(f"{seed}:uniqueness:{kind}")
+    spec = OPERATORS.get(kind)
+    if spec is None or len(spec.params) != 1:
+        raise ValueError("uniqueness check applies to the single-parameter operators")
 
     def make_op(param):
-        if kind == "d_m":
-            return ValuationOp.d_m(param)
-        if kind == "dtilde_m":
-            return ValuationOp.dtilde_m(param)
-        return ValuationOp.pi_n(param)
+        return ValuationOp(kind, **{spec.params[0]: param})
 
-    for trial in range(trials):
+    def trial_fn(rng, trial):
         t = (rand_rational(rng), rand_rational(rng))
         shifted = M.translate(t)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
@@ -386,10 +389,13 @@ def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
         for _ in range(5):
             w = rand_direction(rng)
             if ev1.at(w) != ev2.at(w):
-                return PropertyReport(
-                    "uniqueness_translates", seed, trial + 1, "fail",
-                    {"kind": kind, "t": [str(x) for x in t], "w": [str(x) for x in w]},
-                )
+                return {"kind": kind, "t": _strs(t), "w": _strs(w)}
+        return None
+
+    rng = random.Random(f"{seed}:uniqueness:{kind}")
+    rep = _run_trials("uniqueness_translates", seed, trials, rng, trial_fn)
+    if not rep.passed:
+        return rep
 
     if set(M.area_measure().atoms) == set(M2.area_measure().atoms):
         raise ValueError("separation probe needs parameters with distinct area measures")
@@ -409,7 +415,7 @@ def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
                     {
                         "separated_by": {
                             "K": _body_witness(K),
-                            "w": [str(x) for x in w],
+                            "w": _strs(w),
                             "values": [str(ev1.at(w)), str(ev2.at(w))],
                         }
                     },
@@ -430,25 +436,23 @@ def _probe_cube_vertices():
 
 
 def _drive_mixed_volume_oracles(seed: int, trials: int) -> PropertyReport:
-    rng = random.Random(f"{seed}:mixed_oracles")
-    for trial in range(trials):
+    def trial_fn(rng, trial):
         K = rand_polytope(rng, min_verts=5, max_verts=7, full_dim=False)
         L = rand_polytope(rng, min_verts=5, max_verts=7, full_dim=False)
         fast = mixed_volume_31(K, L)
         slow = mixed_volume(K, K, K, L)
         diag = mixed_volume(K, K, K, K)
         if fast != slow or diag != K.volume():
-            return PropertyReport(
-                "mixed_volume_oracles", seed, trial + 1, "fail",
-                {
-                    "trial": trial,
-                    "K": _body_witness(K),
-                    "L": _body_witness(L),
-                    "facet_form": str(fast),
-                    "polarization": str(slow),
-                },
-            )
-    return PropertyReport("mixed_volume_oracles", seed, trials, "pass")
+            return {
+                "K": _body_witness(K),
+                "L": _body_witness(L),
+                "facet_form": str(fast),
+                "polarization": str(slow),
+            }
+        return None
+
+    rng = random.Random(f"{seed}:mixed_oracles")
+    return _run_trials("mixed_volume_oracles", seed, trials, rng, trial_fn)
 
 
 def _drive_known_values(seed: int, trials: int) -> PropertyReport:
@@ -478,8 +482,7 @@ def _drive_known_values(seed: int, trials: int) -> PropertyReport:
 
 
 def _drive_additivity(seed: int, trials: int, dirs_per_trial: int = 50) -> PropertyReport:
-    rng = random.Random(f"{seed}:additivity")
-    for trial in range(trials):
+    def trial_fn(rng, trial):
         ops = _suite_ops(rng)
         P = rand_polytope(rng, min_verts=5, max_verts=9)
         xi = rand_direction(rng)
@@ -490,15 +493,15 @@ def _drive_additivity(seed: int, trials: int, dirs_per_trial: int = 50) -> Prope
         for op in ops:
             rep = check_valuation_additivity(op, P, xi, c, dirs, seed)
             if not rep.passed:
-                rep.trials = trial + 1
-                rep.witness["trial"] = trial
-                return rep
-    return PropertyReport("valuation_additivity", seed, trials, "pass")
+                return rep.witness
+        return None
+
+    rng = random.Random(f"{seed}:additivity")
+    return _run_trials("valuation_additivity", seed, trials, rng, trial_fn)
 
 
 def _drive_equivariance(seed: int, trials: int) -> PropertyReport:
-    rng = random.Random(f"{seed}:equivariance")
-    for trial in range(trials):
+    def trial_fn(rng, trial):
         ops = _suite_ops(rng)
         ops.append(covariant_of(ValuationOp.pi_n(rand_planar_body(rng))))
         K = rand_polytope(rng, min_verts=5, max_verts=8)
@@ -507,33 +510,31 @@ def _drive_equivariance(seed: int, trials: int) -> PropertyReport:
         for op in ops:
             rep = check_equivariance(op, K, g, dirs, seed)
             if not rep.passed:
-                rep.trials = trial + 1
-                rep.witness["trial"] = trial
-                return rep
-    return PropertyReport("equivariance", seed, trials, "pass")
+                return rep.witness
+        return None
+
+    rng = random.Random(f"{seed}:equivariance")
+    return _run_trials("equivariance", seed, trials, rng, trial_fn)
 
 
 def _drive_homogeneity(seed: int, trials: int) -> PropertyReport:
-    rng = random.Random(f"{seed}:homogeneity")
-    for trial in range(trials):
+    def trial_fn(rng, trial):
         ops = _suite_ops(rng)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         dirs = [rand_direction(rng) for _ in range(3)]
         for op in ops:
-            table = homogeneous_decomposition(op, K, dirs)
-            degrees = table.nonzero_degrees()
-            if not degrees <= set(op.homogeneity_degrees):
-                return PropertyReport(
-                    "homogeneity_spectrum", seed, trial + 1, "fail",
-                    {
-                        "trial": trial,
-                        "op": op.kind,
-                        "K": _body_witness(K),
-                        "nonzero_degrees": sorted(degrees),
-                        "allowed": sorted(op.homogeneity_degrees),
-                    },
-                )
-    return PropertyReport("homogeneity_spectrum", seed, trials, "pass")
+            degrees = homogeneous_decomposition(op, K, dirs).nonzero_degrees()
+            if not degrees <= op.homogeneity_degrees:
+                return {
+                    "op": op.kind,
+                    "K": _body_witness(K),
+                    "nonzero_degrees": sorted(degrees),
+                    "allowed": sorted(op.homogeneity_degrees),
+                }
+        return None
+
+    rng = random.Random(f"{seed}:homogeneity")
+    return _run_trials("homogeneity_spectrum", seed, trials, rng, trial_fn)
 
 
 def _drive_degenerate(seed: int, trials: int) -> PropertyReport:
@@ -543,20 +544,16 @@ def _drive_degenerate(seed: int, trials: int) -> PropertyReport:
         rep = check_degenerate_vanishing(op, stratum, seed, trials)
         if not rep.passed:
             return rep
-    return PropertyReport("degenerate_vanishing", seed, trials, "pass")
+    return rep
 
 
 def _drive_shear_simplex(seed: int, trials: int) -> PropertyReport:
-    rng = random.Random(f"{seed}:shear_simplex")
-    fixed = [
-        (F(1), F(1), Cplx.of(0)),
-        (F(1), F(1), Cplx.of(1, 1)),
-    ]
-    for a, b, gamma in fixed:
+    for a, b, gamma in ((F(1), F(1), Cplx.of(0)), (F(1), F(1), Cplx.of(1, 1))):
         rep = verify_shear_simplex_area_measure(a, b, gamma, seed)
         if not rep.passed:
             return rep
-    for trial in range(trials):
+
+    def trial_fn(rng, trial):
         a = F(0)
         b = F(0)
         while a == 0:
@@ -564,17 +561,17 @@ def _drive_shear_simplex(seed: int, trials: int) -> PropertyReport:
         while b == 0:
             b = rand_rational(rng, span=3, max_den=5)
         gamma = Cplx(rand_rational(rng), rand_rational(rng))
-        rep = verify_shear_simplex_area_measure(a, b, gamma, seed)
-        if not rep.passed:
-            rep.trials = trial + 1
-            return rep
-    return PropertyReport("shear_simplex_atoms", seed, trials, "pass")
+        return verify_shear_simplex_area_measure(a, b, gamma, seed).witness
+
+    rng = random.Random(f"{seed}:shear_simplex")
+    return _run_trials("shear_simplex_atoms", seed, trials, rng, trial_fn)
 
 
 def _drive_phi_equivariance(seed: int, trials: int) -> PropertyReport:
-    rng = random.Random(f"{seed}:phi_equivariance")
     alt_rejected = False
-    for trial in range(trials):
+
+    def trial_fn(rng, trial):
+        nonlocal alt_rejected
         while True:
             g = ComplexMatrix2(
                 Cplx(rand_rational(rng), rand_rational(rng)),
@@ -590,19 +587,20 @@ def _drive_phi_equivariance(seed: int, trials: int) -> PropertyReport:
         dual_img = mat_apply(mat_transpose(g.inverse().real_matrix()), phi_u)
         rhs = mat_apply(mat_transpose(scalar_matrix(g.det())), dual_img)
         if tuple(lhs) != tuple(rhs):
-            return PropertyReport(
-                "phi_equivariance", seed, trial + 1, "fail",
-                {"trial": trial, "u": [str(x) for x in u], "lhs": [str(x) for x in lhs],
-                 "rhs": [str(x) for x in rhs]},
-            )
+            return {"u": _strs(u), "lhs": _strs(lhs), "rhs": _strs(rhs)}
         alt = mat_apply(mat_transpose(scalar_matrix(g.det().conjugate())), dual_img)
         if tuple(alt) != tuple(lhs):
             alt_rejected = True
-    witness = {
-        "convention": "(c.xi)(w) = xi(c w)",
-        "alternative_xi_conj_cw_rejected": alt_rejected,
-    }
-    return PropertyReport("phi_equivariance", seed, trials, "pass", witness)
+        return None
+
+    rng = random.Random(f"{seed}:phi_equivariance")
+    rep = _run_trials("phi_equivariance", seed, trials, rng, trial_fn)
+    if rep.passed:
+        rep.witness = {
+            "convention": "(c.xi)(w) = xi(c w)",
+            "alternative_xi_conj_cw_rejected": alt_rejected,
+        }
+    return rep
 
 
 def _drive_dtilde_consistency(seed: int, trials: int,
@@ -611,9 +609,10 @@ def _drive_dtilde_consistency(seed: int, trials: int,
     planar-integral route with conjugated atoms of M.  The pinning is itself
     the deterministic test: trial 0 evaluates both conventions and records
     which one holds."""
-    rng = random.Random(f"{seed}:dtilde_consistency")
     pinned = None
-    for trial in range(trials):
+
+    def trial_fn(rng, trial):
+        nonlocal pinned
         M = rand_planar_body(rng)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         w = rand_direction(rng)
@@ -631,19 +630,21 @@ def _drive_dtilde_consistency(seed: int, trials: int,
                 "raw_atoms_match": without == phi_route,
             }
         if det_route != phi_route:
-            return PropertyReport(
-                "dtilde_consistency", seed, trial + 1, "fail",
-                {
-                    "trial": trial,
-                    "M": _body_witness(M),
-                    "K": _body_witness(K),
-                    "w": [str(x) for x in w],
-                    "phi_route": str(phi_route),
-                    "det_route": str(det_route),
-                    "conjugate_atoms": conjugate_atoms,
-                },
-            )
-    return PropertyReport("dtilde_consistency", seed, trials, "pass", pinned)
+            return {
+                "M": _body_witness(M),
+                "K": _body_witness(K),
+                "w": _strs(w),
+                "phi_route": str(phi_route),
+                "det_route": str(det_route),
+                "conjugate_atoms": conjugate_atoms,
+            }
+        return None
+
+    rng = random.Random(f"{seed}:dtilde_consistency")
+    rep = _run_trials("dtilde_consistency", seed, trials, rng, trial_fn)
+    if rep.passed:
+        rep.witness = pinned
+    return rep
 
 
 def _drive_det32(seed: int, trials: int) -> PropertyReport:
@@ -655,8 +656,7 @@ def _drive_det32(seed: int, trials: int) -> PropertyReport:
     t^k under dilation plus one factor of t from pulling 1/t out of the
     direction slot.
     """
-    rng = random.Random(f"{seed}:det32")
-    for trial in range(trials):
+    def trial_fn(rng, trial):
         N = rand_planar_body(rng)
         op = ValuationOp.pi_n(N)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
@@ -672,18 +672,17 @@ def _drive_det32(seed: int, trials: int) -> PropertyReport:
             via_g0 = t**3 * ev.at(g0.inverse().apply(u))
             via_g = t**4 * ev.at(g.inverse().apply(u))
             if lhs != via_g0 or lhs != via_g:
-                return PropertyReport(
-                    "det32_pattern", seed, trial + 1, "fail",
-                    {
-                        "trial": trial,
-                        "t": str(t),
-                        "u": [str(x) for x in u],
-                        "lhs": str(lhs),
-                        "t3_g0_inverse": str(via_g0),
-                        "t4_g_inverse": str(via_g),
-                    },
-                )
-    return PropertyReport("det32_pattern", seed, trials, "pass")
+                return {
+                    "t": str(t),
+                    "u": _strs(u),
+                    "lhs": str(lhs),
+                    "t3_g0_inverse": str(via_g0),
+                    "t4_g_inverse": str(via_g),
+                }
+        return None
+
+    rng = random.Random(f"{seed}:det32")
+    return _run_trials("det32_pattern", seed, trials, rng, trial_fn)
 
 
 def _drive_uniqueness(seed: int, trials: int) -> PropertyReport:
@@ -705,8 +704,7 @@ def _drive_kernel_invariants(seed: int, trials: int) -> PropertyReport:
     from .linalg import det as _det
     from .polytope import affine_transform, minkowski_sum
 
-    rng = random.Random(f"{seed}:kernel")
-    for trial in range(trials):
+    def trial_fn(rng, trial):
         P = rand_polytope(rng, min_verts=5, max_verts=9)
         failures = {}
         if convex_hull(P.vertices) != P:
@@ -733,10 +731,11 @@ def _drive_kernel_invariants(seed: int, trials: int) -> PropertyReport:
             if affine_transform(P, A).volume() != abs(_det(A)) * P.volume():
                 failures["gl_volume_covariance"] = True
         if failures:
-            failures["trial"] = trial
-            failures["P"] = _body_witness(P)
-            return PropertyReport("kernel_invariants", seed, trial + 1, "fail", failures)
-    return PropertyReport("kernel_invariants", seed, trials, "pass")
+            return {**failures, "P": _body_witness(P)}
+        return None
+
+    rng = random.Random(f"{seed}:kernel")
+    return _run_trials("kernel_invariants", seed, trials, rng, trial_fn)
 
 
 CHECKS = {

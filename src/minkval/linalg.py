@@ -32,12 +32,6 @@ def mat_transpose(A: Sequence[Sequence]) -> Matrix:
     return tuple(zip(*A))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
 def det(A: Sequence[Sequence]) -> Fraction:
     """Determinant by fraction Gaussian elimination (small matrices)."""
     n = len(A)

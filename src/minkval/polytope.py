@@ -27,7 +27,6 @@ from .linalg import (
     cross_general,
     dot,
     mat_inverse,
-    primitive,
     vec_sub,
 )
 
@@ -128,12 +127,10 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int):
 def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     """Beneath-beyond hull of deduped integer points with affine rank d >= 2.
 
-    Returns (vertex_ids, simplicial_facets, merged_facets).  Simplicial facets
-    are (point_id_tuple, normal, offset, g) with the outward primitive normal
-    and g the gcd of the piece's cross product, so the piece's outward cross
-    product is g * normal.  Merged facets are (normal, offset, G) after the
-    coplanar merge, with G the sum of g over the pieces.  Simplicial facets
-    may reference non-extreme points; vertex_ids hold the extreme ones only.
+    Returns (vertex_ids, merged_facets): the ids of the extreme points, and
+    facets (normal, offset, G) with the outward primitive normal, after the
+    coplanar merge of the simplicial pieces; G is the sum over the pieces of
+    the gcd g of the piece's cross product, which is g * normal.
     """
     # the simplex's centroid, interior2 / (d + 1), is interior to every step
     interior2 = tuple(sum(ipts[i][k] for i in simplex) for k in range(d))
@@ -193,11 +190,9 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
             verts = ridge + (p_idx,) if p_idx > ridge[-1] else tuple(sorted(ridge + (p_idx,)))
             add_facet(verts, [ipts[v] for v in ridge] + [p])
 
-    simplicial = list(facets.values())
-
     merged: dict[tuple[int, ...], list[int]] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
-    for verts, n, c, g in simplicial:
+    for verts, n, c, g in facets.values():
         acc = merged.get(n)
         if acc is None:
             merged[n] = [c, g]
@@ -218,7 +213,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
             if basis.rank == d:
                 vertex_ids.append(v)
                 break
-    return vertex_ids, simplicial, [(n, c, g) for n, (c, g) in merged.items()]
+    return vertex_ids, [(n, c, g) for n, (c, g) in merged.items()]
 
 
 class Polytope:
@@ -234,12 +229,10 @@ class Polytope:
         "vertices",
         "affine_dim",
         "_scale",
-        "_ivertices",
         "_merged",
         "_facets",
         "_area",
         "_volume",
-        "_basis_ids",
     )
 
     def __init__(self, *, _raw=None):
@@ -250,12 +243,10 @@ class Polytope:
             self.vertices,
             self.affine_dim,
             self._scale,
-            self._ivertices,
             self._merged,
-            self._basis_ids,
+            self._area,
         ) = _raw
         self._facets = None
-        self._area = None
         self._volume = None
 
     # -- constructors ------------------------------------------------------
@@ -266,7 +257,7 @@ class Polytope:
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(_raw=(ambient_dim, (), -1, 1, (), (), ()))
+        return Polytope(_raw=(ambient_dim, (), -1, 1, (), AreaMeasure(ambient_dim, ())))
 
     @staticmethod
     def point(coords: Sequence) -> "Polytope":
@@ -349,42 +340,14 @@ class Polytope:
         For a full-dimensional body each facet (u, c, G) gives the atom
         G * u / ((n-1)! * s^(n-1)), the summed cross products of its
         simplicial pieces rescaled from the integer-cleared coordinates.
+        Lower-dimensional bodies get theirs from convex_hull.
         """
         if self._area is None:
             n = self.ambient_dim
-            if self.affine_dim == n:
-                denom = factorial(n - 1) * self._scale ** (n - 1)
-                atoms = tuple(
-                    sorted(
-                        tuple(Fraction(g * x, denom) for x in u) for u, _, g in self._merged
-                    )
-                )
-            elif self.affine_dim == n - 1:
-                atoms = self._codim1_atoms()
-            else:
-                atoms = ()
-            self._area = AreaMeasure(n, atoms)
+            denom = factorial(n - 1) * self._scale ** (n - 1)
+            atoms = (tuple(Fraction(g * x, denom) for x in u) for u, _, g in self._merged)
+            self._area = AreaMeasure(n, tuple(sorted(atoms)))
         return self._area
-
-    def _codim1_atoms(self) -> tuple[Coords, ...]:
-        n = self.ambient_dim
-        base = self._ivertices[0]
-        edge_vecs = [vec_sub(self._ivertices[i], base) for i in self._basis_ids]
-        u = primitive(cross_general(edge_vecs))
-        j = next(i for i, x in enumerate(u) if x != 0)
-
-        simplices = _body_triangulation(self._ivertices, self.affine_dim)
-        total = 0
-        for simplex in simplices:
-            sbase = self._ivertices[simplex[0]]
-            vecs = [vec_sub(self._ivertices[v], sbase) for v in simplex[1:]]
-            w = cross_general(vecs)
-            lam = w[j] // u[j]
-            total += abs(lam)
-        weight = Fraction(total, factorial(n - 1) * self._scale ** (n - 1))
-        plus = tuple(weight * x for x in u)
-        minus = tuple(-x for x in plus)
-        return tuple(sorted([plus, minus]))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -393,9 +356,6 @@ class Polytope:
             return self
         t = tuple(Fraction(x) for x in t)
         return convex_hull([tuple(a + b for a, b in zip(v, t)) for v in self.vertices])
-
-    def linear_image(self, A: Sequence[Sequence]) -> "Polytope":
-        return affine_transform(self, A, None)
 
     def scale(self, c) -> "Polytope":
         if self.is_empty:
@@ -412,38 +372,11 @@ class Polytope:
         return convex_hull([tuple(-x for x in v) for v in self.vertices], self.ambient_dim)
 
 
-def _body_triangulation(ipts: Sequence[tuple[int, ...]], r: int) -> list[tuple[int, ...]]:
-    """Triangulate the convex body of the given points (affine rank r >= 1).
-
-    The points live in an r-flat of the ambient space; simplices are returned
-    as index tuples with r+1 entries each.
-    """
-    coords, _ = _flat_coordinates(ipts)
-    if r == 1:
-        vals = [c[0] for c in coords]
-        imin = min(range(len(vals)), key=vals.__getitem__)
-        imax = max(range(len(vals)), key=vals.__getitem__)
-        return [(imin, imax)]
-    _, icoords = clear_denominators(coords)
-    simplex = _initial_simplex(icoords, r)
-    vertex_ids, simplicial, _ = _hull_engine(icoords, r, simplex)
-    base = vertex_ids[0]
-    out = []
-    for verts, *_ in simplicial:
-        if base not in verts:
-            out.append((base,) + tuple(verts))
-    return out
-
-
-def _flat_coordinates(ipts: Sequence[tuple[int, ...]]):
-    """Coordinates of the points in a basis of their own affine hull."""
+def _flat_coordinates(ipts: Sequence[tuple[int, ...]], chosen: list[int]):
+    """Coordinates of the points in the affine basis ipts[0], ipts[chosen]
+    of their affine hull; ipts[chosen[j]] gets the j-th unit vector."""
     base = ipts[0]
-    basis = IntRowBasis()
-    chosen = []
-    for i in range(1, len(ipts)):
-        if basis.add(vec_sub(ipts[i], base)):
-            chosen.append(i)
-    r = basis.rank
+    r = len(chosen)
     cols = [vec_sub(ipts[i], base) for i in chosen]
     row_basis = IntRowBasis()
     row_ids = []
@@ -458,18 +391,7 @@ def _flat_coordinates(ipts: Sequence[tuple[int, ...]]):
     for p in ipts:
         rhs = [Fraction(p[ri] - base[ri]) for ri in row_ids]
         coords.append(tuple(dot(row, rhs) for row in inv))
-    return coords, chosen
-
-
-def _initial_simplex(ipts: Sequence[tuple[int, ...]], d: int) -> list[int]:
-    basis = IntRowBasis()
-    simplex = [0]
-    for i in range(1, len(ipts)):
-        if basis.add(vec_sub(ipts[i], ipts[0])):
-            simplex.append(i)
-        if len(simplex) == d + 1:
-            return simplex
-    raise RuntimeError("points do not span the requested dimension")
+    return coords
 
 
 def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> Polytope:
@@ -506,27 +428,35 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
     r = basis.rank
 
     if r == 0:
-        v = pts[0]
-        return Polytope(_raw=(dim, (v,), 0, scale, (ipts[0],), (), ()))
+        return Polytope(_raw=(dim, (pts[0],), 0, scale, (), AreaMeasure(dim, ())))
 
     if r == dim:
-        ids, _, merged = _hull_engine(ipts, dim, [0] + chosen)
+        ids, merged = _hull_engine(ipts, dim, [0] + chosen)
         vertices = tuple(sorted(pts[i] for i in ids))
-        return Polytope(_raw=(dim, vertices, dim, scale, (), tuple(merged), ()))
+        return Polytope(_raw=(dim, vertices, dim, scale, tuple(merged), None))
 
-    # lower-dimensional body: find extreme points in flat coordinates
-    coords, chosen = _flat_coordinates(ipts)
+    # lower-dimensional body: hull and r-volume in flat coordinates, where
+    # the basis points form the unit simplex
+    coords = _flat_coordinates(ipts, chosen)
     if r == 1:
         vals = [c[0] for c in coords]
         imin = min(range(len(vals)), key=vals.__getitem__)
         imax = max(range(len(vals)), key=vals.__getitem__)
         ids = [imin, imax]
+        flat_volume = vals[imax] - vals[imin]
     else:
-        _, icoords = clear_denominators(coords)
-        simplex = _initial_simplex(icoords, r)
-        ids, _, _ = _hull_engine(icoords, r, simplex)
+        flat_scale, icoords = clear_denominators(coords)
+        ids, merged = _hull_engine(icoords, r, [0] + chosen)
+        flat_volume = Fraction(sum(g * c for _, c, g in merged), factorial(r) * flat_scale**r)
+    atoms = ()
+    if r == dim - 1:
+        # a unit of flat volume is the basis parallelotope, whose weighted
+        # normal is the cross product of its edges
+        w = cross_general([vec_sub(ipts[i], ipts[0]) for i in chosen])
+        plus = tuple(flat_volume * x / scale**r for x in w)
+        atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
     vertices = tuple(sorted(pts[i] for i in ids))
-    return Polytope(_raw=(dim, vertices, r, scale, tuple(ipts), (), tuple(chosen)))
+    return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms)))
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence], t: Sequence | None = None) -> Polytope:

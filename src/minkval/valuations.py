@@ -9,14 +9,16 @@ returns the output body as an explicit polytope, and a SupportEvaluator that
 computes h(ZK, w) straight from the defining formula.  The two agree exactly
 and the harness checks it.
 
-Operator kind tokens used on the wire and in the CLI:
-proj, diff, d_m, pi_n, dtilde_m, z_combined, cov_of:<kind>.
+The operator kinds, with every fact that tells them apart, are the entries
+of OPERATORS; their keys, plus cov_of:<kind>, are the kind tokens used on
+the wire and in the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .cplx import (
     Cplx,
@@ -31,10 +33,6 @@ from .cplx import (
 )
 from .linalg import mat_apply, mat_transpose
 from .polytope import Polytope, convex_hull, minkowski_sum
-
-CONTRAVARIANT_KINDS = ("proj", "pi_n", "dtilde_m", "z_combined")
-COVARIANT_KINDS = ("diff", "d_m")
-BASE_KINDS = CONTRAVARIANT_KINDS + COVARIANT_KINDS
 
 
 def zero_body() -> Polytope:
@@ -70,21 +68,22 @@ class ValuationOp:
 
     def __post_init__(self):
         if self.kind.startswith("cov_of:"):
-            if self.inner is None or self.inner.kind not in CONTRAVARIANT_KINDS:
-                raise ValueError("cov_of wraps a contravariant operator")
+            inner = self.inner
+            if inner is None or not inner.is_contravariant or self.kind != f"cov_of:{inner.kind}":
+                raise ValueError(f"{self.kind!r}: cov_of wraps contravariant kinds only")
             return
-        if self.kind not in BASE_KINDS:
-            raise ValueError(f"unknown valuation kind {self.kind!r}")
-        needs_m = self.kind in ("d_m", "dtilde_m", "z_combined")
-        needs_n = self.kind in ("pi_n", "z_combined")
-        if needs_m != (self.M is not None):
-            raise ValueError(f"kind {self.kind!r} {'requires' if needs_m else 'forbids'} M")
-        if needs_n != (self.N is not None):
-            raise ValueError(f"kind {self.kind!r} {'requires' if needs_n else 'forbids'} N")
-        for name, body in (("M", self.M), ("N", self.N)):
-            if body is not None:
-                if body.ambient_dim != 2 or body.is_empty:
-                    raise ValueError(f"parameter {name} must be a nonempty planar body")
+        spec = OPERATORS.get(self.kind)
+        if spec is None:
+            raise ValueError(
+                f"unknown operator kind {self.kind!r}; known: {', '.join(OPERATORS)}"
+            )
+        for name in ("M", "N"):
+            needed = name in spec.params
+            body = getattr(self, name)
+            if needed != (body is not None):
+                raise ValueError(f"kind {self.kind!r} {'requires' if needed else 'forbids'} {name}")
+            if body is not None and (body.ambient_dim != 2 or body.is_empty):
+                raise ValueError(f"parameter {name} must be a nonempty planar body")
 
     # -- constructors --------------------------------------------------------
 
@@ -114,29 +113,16 @@ class ValuationOp:
 
     @property
     def is_contravariant(self) -> bool:
-        return self.kind in CONTRAVARIANT_KINDS
-
-    @property
-    def is_covariant(self) -> bool:
-        return self.kind in COVARIANT_KINDS or self.kind.startswith("cov_of:")
+        return self.kind in OPERATORS and OPERATORS[self.kind].contravariant
 
     @property
     def homogeneity_degrees(self) -> frozenset[int]:
         base = self.inner if self.inner is not None else self
-        return {
-            "proj": frozenset({3}),
-            "diff": frozenset({1}),
-            "d_m": frozenset({1}),
-            "pi_n": frozenset({3}),
-            "dtilde_m": frozenset({1}),
-            "z_combined": frozenset({1, 3}),
-        }[base.kind]
+        return OPERATORS[base.kind].degrees
 
 
 def covariant_of(op: ValuationOp) -> ValuationOp:
     """The covariant companion K -> Phi^{-1}(Z K) of a contravariant operator."""
-    if not op.is_contravariant:
-        raise ValueError("covariant_of expects a contravariant operator")
     return ValuationOp(kind=f"cov_of:{op.kind}", inner=op)
 
 
@@ -229,27 +215,114 @@ def combined_contravariant(M: Polytope, N: Polytope, K: Polytope) -> DualPolytop
     return dual_complex_difference_body(M, K) + complex_projection_body(N, K)
 
 
+# -- support evaluators ------------------------------------------------------------
+#
+# Each takes the kind's parameter bodies and K and returns w -> h(Z K, w) for
+# a Fraction direction w.  They read K only through its vertices and area
+# measure, never through a reconstruction.
+
+_DUAL_TRANSPOSE = mat_transpose(DET_DUALITY_MATRIX)
+_DUAL_INVERSE_TRANSPOSE = mat_transpose(DET_DUALITY_INVERSE)
+
+
+def _projection_support(K: Polytope):
+    """h(Pi K, w) = (1/2) sum_F |<sigma_F, w>|."""
+    atoms = tuple(K.area_measure())
+
+    def h(w) -> Fraction:
+        total = Fraction(0)
+        for atom in atoms:
+            total += abs(sum(a * x for a, x in zip(atom, w)))
+        return total / 2
+
+    return h
+
+
+def _difference_support(K: Polytope):
+    """h(K + (-K), w) = h(K, w) + h(K, -w)."""
+    return lambda w: K.support(w) + K.support(tuple(-x for x in w))
+
+
+def _complex_difference_support(M: Polytope, K: Polytope):
+    """h(D_M K, xi) = sum_j h(K, nu_j^T xi) over the atoms nu_j of M."""
+    adjoints = [mat_transpose(scalar_matrix(nu)) for nu in planar_atoms(M)]
+
+    def h(xi) -> Fraction:
+        total = Fraction(0)
+        for m in adjoints:
+            total += K.support(mat_apply(m, xi))
+        return total
+
+    return h
+
+
+def _complex_projection_support(N: Polytope, K: Polytope):
+    """h(Pi_N K, w) = (1/4) sum_F max_{c vertex of N} <sigma_F, c w>."""
+    atoms = tuple(K.area_measure())
+    scalars = [scalar_matrix(Cplx(c[0], c[1])) for c in N.vertices]
+
+    def h(w) -> Fraction:
+        total = Fraction(0)
+        scaled = [mat_apply(m, w) for m in scalars]
+        for atom in atoms:
+            total += max(sum(a * x for a, x in zip(atom, cw)) for cw in scaled)
+        return total / 4
+
+    return h
+
+
+def _dual_complex_difference_support(M: Polytope, K: Polytope):
+    """h(Phi D_M K, w) = h(D_M K, Phi^T w)."""
+    d_m = _complex_difference_support(M, K)
+    return lambda w: d_m(mat_apply(_DUAL_TRANSPOSE, w))
+
+
+def _combined_support(M: Polytope, N: Polytope, K: Polytope):
+    """The degree-1 part plus the degree-3 part."""
+    deg1 = _dual_complex_difference_support(M, K)
+    deg3 = _complex_projection_support(N, K)
+    return lambda w: deg1(w) + deg3(w)
+
+
+# -- the operator table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything that distinguishes one operator kind of the family.
+
+    params names the planar parameter bodies ("M", "N") in the order that
+    reconstruct(*params, K) and support(*params, K) take them.  The two
+    functions are independent: each is the other's oracle.
+    """
+
+    params: tuple[str, ...]
+    contravariant: bool
+    degrees: frozenset[int]
+    reconstruct: Callable[..., Polytope | DualPolytope]
+    support: Callable[..., Callable[[tuple], Fraction]]
+
+
+OPERATORS: dict[str, OpSpec] = {
+    "proj": OpSpec((), True, frozenset({3}), projection_body, _projection_support),
+    "diff": OpSpec((), False, frozenset({1}), difference_body, _difference_support),
+    "d_m": OpSpec(("M",), False, frozenset({1}), complex_difference_body,
+                  _complex_difference_support),
+    "pi_n": OpSpec(("N",), True, frozenset({3}), complex_projection_body,
+                   _complex_projection_support),
+    "dtilde_m": OpSpec(("M",), True, frozenset({1}), dual_complex_difference_body,
+                       _dual_complex_difference_support),
+    "z_combined": OpSpec(("M", "N"), True, frozenset({1, 3}), combined_contravariant,
+                         _combined_support),
+}
+
+
 def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
     """Evaluate the operator as an explicit output body."""
     if op.kind.startswith("cov_of:"):
-        out = apply_valuation(op.inner, K)
-        return det_duality_inverse(out)
-    if op.kind == "proj":
-        return projection_body(K)
-    if op.kind == "diff":
-        return difference_body(K)
-    if op.kind == "d_m":
-        return complex_difference_body(op.M, K)
-    if op.kind == "pi_n":
-        return complex_projection_body(op.N, K)
-    if op.kind == "dtilde_m":
-        return dual_complex_difference_body(op.M, K)
-    if op.kind == "z_combined":
-        return combined_contravariant(op.M, op.N, K)
-    raise AssertionError(op.kind)
-
-
-# -- support evaluators ------------------------------------------------------------
+        return det_duality_inverse(apply_valuation(op.inner, K))
+    spec = OPERATORS[op.kind]
+    return spec.reconstruct(*(getattr(op, p) for p in spec.params), K)
 
 
 class SupportEvaluator:
@@ -264,60 +337,17 @@ class SupportEvaluator:
         _check_source(K)
         self.op = op
         self.K = K
-        self._atoms = None
-        self._m_atoms = None
-        self._n_vertices = None
-        self._dual_transpose = mat_transpose(DET_DUALITY_MATRIX)
-        self._inner = None
-        base = op.inner if op.inner is not None else op
-        if op.inner is not None:
-            self._inner = SupportEvaluator(op.inner, K)
-        if base.kind in ("proj", "pi_n", "z_combined") and not K.is_empty:
-            self._atoms = tuple(K.area_measure())
-        if base.kind in ("d_m", "dtilde_m", "z_combined"):
-            self._m_atoms = planar_atoms(base.M)
-        if base.kind in ("pi_n", "z_combined"):
-            self._n_vertices = tuple(Cplx(c[0], c[1]) for c in base.N.vertices)
+        if op.kind.startswith("cov_of:"):
+            inner = SupportEvaluator(op.inner, K)
+            self._h = lambda w: inner.at(mat_apply(_DUAL_INVERSE_TRANSPOSE, w))
+        else:
+            spec = OPERATORS[op.kind]
+            self._h = spec.support(*(getattr(op, p) for p in spec.params), K)
 
     def at(self, w) -> Fraction:
         if self.K.is_empty:
             return Fraction(0)
-        if self._inner is not None:
-            inner_dir = mat_apply(mat_transpose(DET_DUALITY_INVERSE), tuple(Fraction(x) for x in w))
-            return self._inner.at(inner_dir)
-        return self._base_at(self.op.kind, w)
-
-    def _base_at(self, kind: str, w) -> Fraction:
-        w = tuple(Fraction(x) for x in w)
-        if kind == "proj":
-            total = Fraction(0)
-            for atom in self._atoms:
-                total += abs(sum(a * x for a, x in zip(atom, w)))
-            return total / 2
-        if kind == "diff":
-            return self.K.support(w) + self.K.support(tuple(-x for x in w))
-        if kind == "d_m":
-            total = Fraction(0)
-            for nu in self._m_atoms:
-                xi = mat_apply(mat_transpose(scalar_matrix(nu)), w)
-                total += self.K.support(xi)
-            return total
-        if kind == "pi_n":
-            total = Fraction(0)
-            scaled = [mat_apply(scalar_matrix(c), w) for c in self._n_vertices]
-            for atom in self._atoms:
-                total += max(sum(a * x for a, x in zip(atom, cw)) for cw in scaled)
-            return total / 4
-        if kind == "dtilde_m":
-            xi = mat_apply(self._dual_transpose, w)
-            total = Fraction(0)
-            for nu in self._m_atoms:
-                eta = mat_apply(mat_transpose(scalar_matrix(nu)), xi)
-                total += self.K.support(eta)
-            return total
-        if kind == "z_combined":
-            return self._base_at("dtilde_m", w) + self._base_at("pi_n", w)
-        raise AssertionError(kind)
+        return self._h(tuple(Fraction(x) for x in w))
 
 
 def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool = True) -> Fraction:

@@ -288,6 +288,21 @@ def test_bad_coordinate_exits_two(tmp_path, capsys, coord, message):
         assert message in err
 
 
+@pytest.mark.parametrize("command", ["op", "sample"])
+def test_unwritable_output_exits_two(bodies, capsys, tmp_path, command):
+    target = str(tmp_path / "no" / "such" / "out")
+    argv = {
+        "op": ["op", "diff", "--body", bodies["cube.json"], "--out", target],
+        "sample": ["sample", "diff", "--body", bodies["cube.json"], "--sphere-grid", "1",
+                   "--csv", target],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_two(capsys):
     assert cli.main(["nope-command"]) == 2
     assert cli.main([]) == 2

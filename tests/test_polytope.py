@@ -268,6 +268,12 @@ def test_area_measure_codim1_two_atoms():
     assert Q.affine_dim == 3
     atoms = set(Q.area_measure().atoms)
     assert atoms == {(F(0), F(0), F(0), F(1)), (F(0), F(0), F(0), F(-1))}
+    # a segment in R^2: its length 5 times the unit normals +/-(-4, 3)/5
+    S = convex_hull([(0, 0), (3, 4)])
+    assert set(S.area_measure().atoms) == {(F(-4), F(3)), (F(4), F(-3))}
+    # a triangle in R^3 spanning a tilted plane: area sqrt(2)/2 along +/-(0, -1, 1)/sqrt(2)
+    T = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 1)])
+    assert set(T.area_measure().atoms) == {(F(0), F(-1, 2), F(1, 2)), (F(0), F(1, 2), F(-1, 2))}
 
 
 def test_area_measure_closure_random():

@@ -15,8 +15,10 @@ from minkval.cplx import (
     dual_action,
     group_action,
 )
+from minkval.harness import homogeneous_decomposition
 from minkval.polytope import Polytope, convex_hull, minkowski_sum, split_by_hyperplane
 from minkval.valuations import (
+    OPERATORS,
     SupportEvaluator,
     ValuationOp,
     apply_valuation,
@@ -383,3 +385,20 @@ def test_op_validation():
         ValuationOp("nope")
     with pytest.raises(ValueError):
         covariant_of(ValuationOp.diff())
+    with pytest.raises(ValueError):
+        ValuationOp("cov_of:diff", inner=ValuationOp.proj())
+
+
+@pytest.mark.parametrize("kind,spec", OPERATORS.items(), ids=list(OPERATORS))
+def test_operator_table_entry(kind, spec):
+    bodies = {"M": triangle2(), "N": seg_m11()}
+    op = ValuationOp(kind, **{p: bodies[p] for p in spec.params})
+    K = simplex4()
+    assert isinstance(apply_valuation(op, K), DualPolytope) == spec.contravariant
+    # toggling either parameter body drops a required one or adds a forbidden one
+    for toggled in ("M", "N"):
+        params = set(spec.params) ^ {toggled}
+        with pytest.raises(ValueError):
+            ValuationOp(kind, **{p: bodies[p] for p in params})
+    table = homogeneous_decomposition(op, K, [(1, 2, -1, 3), (0, 1, 0, -2)])
+    assert table.nonzero_degrees() == spec.degrees
