@@ -190,4 +190,4 @@ def dirs_from_json(data) -> list[tuple]:
         data = data["dirs"]
     if not isinstance(data, list) or not data:
         raise FormatError("directions payload must be a nonempty JSON array")
-    return [parse_point(d) for d in data]
+    return [parse_point(d, 4) for d in data]

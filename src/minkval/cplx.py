@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import mat_apply, mat_transpose
-from .polytope import Polytope, affine_transform, minkowski_sum
+from .polytope import Polytope, convex_hull, minkowski_sum
 
 
 @dataclass(frozen=True)
@@ -80,21 +79,18 @@ def from_complex_pair(z1: Cplx, z2: Cplx):
     return (z1.re, z1.im, z2.re, z2.im)
 
 
-def scalar_matrix(alpha: Cplx):
-    """Real 4x4 matrix of multiplication by alpha on both complex coordinates."""
-    r, s = Fraction(alpha.re), Fraction(alpha.im)
-    z = Fraction(0)
-    return (
-        (r, -s, z, z),
-        (s, r, z, z),
-        (z, z, r, -s),
-        (z, z, s, r),
-    )
+def scale_point(alpha: Cplx, p) -> tuple:
+    """alpha * p on each complex coordinate of a point of C or W.
 
-
-def planar_scalar_matrix(alpha: Cplx):
-    r, s = Fraction(alpha.re), Fraction(alpha.im)
-    return ((r, -s), (s, r))
+    On W* the scalar action (alpha . xi)(w) = xi(alpha w) is
+    scale_point(alpha.conjugate(), xi), the transpose of the action on W.
+    """
+    r, s = alpha.re, alpha.im
+    out = []
+    for k in range(0, len(p), 2):
+        x, y = p[k], p[k + 1]
+        out += (r * x - s * y, s * x + r * y)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -147,6 +143,12 @@ class ComplexMatrix2:
         z1, z2 = to_complex_pair(p)
         return from_complex_pair(self.a * z1 + self.b * z2, self.c * z1 + self.d * z2)
 
+    def adjoint(self) -> "ComplexMatrix2":
+        """The conjugate transpose g*; its real matrix is the transpose of g's."""
+        return ComplexMatrix2(
+            self.a.conjugate(), self.c.conjugate(), self.b.conjugate(), self.d.conjugate()
+        )
+
     def real_matrix(self):
         """The 4x4 rational matrix of this map on (x1, y1, x2, y2)."""
         rows = []
@@ -198,24 +200,6 @@ class DualPolytope:
         return DualPolytope(self.body.translate(t))
 
 
-# The duality map u -> (w -> Re det(u, w)) on coordinates: with
-# u = (p1, q1, p2, q2) the covector coordinates of the image are
-# (-p2, q2, p1, -q1).
-DET_DUALITY_MATRIX = (
-    (Fraction(0), Fraction(0), Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-    (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(-1), Fraction(0), Fraction(0)),
-)
-
-DET_DUALITY_INVERSE = (
-    (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(0), Fraction(-1)),
-    (Fraction(-1), Fraction(0), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-)
-
-
 def _require_primal(P, what: str):
     if isinstance(P, DualPolytope):
         raise TypeError(f"{what} expects a body in W, got a DualPolytope in W*")
@@ -226,16 +210,23 @@ def _require_primal(P, what: str):
 def _require_dual(Q, what: str):
     if not isinstance(Q, DualPolytope):
         raise TypeError(f"{what} expects a DualPolytope in W*")
+    if Q.body.ambient_dim != 4:
+        raise ValueError(f"{what} expects a body of ambient dimension 4 in W*")
+
+
+def _image(P: Polytope, f) -> Polytope:
+    """The hull of f over P's vertices; an empty body comes back unchanged."""
+    if P.is_empty:
+        return P
+    return convex_hull([f(v) for v in P.vertices], P.ambient_dim)
 
 
 def complex_scale(alpha: Cplx, P: Polytope) -> Polytope:
     """The image {alpha * k : k in P} for P in W (ambient 4) or in C (ambient 2)."""
     _require_primal(P, "complex_scale")
-    if P.ambient_dim == 4:
-        return affine_transform(P, scalar_matrix(alpha))
-    if P.ambient_dim == 2:
-        return affine_transform(P, planar_scalar_matrix(alpha))
-    raise ValueError("complex scaling needs an ambient-4 or planar body")
+    if P.ambient_dim not in (2, 4):
+        raise ValueError("complex scaling needs an ambient-4 or planar body")
+    return _image(P, lambda v: scale_point(alpha, v))
 
 
 def det_pair(u, v) -> Cplx:
@@ -257,23 +248,30 @@ def det_image(K: Polytope, w) -> Polytope:
     return Polytope.from_points(pts, 2)
 
 
+def det_duality_point(u) -> tuple:
+    """Phi(u), the covector w -> Re det(u, w): (p1, q1, p2, q2) -> (-p2, q2, p1, -q1).
+
+    Phi is a signed permutation, so its transpose is its inverse.
+    """
+    p1, q1, p2, q2 = u
+    return (-p2, q2, p1, -q1)
+
+
+def det_duality_inverse_point(xi) -> tuple:
+    """Phi^{-1}(xi): (x1, y1, x2, y2) -> (x2, -y2, -x1, y1)."""
+    x1, y1, x2, y2 = xi
+    return (x2, -y2, -x1, y1)
+
+
 def det_duality(P: Polytope) -> DualPolytope:
     """The identification W -> W*, u -> Re det(u, .), applied vertexwise."""
     _require_primal(P, "det_duality")
-    if P.is_empty:
-        return DualPolytope(Polytope.empty(4))
-    return DualPolytope(affine_transform(P, DET_DUALITY_MATRIX))
+    return DualPolytope(_image(P, det_duality_point))
 
 
 def det_duality_inverse(Q: DualPolytope) -> Polytope:
     _require_dual(Q, "det_duality_inverse")
-    if Q.is_empty:
-        return Polytope.empty(4)
-    return affine_transform(Q.body, DET_DUALITY_INVERSE)
-
-
-def det_duality_point(u) -> tuple:
-    return mat_apply(DET_DUALITY_MATRIX, tuple(Fraction(x) for x in u))
+    return _image(Q.body, det_duality_inverse_point)
 
 
 def group_action(g: ComplexMatrix2, P: Polytope) -> Polytope:
@@ -281,18 +279,17 @@ def group_action(g: ComplexMatrix2, P: Polytope) -> Polytope:
     _require_primal(P, "group_action")
     if g.det().is_zero():
         raise ValueError("group_action requires invertible g")
-    return affine_transform(P, g.real_matrix())
+    return _image(P, g.apply)
 
 
 def dual_action(g: ComplexMatrix2, Q: DualPolytope) -> DualPolytope:
     """g^{-*} Q, characterized by <g^{-*} xi, w> = <xi, g^{-1} w>."""
     _require_dual(Q, "dual_action")
-    m = mat_transpose(g.inverse().real_matrix())
-    return DualPolytope(affine_transform(Q.body, m))
+    return DualPolytope(_image(Q.body, g.inverse().adjoint().apply))
 
 
 def dual_scalar_scale(alpha: Cplx, Q: DualPolytope) -> DualPolytope:
     """Complex scalar action on W*: (alpha . xi)(w) = xi(alpha w)."""
     _require_dual(Q, "dual_scalar_scale")
-    m = mat_transpose(scalar_matrix(alpha))
-    return DualPolytope(affine_transform(Q.body, m))
+    conj = alpha.conjugate()
+    return DualPolytope(_image(Q.body, lambda v: scale_point(conj, v)))

@@ -17,11 +17,11 @@ from .cplx import (
     C_ONE,
     ComplexMatrix2,
     Cplx,
-    DET_DUALITY_MATRIX,
+    det_duality_point,
     group_action,
-    scalar_matrix,
+    scale_point,
 )
-from .linalg import dot, mat_apply, mat_inverse, mat_transpose
+from .linalg import dot, mat_inverse
 from .mixed import mixed_volume, mixed_volume_31
 from .polytope import Polytope, convex_hull, split_by_hyperplane
 from .valuations import (
@@ -255,13 +255,13 @@ def check_equivariance(op: ValuationOp, K: Polytope, g: ComplexMatrix2, dirs,
     ev_gk = SupportEvaluator(op, gK)
     ev_k = SupportEvaluator(op, K)
     g_inv = g.inverse()
-    g_star = mat_transpose(g.real_matrix())
+    g_star = g.adjoint()
     for w in dirs:
         lhs = ev_gk.at(w)
         if op.is_contravariant:
             rhs = ev_k.at(g_inv.apply(w))
         else:
-            rhs = ev_k.at(mat_apply(g_star, tuple(F(x) for x in w)))
+            rhs = ev_k.at(g_star.apply(w))
         if lhs != rhs:
             witness = {
                 "op": op.kind,
@@ -582,14 +582,15 @@ def _drive_phi_equivariance(seed: int, trials: int) -> PropertyReport:
             if not g.det().is_zero():
                 break
         u = rand_direction(rng)
-        lhs = mat_apply(DET_DUALITY_MATRIX, g.apply(u))
-        phi_u = mat_apply(DET_DUALITY_MATRIX, tuple(F(x) for x in u))
-        dual_img = mat_apply(mat_transpose(g.inverse().real_matrix()), phi_u)
-        rhs = mat_apply(mat_transpose(scalar_matrix(g.det())), dual_img)
-        if tuple(lhs) != tuple(rhs):
+        # Phi(g u) = det(g) . g^{-*} Phi(u), with (c . xi)(w) = xi(c w) on W*
+        lhs = det_duality_point(g.apply(u))
+        dual_img = g.inverse().adjoint().apply(det_duality_point(u))
+        rhs = scale_point(g.det().conjugate(), dual_img)
+        if lhs != rhs:
             return {"u": _strs(u), "lhs": _strs(lhs), "rhs": _strs(rhs)}
-        alt = mat_apply(mat_transpose(scalar_matrix(g.det().conjugate())), dual_img)
-        if tuple(alt) != tuple(lhs):
+        # the rejected convention (c . xi)(w) = xi(conj(c) w)
+        alt = scale_point(g.det(), dual_img)
+        if alt != lhs:
             alt_rejected = True
         return None
 

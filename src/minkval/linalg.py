@@ -28,10 +28,6 @@ def mat_apply(A: Sequence[Sequence], x: Sequence) -> tuple:
     return tuple(dot(row, x) for row in A)
 
 
-def mat_transpose(A: Sequence[Sequence]) -> Matrix:
-    return tuple(zip(*A))
-
-
 def det(A: Sequence[Sequence]) -> Fraction:
     """Determinant by fraction Gaussian elimination (small matrices)."""
     n = len(A)
@@ -140,7 +136,9 @@ def clear_denominators(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[
 class IntRowBasis:
     """Incremental integer row space with exact rank tracking.
 
-    Rows are reduced fraction-free and kept primitive to bound growth.
+    Rows are reduced fraction-free and kept primitive to bound growth.  Each
+    added row is zero at the pivots of the rows before it, so the added
+    vectors, restricted to the pivot coordinates, form a nonsingular matrix.
     """
 
     def __init__(self):

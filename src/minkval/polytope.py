@@ -26,7 +26,8 @@ from .linalg import (
     clear_denominators,
     cross_general,
     dot,
-    mat_inverse,
+    mat_apply,
+    minor_det_int,
     vec_sub,
 )
 
@@ -372,28 +373,6 @@ class Polytope:
         return convex_hull([tuple(-x for x in v) for v in self.vertices], self.ambient_dim)
 
 
-def _flat_coordinates(ipts: Sequence[tuple[int, ...]], chosen: list[int]):
-    """Coordinates of the points in the affine basis ipts[0], ipts[chosen]
-    of their affine hull; ipts[chosen[j]] gets the j-th unit vector."""
-    base = ipts[0]
-    r = len(chosen)
-    cols = [vec_sub(ipts[i], base) for i in chosen]
-    row_basis = IntRowBasis()
-    row_ids = []
-    for ri in range(len(base)):
-        if row_basis.add(tuple(col[ri] for col in cols)):
-            row_ids.append(ri)
-        if len(row_ids) == r:
-            break
-    square = [[Fraction(cols[cj][ri]) for cj in range(r)] for ri in row_ids]
-    inv = mat_inverse(square)
-    coords = []
-    for p in ipts:
-        rhs = [Fraction(p[ri] - base[ri]) for ri in row_ids]
-        coords.append(tuple(dot(row, rhs) for row in inv))
-    return coords
-
-
 def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> Polytope:
     """Convex hull with minimal vertex set and exact facet structure.
 
@@ -435,24 +414,27 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
         vertices = tuple(sorted(pts[i] for i in ids))
         return Polytope(_raw=(dim, vertices, dim, scale, tuple(merged), None))
 
-    # lower-dimensional body: hull and r-volume in flat coordinates, where
-    # the basis points form the unit simplex
-    coords = _flat_coordinates(ipts, chosen)
+    # lower-dimensional body: the basis edges restricted to the pivot
+    # coordinates of their row basis form a nonsingular r x r matrix, so
+    # projecting onto those coordinates maps the flat one-to-one and keeps
+    # its extreme points; the projection scales r-volume by |det| of that matrix
+    proj = [tuple(p[k] for k in basis.pivots) for p in ipts]
     if r == 1:
-        vals = [c[0] for c in coords]
+        vals = [q[0] for q in proj]
         imin = min(range(len(vals)), key=vals.__getitem__)
         imax = max(range(len(vals)), key=vals.__getitem__)
         ids = [imin, imax]
-        flat_volume = vals[imax] - vals[imin]
+        proj_volume = vals[imax] - vals[imin]
     else:
-        flat_scale, icoords = clear_denominators(coords)
-        ids, merged = _hull_engine(icoords, r, [0] + chosen)
-        flat_volume = Fraction(sum(g * c for _, c, g in merged), factorial(r) * flat_scale**r)
+        ids, merged = _hull_engine(proj, r, [0] + chosen)
+        proj_volume = sum(g * c for _, c, g in merged)
     atoms = ()
     if r == dim - 1:
         # a unit of flat volume is the basis parallelotope, whose weighted
         # normal is the cross product of its edges
-        w = cross_general([vec_sub(ipts[i], ipts[0]) for i in chosen])
+        edges = [vec_sub(ipts[i], ipts[0]) for i in chosen]
+        flat_volume = Fraction(proj_volume, factorial(r) * abs(minor_det_int(edges, basis.pivots)))
+        w = cross_general(edges)
         plus = tuple(flat_volume * x / scale**r for x in w)
         atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
     vertices = tuple(sorted(pts[i] for i in ids))
@@ -474,7 +456,7 @@ def affine_transform(P: Polytope, A: Sequence[Sequence], t: Sequence | None = No
             raise ValueError("translation dimension does not match matrix rows")
     if P.is_empty:
         return Polytope.empty(out_dim)
-    images = [tuple(dot(row, v) + c for row, c in zip(rows, t)) for v in P.vertices]
+    images = [tuple(x + c for x, c in zip(mat_apply(rows, v), t)) for v in P.vertices]
     return convex_hull(images, out_dim)
 
 

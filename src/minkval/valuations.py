@@ -22,16 +22,15 @@ from typing import Callable
 
 from .cplx import (
     Cplx,
-    DET_DUALITY_INVERSE,
-    DET_DUALITY_MATRIX,
     DualPolytope,
     complex_scale,
     det_duality,
     det_duality_inverse,
+    det_duality_inverse_point,
+    det_duality_point,
     det_pair,
-    scalar_matrix,
+    scale_point,
 )
-from .linalg import mat_apply, mat_transpose
 from .polytope import Polytope, convex_hull, minkowski_sum
 
 
@@ -182,19 +181,17 @@ def complex_projection_body(N: Polytope, K: Polytope) -> DualPolytope:
 
     Reconstruction: expanding the facet form of the mixed volume, each facet
     atom sigma_F contributes (1/4) conv{lambda_{c,F} : c vertex of N} with
-    lambda_{c,F} the covector w -> <sigma_F, c w>.
+    lambda_{c,F} the covector w -> <sigma_F, c w>, which is conj(c) sigma_F.
     """
     _check_source(K)
     if N.ambient_dim != 2 or N.is_empty:
         raise ValueError("parameter N must be a nonempty planar body")
     if K.is_empty:
         return zero_dual()
-    vertex_matrices = [
-        mat_transpose(scalar_matrix(Cplx(c[0], c[1]))) for c in N.vertices
-    ]
+    conj_vertices = [Cplx(c[0], c[1]).conjugate() for c in N.vertices]
     total = zero_body()
     for atom in K.area_measure():
-        pts = [tuple(x / 4 for x in mat_apply(m, atom)) for m in vertex_matrices]
+        pts = [tuple(x / 4 for x in scale_point(c, atom)) for c in conj_vertices]
         total = minkowski_sum(total, convex_hull(pts, 4))
     return DualPolytope(total)
 
@@ -221,10 +218,6 @@ def combined_contravariant(M: Polytope, N: Polytope, K: Polytope) -> DualPolytop
 # a Fraction direction w.  They read K only through its vertices and area
 # measure, never through a reconstruction.
 
-_DUAL_TRANSPOSE = mat_transpose(DET_DUALITY_MATRIX)
-_DUAL_INVERSE_TRANSPOSE = mat_transpose(DET_DUALITY_INVERSE)
-
-
 def _projection_support(K: Polytope):
     """h(Pi K, w) = (1/2) sum_F |<sigma_F, w>|."""
     atoms = tuple(K.area_measure())
@@ -244,13 +237,13 @@ def _difference_support(K: Polytope):
 
 
 def _complex_difference_support(M: Polytope, K: Polytope):
-    """h(D_M K, xi) = sum_j h(K, nu_j^T xi) over the atoms nu_j of M."""
-    adjoints = [mat_transpose(scalar_matrix(nu)) for nu in planar_atoms(M)]
+    """h(D_M K, xi) = sum_j h(K, conj(nu_j) xi) over the atoms nu_j of M."""
+    conj_atoms = [nu.conjugate() for nu in planar_atoms(M)]
 
     def h(xi) -> Fraction:
         total = Fraction(0)
-        for m in adjoints:
-            total += K.support(mat_apply(m, xi))
+        for c in conj_atoms:
+            total += K.support(scale_point(c, xi))
         return total
 
     return h
@@ -259,11 +252,11 @@ def _complex_difference_support(M: Polytope, K: Polytope):
 def _complex_projection_support(N: Polytope, K: Polytope):
     """h(Pi_N K, w) = (1/4) sum_F max_{c vertex of N} <sigma_F, c w>."""
     atoms = tuple(K.area_measure())
-    scalars = [scalar_matrix(Cplx(c[0], c[1])) for c in N.vertices]
+    scalars = [Cplx(c[0], c[1]) for c in N.vertices]
 
     def h(w) -> Fraction:
         total = Fraction(0)
-        scaled = [mat_apply(m, w) for m in scalars]
+        scaled = [scale_point(c, w) for c in scalars]
         for atom in atoms:
             total += max(sum(a * x for a, x in zip(atom, cw)) for cw in scaled)
         return total / 4
@@ -272,9 +265,9 @@ def _complex_projection_support(N: Polytope, K: Polytope):
 
 
 def _dual_complex_difference_support(M: Polytope, K: Polytope):
-    """h(Phi D_M K, w) = h(D_M K, Phi^T w)."""
+    """h(Phi D_M K, w) = h(D_M K, Phi^T w), and Phi^T = Phi^{-1}."""
     d_m = _complex_difference_support(M, K)
-    return lambda w: d_m(mat_apply(_DUAL_TRANSPOSE, w))
+    return lambda w: d_m(det_duality_inverse_point(w))
 
 
 def _combined_support(M: Polytope, N: Polytope, K: Polytope):
@@ -339,12 +332,15 @@ class SupportEvaluator:
         self.K = K
         if op.kind.startswith("cov_of:"):
             inner = SupportEvaluator(op.inner, K)
-            self._h = lambda w: inner.at(mat_apply(_DUAL_INVERSE_TRANSPOSE, w))
+            # h(Phi^{-1} Z K, xi) = h(Z K, Phi^{-T} xi), and Phi^{-T} = Phi
+            self._h = lambda w: inner.at(det_duality_point(w))
         else:
             spec = OPERATORS[op.kind]
             self._h = spec.support(*(getattr(op, p) for p in spec.params), K)
 
     def at(self, w) -> Fraction:
+        if len(w) != 4:
+            raise ValueError(f"direction has {len(w)} components, expected 4")
         if self.K.is_empty:
             return Fraction(0)
         return self._h(tuple(Fraction(x) for x in w))

@@ -20,7 +20,7 @@ from minkval.bodyio import (
 )
 from minkval.cplx import ComplexMatrix2, Cplx, DualPolytope
 from minkval.polytope import Polytope, convex_hull
-from minkval.valuations import ValuationOp, apply_valuation, difference_body
+from minkval.valuations import SupportEvaluator, ValuationOp, apply_valuation, difference_body
 
 F = Fraction
 
@@ -173,6 +173,23 @@ def test_decompose_table(bodies, capsys):
         assert row[1] != "0" and row[3] != "0"
 
 
+@pytest.mark.parametrize("kind", ["proj", "diff"])
+@pytest.mark.parametrize("length", [3, 5])
+def test_decompose_rejects_wrong_length_direction(bodies, capsys, tmp_path, kind, length):
+    d = ["1"] + ["0"] * (length - 1)
+    path = tmp_path / "short_dirs.json"
+    path.write_text(json.dumps([d]))
+    code, out, err = run(
+        capsys, ["decompose", kind, "--body", bodies["cube.json"], "--dirs", str(path)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    ev = SupportEvaluator(ValuationOp(kind), convex_hull(list(itertools.product((0, 1), repeat=4))))
+    with pytest.raises(ValueError):
+        ev.at(tuple(F(x) for x in d))
+
+
 def test_verify_smoke_and_determinism(capsys):
     code1, out1, _ = run(capsys, ["verify", "--seed", "11", "--trials", "2"])
     assert code1 == 0
@@ -195,6 +212,14 @@ def test_verify_only_filter(capsys):
     assert code == 0
     recs = [json.loads(line) for line in out.strip().splitlines()]
     assert len(recs) == 1 and recs[0]["check"] == "known_values"
+
+
+@pytest.mark.parametrize("args", [["--trials", "-1"], ["--only", "nope"]])
+def test_verify_bad_arguments_exit_two(capsys, args):
+    code, out, err = run(capsys, ["verify", *args])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
@@ -288,11 +313,13 @@ def test_bad_coordinate_exits_two(tmp_path, capsys, coord, message):
         assert message in err
 
 
-@pytest.mark.parametrize("command", ["op", "sample"])
+@pytest.mark.parametrize("command", ["op", "op_dir", "sample"])
 def test_unwritable_output_exits_two(bodies, capsys, tmp_path, command):
     target = str(tmp_path / "no" / "such" / "out")
     argv = {
         "op": ["op", "diff", "--body", bodies["cube.json"], "--out", target],
+        "op_dir": ["op", "diff", "--body", bodies["cube.json"], "--dir", "1,0,0,0",
+                   "--out", target],
         "sample": ["sample", "diff", "--body", bodies["cube.json"], "--sphere-grid", "1",
                    "--csv", target],
     }[command]

@@ -17,13 +17,16 @@ from minkval.cplx import (
     complex_scale,
     det_duality,
     det_duality_inverse,
+    det_duality_inverse_point,
     det_duality_point,
     det_image,
     det_pair,
     dual_action,
     dual_scalar_scale,
     group_action,
+    scale_point,
 )
+from minkval.linalg import dot, mat_apply
 from minkval.polytope import Polytope, convex_hull
 
 F = Fraction
@@ -98,12 +101,12 @@ def test_matrix_inverse_and_det():
 
 def test_real_matrix_matches_complex_apply():
     rng = random.Random(2)
-    from minkval.linalg import mat_apply
-
     for _ in range(20):
         g = rand_invertible(rng)
         p = tuple(rand_rational(rng) for _ in range(4))
         assert tuple(mat_apply(g.real_matrix(), p)) == tuple(g.apply(p))
+        # the real matrix of the conjugate transpose is the transpose
+        assert g.adjoint().apply(p) == mat_apply(tuple(zip(*g.real_matrix())), p)
 
 
 # -- complex scalar action ---------------------------------------------------------
@@ -170,6 +173,9 @@ def test_det_pair_antisymmetric_bilinear():
             for x in pair
         )
         assert det_pair(cu, v) == c * det_pair(u, v)
+        assert cu == scale_point(c, u)
+        # the transpose of multiplication by c is multiplication by conj(c)
+        assert dot(scale_point(c, u), v) == dot(u, scale_point(c.conjugate(), v))
 
 
 def test_det_pair_equivariance():
@@ -219,12 +225,13 @@ def test_duality_on_basis_vectors():
 
 def test_duality_matrix_agrees_with_pairing():
     rng = random.Random(9)
-    from minkval.linalg import dot
-
     for _ in range(20):
         u = tuple(rand_rational(rng) for _ in range(4))
         w = tuple(rand_rational(rng) for _ in range(4))
         assert dot(det_duality_point(u), w) == det_pair(u, w).re
+        assert det_duality_inverse_point(det_duality_point(u)) == u
+        # Phi is a signed permutation: its transpose is its inverse
+        assert dot(det_duality_point(u), w) == dot(u, det_duality_inverse_point(w))
 
 
 def test_duality_roundtrip():
@@ -297,3 +304,7 @@ def test_w_wstar_separation():
         complex_scale(C_ONE, Q)
     with pytest.raises(TypeError):
         Q + K
+    planar = DualPolytope(convex_hull([(0, 0), (1, 0), (0, 1)]))
+    for f in (lambda: dual_scalar_scale(C_I, planar), lambda: det_duality_inverse(planar)):
+        with pytest.raises(ValueError):
+            f()

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkval.linalg import det, vec_sub
+from minkval.linalg import cross_general, det, vec_sub
 from minkval.polytope import (
     Polytope,
     affine_transform,
@@ -274,6 +274,15 @@ def test_area_measure_codim1_two_atoms():
     # a triangle in R^3 spanning a tilted plane: area sqrt(2)/2 along +/-(0, -1, 1)/sqrt(2)
     T = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 1)])
     assert set(T.area_measure().atoms) == {(F(0), F(-1, 2), F(1, 2)), (F(0), F(1, 2), F(-1, 2))}
+    # two flats whose basis edges have |det| != 1 on their pivot coordinates
+    T2 = convex_hull([(0, 0, 0), (2, 0, 1), (0, 3, 1)])
+    assert set(T2.area_measure().atoms) == {(F(3, 2), F(1), F(-3)), (F(-3, 2), F(-1), F(3))}
+    edges = [(2, 0, 0, 1), (0, 3, 0, 1), (0, 0, 5, 1)]
+    S3 = convex_hull([(0, 0, 0, 0)] + edges)
+    assert S3.affine_dim == 3
+    plus = tuple(F(x, 6) for x in cross_general(edges))
+    assert plus == (F(5, 2), F(5, 3), F(1), F(-5))
+    assert set(S3.area_measure().atoms) == {plus, tuple(-x for x in plus)}
 
 
 def test_area_measure_closure_random():
