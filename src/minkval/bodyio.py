@@ -1,4 +1,4 @@
-"""JSON wire formats: bodies, complex matrices, operator specs, directions.
+"""JSON wire formats read and written by the CLI: bodies and directions.
 
 Rationals travel as decimal-integer or "p/q" strings; decimal-point input is
 rejected so nothing rounds at the boundary.  Emitted polytope JSON is
@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 
-from .cplx import ComplexMatrix2, Cplx, DualPolytope
+from .cplx import DualPolytope
 from .polytope import Polytope, convex_hull
 from .valuations import ValuationOp, covariant_of
 
@@ -83,21 +83,21 @@ def polytope_from_json(data) -> Polytope:
     return convex_hull(pts, dim)
 
 
-def body_from_json(data) -> Polytope | DualPolytope:
-    P = polytope_from_json(data)
-    if isinstance(data, dict) and data.get("space") == "W_dual":
-        return DualPolytope(P)
-    return P
-
-
-def load_polytope(path: str) -> Polytope:
+def read_json(path: str):
+    """The JSON value in the file at path; unreadable or malformed files raise FormatError."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise FormatError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError(f"{path} is not valid JSON: nested too deeply") from None
+
+
+def load_polytope(path: str) -> Polytope:
+    data = read_json(path)
     try:
         return polytope_from_json(data)
     except FormatError as e:
@@ -114,56 +114,6 @@ def write_text(path: str, text: str):
 
 def save_json(path: str, payload: dict):
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def cplx_from_json(pair) -> Cplx:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FormatError(f"bad complex entry {pair!r}: expected [re, im]")
-    return Cplx(parse_rational(pair[0]), parse_rational(pair[1]))
-
-
-def matrix2_from_json(data) -> ComplexMatrix2:
-    """{"entries": [[[re, im], [re, im]], [[re, im], [re, im]]]} row-major."""
-    if not isinstance(data, dict) or "entries" not in data:
-        raise FormatError("complex matrix payload must be {'entries': ...}")
-    rows = data["entries"]
-    if (
-        not isinstance(rows, list)
-        or len(rows) != 2
-        or any(not isinstance(r, list) or len(r) != 2 for r in rows)
-    ):
-        raise FormatError("complex matrix entries must be a 2x2 array of [re, im] pairs")
-    (a, b), (c, d) = rows
-    return ComplexMatrix2(
-        cplx_from_json(a), cplx_from_json(b), cplx_from_json(c), cplx_from_json(d)
-    )
-
-
-def matrix2_to_json(g: ComplexMatrix2) -> dict:
-    def pair(z: Cplx):
-        return [format_rational(z.re), format_rational(z.im)]
-
-    return {"entries": [[pair(g.a), pair(g.b)], [pair(g.c), pair(g.d)]]}
-
-
-def op_from_json(data) -> ValuationOp:
-    """Operator spec: {"op": "z_combined", "M": <planar body>, "N": <planar body>}."""
-    if not isinstance(data, dict) or "op" not in data:
-        raise FormatError("operator payload must be {'op': kind, ...}")
-    kind = data["op"]
-    M = polytope_from_json(data["M"]) if "M" in data and data["M"] is not None else None
-    N = polytope_from_json(data["N"]) if "N" in data and data["N"] is not None else None
-    return build_op(kind, M, N)
-
-
-def op_to_json(op: ValuationOp) -> dict:
-    out = {"op": op.kind}
-    base = op.inner if op.inner is not None else op
-    if base.M is not None:
-        out["M"] = polytope_to_json(base.M)
-    if base.N is not None:
-        out["N"] = polytope_to_json(base.N)
-    return out
 
 
 def build_op(kind: str, M: Polytope | None, N: Polytope | None) -> ValuationOp:

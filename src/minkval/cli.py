@@ -20,14 +20,15 @@ from .bodyio import (
     dirs_from_json,
     format_rational,
     load_polytope,
-    op_to_json,
     parse_inline_direction,
     polytope_to_json,
+    read_json,
     save_json,
     write_text,
 )
 from .cplx import DualPolytope
 from .harness import CHECKS, homogeneous_decomposition, run_suite
+from .linalg import primitive
 from .mixed import mixed_volume
 from .valuations import OPERATORS, SupportEvaluator, apply_valuation
 
@@ -92,8 +93,6 @@ def _load_op(args):
 
 def _sphere_grid(g: int) -> list[tuple]:
     """Primitive integer directions on the boundary of the cube [-G, G]^4."""
-    from .linalg import primitive
-
     if g < 1:
         raise FormatError("--sphere-grid must be at least 1")
     seen = set()
@@ -156,7 +155,7 @@ def _cmd_op(args) -> int:
         out = apply_valuation(op, K)
         space = "W_dual" if isinstance(out, DualPolytope) else "W"
         payload = polytope_to_json(out, space=space)
-        payload["operator"] = op_to_json(op)["op"]
+        payload["operator"] = op.kind
         save_json(args.out, payload)
     if w is not None:
         print(format_rational(SupportEvaluator(op, K).at(w)))
@@ -166,13 +165,7 @@ def _cmd_op(args) -> int:
 def _cmd_decompose(args) -> int:
     op = _load_op(args)
     K = _load_source_body(args)
-    try:
-        with open(args.dirs) as fh:
-            dirs = dirs_from_json(json.load(fh))
-    except OSError as e:
-        raise FormatError(f"cannot read {args.dirs}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{args.dirs} is not valid JSON: {e}") from None
+    dirs = dirs_from_json(read_json(args.dirs))
     table = homogeneous_decomposition(op, K, dirs)
     payload = {
         "op": table.op_kind,

@@ -196,9 +196,6 @@ class DualPolytope:
             raise TypeError("can only Minkowski-add DualPolytope to DualPolytope")
         return DualPolytope(minkowski_sum(self.body, other.body))
 
-    def translate(self, t) -> "DualPolytope":
-        return DualPolytope(self.body.translate(t))
-
 
 def _require_primal(P, what: str):
     if isinstance(P, DualPolytope):
@@ -214,19 +211,12 @@ def _require_dual(Q, what: str):
         raise ValueError(f"{what} expects a body of ambient dimension 4 in W*")
 
 
-def _image(P: Polytope, f) -> Polytope:
-    """The hull of f over P's vertices; an empty body comes back unchanged."""
-    if P.is_empty:
-        return P
-    return convex_hull([f(v) for v in P.vertices], P.ambient_dim)
-
-
 def complex_scale(alpha: Cplx, P: Polytope) -> Polytope:
     """The image {alpha * k : k in P} for P in W (ambient 4) or in C (ambient 2)."""
     _require_primal(P, "complex_scale")
     if P.ambient_dim not in (2, 4):
         raise ValueError("complex scaling needs an ambient-4 or planar body")
-    return _image(P, lambda v: scale_point(alpha, v))
+    return P.image(lambda v: scale_point(alpha, v))
 
 
 def det_pair(u, v) -> Cplx:
@@ -241,11 +231,8 @@ def det_image(K: Polytope, w) -> Polytope:
     _require_primal(K, "det_image")
     if K.is_empty:
         return Polytope.empty(2)
-    pts = []
-    for v in K.vertices:
-        z = det_pair(v, w)
-        pts.append((z.re, z.im))
-    return Polytope.from_points(pts, 2)
+    zs = [det_pair(v, w) for v in K.vertices]
+    return convex_hull([(z.re, z.im) for z in zs], 2)
 
 
 def det_duality_point(u) -> tuple:
@@ -266,12 +253,12 @@ def det_duality_inverse_point(xi) -> tuple:
 def det_duality(P: Polytope) -> DualPolytope:
     """The identification W -> W*, u -> Re det(u, .), applied vertexwise."""
     _require_primal(P, "det_duality")
-    return DualPolytope(_image(P, det_duality_point))
+    return DualPolytope(P.image(det_duality_point))
 
 
 def det_duality_inverse(Q: DualPolytope) -> Polytope:
     _require_dual(Q, "det_duality_inverse")
-    return _image(Q.body, det_duality_inverse_point)
+    return Q.body.image(det_duality_inverse_point)
 
 
 def group_action(g: ComplexMatrix2, P: Polytope) -> Polytope:
@@ -279,17 +266,17 @@ def group_action(g: ComplexMatrix2, P: Polytope) -> Polytope:
     _require_primal(P, "group_action")
     if g.det().is_zero():
         raise ValueError("group_action requires invertible g")
-    return _image(P, g.apply)
+    return P.image(g.apply)
 
 
 def dual_action(g: ComplexMatrix2, Q: DualPolytope) -> DualPolytope:
     """g^{-*} Q, characterized by <g^{-*} xi, w> = <xi, g^{-1} w>."""
     _require_dual(Q, "dual_action")
-    return DualPolytope(_image(Q.body, g.inverse().adjoint().apply))
+    return DualPolytope(Q.body.image(g.inverse().adjoint().apply))
 
 
 def dual_scalar_scale(alpha: Cplx, Q: DualPolytope) -> DualPolytope:
     """Complex scalar action on W*: (alpha . xi)(w) = xi(alpha w)."""
     _require_dual(Q, "dual_scalar_scale")
     conj = alpha.conjugate()
-    return DualPolytope(_image(Q.body, lambda v: scale_point(conj, v)))
+    return DualPolytope(Q.body.image(lambda v: scale_point(conj, v)))

@@ -12,18 +12,20 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .cplx import (
     C_ONE,
     ComplexMatrix2,
     Cplx,
     det_duality_point,
+    det_pair,
     group_action,
     scale_point,
 )
-from .linalg import dot, mat_inverse
+from .linalg import det, dot, mat_inverse
 from .mixed import mixed_volume, mixed_volume_31
-from .polytope import Polytope, convex_hull, split_by_hyperplane
+from .polytope import Polytope, affine_transform, convex_hull, minkowski_sum, split_by_hyperplane
 from .valuations import (
     OPERATORS,
     SupportEvaluator,
@@ -144,8 +146,6 @@ def rand_sl2(rng: random.Random, factors: int = 3) -> ComplexMatrix2:
 
 def rand_complex_plane_body(rng: random.Random) -> Polytope:
     """A 2-dimensional body spanned by two C-independent rational vectors."""
-    from .cplx import det_pair
-
     while True:
         u = rand_direction(rng)
         v = rand_direction(rng)
@@ -400,7 +400,7 @@ def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
     if set(M.area_measure().atoms) == set(M2.area_measure().atoms):
         raise ValueError("separation probe needs parameters with distinct area measures")
     probes = [
-        convex_hull([p for p in _probe_cube_vertices()]),
+        convex_hull(product((0, 1), repeat=4)),
         convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
         rand_polytope(rng, min_verts=6, max_verts=8),
     ]
@@ -424,12 +424,6 @@ def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
         "uniqueness_translates", seed, trials, "fail",
         {"note": "no separating witness found for non-translate parameters"},
     )
-
-
-def _probe_cube_vertices():
-    import itertools as _it
-
-    return list(_it.product((0, 1), repeat=4))
 
 
 # -- suite drivers ------------------------------------------------------------------
@@ -460,7 +454,7 @@ def _drive_known_values(seed: int, trials: int) -> PropertyReport:
     simplex = convex_hull(
         [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     )
-    cube = convex_hull(_probe_cube_vertices())
+    cube = convex_hull(product((0, 1), repeat=4))
     segs = []
     for i in range(4):
         e = [0, 0, 0, 0]
@@ -702,9 +696,6 @@ def _drive_uniqueness(seed: int, trials: int) -> PropertyReport:
 
 
 def _drive_kernel_invariants(seed: int, trials: int) -> PropertyReport:
-    from .linalg import det as _det
-    from .polytope import affine_transform, minkowski_sum
-
     def trial_fn(rng, trial):
         P = rand_polytope(rng, min_verts=5, max_verts=9)
         failures = {}
@@ -728,8 +719,8 @@ def _drive_kernel_invariants(seed: int, trials: int) -> PropertyReport:
             if S.support(w) != P.support(w) + Q.support(w):
                 failures["support_additivity"] = True
         A = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-        if _det(A) != 0:
-            if affine_transform(P, A).volume() != abs(_det(A)) * P.volume():
+        if det(A) != 0:
+            if affine_transform(P, A).volume() != abs(det(A)) * P.volume():
                 failures["gl_volume_covariance"] = True
         if failures:
             return {**failures, "P": _body_witness(P)}

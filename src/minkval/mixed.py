@@ -3,16 +3,16 @@
 Two independent routes are provided and cross-validated by the test harness:
 polarization over Minkowski sums of sub-collections (the defining formula)
 and the facet form (1/4) sum_F h(L, sigma_F) for V(K, K, K, L).  The facet
-form extends to arbitrary 1-homogeneous integrands.
+form takes any exact 1-homogeneous integrand in place of h(L, .), and every
+value stays a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .polytope import Polytope, minkowski_sum
 
@@ -75,33 +75,19 @@ def mixed_volume_31(K: Polytope, L: Polytope) -> Fraction:
     through its two opposite atoms.
     """
     _check_quadruple((K, K, K, L))
-    total = Fraction(0)
-    for atom in K.area_measure():
-        total += L.support(atom)
-    return total / 4
-
-
-class ApproxValue(NamedTuple):
-    """A lossy scalar: high-precision decimal value plus summation error bound.
-
-    The bound covers only the rounding of the final summation; the accuracy
-    of the integrand's own values is the caller's contract.
-    """
-
-    value: Decimal
-    bound: Decimal
+    return mixed_volume_fn(K, L.support)
 
 
 @dataclass
 class HomogeneousFunction:
-    """A 1-homogeneous integrand on covectors, f(lam * xi) = lam * f(xi).
+    """An exact 1-homogeneous integrand on covectors, f(lam * xi) = lam * f(xi).
 
-    Homogeneity is spot-checked on registration at a few probe directions;
-    exact integrands are probed exactly, lossy ones within 1e-12 relative.
+    Exactness and homogeneity are checked on registration at a few probe
+    directions.
     """
 
     label: str
-    fn: Callable[[tuple], object]
+    fn: Callable[[tuple], Fraction]
     probe_dirs: tuple = field(
         default=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
     )
@@ -110,41 +96,27 @@ class HomogeneousFunction:
         for d in self.probe_dirs:
             v1 = self.fn(tuple(Fraction(x) for x in d))
             v2 = self.fn(tuple(Fraction(2 * x) for x in d))
-            if isinstance(v1, Fraction) and isinstance(v2, Fraction):
-                if v2 != 2 * v1:
-                    raise ValueError(f"{self.label}: not 1-homogeneous at {d}")
-            else:
-                a, b = float(v2), 2.0 * float(v1)
-                if abs(a - b) > 1e-12 * max(1.0, abs(a), abs(b)):
-                    raise ValueError(f"{self.label}: not 1-homogeneous at {d}")
+            if not (isinstance(v1, Fraction) and isinstance(v2, Fraction)):
+                raise ValueError(f"{self.label}: value at {d} is not a Fraction")
+            if v2 != 2 * v1:
+                raise ValueError(f"{self.label}: not 1-homogeneous at {d}")
 
-    def __call__(self, xi) -> object:
+    def __call__(self, xi) -> Fraction:
         return self.fn(xi)
 
 
-def mixed_volume_fn(K: Polytope, phi: HomogeneousFunction | Callable) -> Fraction | ApproxValue:
+def mixed_volume_fn(K: Polytope, phi: Callable[[tuple], Fraction]) -> Fraction:
     """V(K, K, K, phi) = (1/4) sum_F phi(sigma_F) over area-measure atoms.
 
-    Returns an exact Fraction when every integrand value is a Fraction;
-    otherwise evaluates in 60-digit decimal (about 200 bits) and returns an
-    ApproxValue carrying the summation error bound, so nothing rounds
-    silently.
+    Every integrand value must be a Fraction; anything else raises
+    ValueError, so nothing rounds.
     """
     if K.ambient_dim != 4:
         raise ValueError("mixed_volume_fn requires ambient dimension 4")
-    values = [phi(atom) for atom in K.area_measure()]
-    if all(isinstance(v, Fraction) for v in values):
-        return sum(values, Fraction(0)) / 4
-    ctx = getcontext().copy()
-    ctx.prec = 60
-    total = Decimal(0)
-    max_abs = Decimal(0)
-    for v in values:
-        d = Decimal(repr(v)) if isinstance(v, float) else Decimal(v)
-        total = ctx.add(total, d)
-        if abs(d) > max_abs:
-            max_abs = abs(d)
-    total = ctx.divide(total, Decimal(4))
-    ulp = max_abs.scaleb(-(ctx.prec - 1)) if max_abs != 0 else Decimal(0)
-    bound = ulp * (len(values) + 1)
-    return ApproxValue(total, bound)
+    total = Fraction(0)
+    for atom in K.area_measure():
+        v = phi(atom)
+        if not isinstance(v, Fraction):
+            raise ValueError(f"integrand value {v!r} at {atom} is not a Fraction")
+        total += v
+    return total / 4

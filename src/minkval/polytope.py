@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     IntRowBasis,
@@ -238,7 +239,7 @@ class Polytope:
 
     def __init__(self, *, _raw=None):
         if _raw is None:
-            raise TypeError("use convex_hull() or Polytope.from_points()")
+            raise TypeError("use convex_hull()")
         (
             self.ambient_dim,
             self.vertices,
@@ -251,10 +252,6 @@ class Polytope:
         self._volume = None
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_points(points: Iterable[Sequence], ambient_dim: int | None = None) -> "Polytope":
-        return convex_hull(points, ambient_dim)
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
@@ -352,25 +349,30 @@ class Polytope:
 
     # -- algebra ---------------------------------------------------------------
 
-    def translate(self, t: Sequence) -> "Polytope":
+    def image(self, f: Callable[[Coords], Sequence]) -> "Polytope":
+        """The hull of f over the vertices, in the same ambient dimension.
+
+        An empty body comes back unchanged.
+        """
         if self.is_empty:
             return self
+        return convex_hull([f(v) for v in self.vertices], self.ambient_dim)
+
+    def translate(self, t: Sequence) -> "Polytope":
         t = tuple(Fraction(x) for x in t)
-        return convex_hull([tuple(a + b for a, b in zip(v, t)) for v in self.vertices])
+        if len(t) != self.ambient_dim:
+            raise ValueError(f"translation of dimension {len(t)} in ambient {self.ambient_dim}")
+        return self.image(lambda v: tuple(a + b for a, b in zip(v, t)))
 
     def scale(self, c) -> "Polytope":
-        if self.is_empty:
-            return self
         c = Fraction(c)
-        return convex_hull([tuple(c * x for x in v) for v in self.vertices], self.ambient_dim)
+        return self.image(lambda v: tuple(c * x for x in v))
 
     def __add__(self, other: "Polytope") -> "Polytope":
         return minkowski_sum(self, other)
 
     def __neg__(self) -> "Polytope":
-        if self.is_empty:
-            return self
-        return convex_hull([tuple(-x for x in v) for v in self.vertices], self.ambient_dim)
+        return self.image(lambda v: tuple(-x for x in v))
 
 
 def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> Polytope:
@@ -487,11 +489,10 @@ def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytop
     above = [v for v, f in zip(P.vertices, vals) if f >= c]
     on = [v for v, f in zip(P.vertices, vals) if f == c]
     crossings = []
-    for i, (u, fu) in enumerate(zip(P.vertices, vals)):
-        for v, fv in list(zip(P.vertices, vals))[i + 1:]:
-            if (fu < c < fv) or (fv < c < fu):
-                t = (c - fu) / (fv - fu)
-                crossings.append(tuple(a + t * (b - a) for a, b in zip(u, v)))
+    for (u, fu), (v, fv) in combinations(zip(P.vertices, vals), 2):
+        if (fu < c < fv) or (fv < c < fu):
+            t = (c - fu) / (fv - fu)
+            crossings.append(tuple(a + t * (b - a) for a, b in zip(u, v)))
     dim = P.ambient_dim
     low = convex_hull(below + crossings, dim) if below or crossings else Polytope.empty(dim)
     high = convex_hull(above + crossings, dim) if above or crossings else Polytope.empty(dim)

@@ -11,6 +11,7 @@ and fails; the corrected form passes.  See the assertion message for the
 derivation.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -30,6 +31,10 @@ from minkval.harness import (
 from minkval.valuations import SupportEvaluator, ValuationOp
 
 F = Fraction
+
+# sha256 of the stdout of `minkval verify --seed 42 --trials 100`; the
+# suite's output is a fixed function of (seed, trials)
+VERIFY_SEED42_SHA256 = "6920ea78210a9cbb96bc059a4f843602336292924d3804ab7f5ca39adb583a9f"
 
 
 def _report(num, ok, desc):
@@ -180,3 +185,5 @@ def test_full_suite_seed_42_under_ten_minutes():
     _report("all", ok, f"full suite seed 42, 100 trials, {len(reports)} checks ({elapsed:.0f}s)")
     assert not failed, failed
     assert elapsed < 600, f"suite took {elapsed:.0f}s"
+    stdout = "".join(r.to_json() + "\n" for r in reports)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_SEED42_SHA256

@@ -9,18 +9,13 @@ import pytest
 import minkval.cli as cli
 from minkval.bodyio import (
     FormatError,
-    body_from_json,
-    matrix2_from_json,
-    matrix2_to_json,
-    op_from_json,
-    op_to_json,
+    load_polytope,
     parse_rational,
     polytope_from_json,
     polytope_to_json,
 )
-from minkval.cplx import ComplexMatrix2, Cplx, DualPolytope
-from minkval.polytope import Polytope, convex_hull
-from minkval.valuations import SupportEvaluator, ValuationOp, apply_valuation, difference_body
+from minkval.polytope import convex_hull
+from minkval.valuations import SupportEvaluator, ValuationOp, difference_body, projection_body
 
 F = Fraction
 
@@ -128,7 +123,7 @@ def test_op_writes_roundtrip_body(bodies, capsys, tmp_path):
     payload = json.loads(open(out_file).read())
     assert payload["space"] == "W"
     assert payload["operator"] == "diff"
-    body = body_from_json(payload)
+    body = polytope_from_json(payload)
     cube = convex_hull(list(itertools.product((0, 1), repeat=4)))
     assert body == difference_body(cube)
 
@@ -139,7 +134,8 @@ def test_op_dual_output_tagged(bodies, capsys, tmp_path):
     assert code == 0
     payload = json.loads(open(out_file).read())
     assert payload["space"] == "W_dual"
-    assert isinstance(body_from_json(payload), DualPolytope)
+    simplex = load_polytope(bodies["simplex.json"])
+    assert polytope_from_json(payload) == projection_body(simplex).body
 
 
 def test_op_covariant_wrapper_kind(bodies, capsys, tmp_path):
@@ -153,8 +149,7 @@ def test_op_covariant_wrapper_kind(bodies, capsys, tmp_path):
     payload = json.loads(open(out_file).read())
     assert payload["space"] == "W"
     assert payload["operator"] == "cov_of:pi_n"
-    body = body_from_json(payload)
-    assert isinstance(body, Polytope)
+    body = polytope_from_json(payload)
     assert body.support((0, 0, 1, 0)) == F(out.strip())
 
 
@@ -330,6 +325,21 @@ def test_unwritable_output_exits_two(bodies, capsys, tmp_path, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["volume", "decompose"])
+def test_deeply_nested_json_exits_two(bodies, capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    argv = {
+        "volume": ["volume", str(path)],
+        "decompose": ["decompose", "diff", "--body", bodies["cube.json"], "--dirs", str(path)],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path} is not valid JSON")
+    assert err.count(str(path)) == 1 and err.count("\n") == 1
+
+
 def test_usage_error_exit_two(capsys):
     assert cli.main(["nope-command"]) == 2
     assert cli.main([]) == 2
@@ -352,31 +362,3 @@ def test_polytope_json_roundtrip():
     assert polytope_from_json(payload) == P
     values = [tuple(F(x) for x in v) for v in payload["vertices"]]
     assert values == sorted(values)
-
-
-def test_matrix_json_roundtrip():
-    g = ComplexMatrix2(Cplx.of(1), Cplx.of(1, 1), Cplx.of(0), Cplx.of(1))
-    assert matrix2_from_json(matrix2_to_json(g)) == g
-    payload = {"entries": [[["1", "0"], ["1", "1"]], [["0", "0"], ["1", "0"]]]}
-    h = matrix2_from_json(payload)
-    assert h.b == Cplx.of(1, 1)
-    assert h.d == Cplx.of(1)
-
-
-def test_operator_spec_roundtrip():
-    M = convex_hull([(0, 0), (1, 0), (0, 1)])
-    N = Polytope.segment((-1, 0), (1, 0))
-    op = ValuationOp.z_combined(M, N)
-    payload = op_to_json(op)
-    assert payload["op"] == "z_combined"
-    back = op_from_json(payload)
-    assert back.M == M and back.N == N
-    K = convex_hull(list(itertools.product((0, 1), repeat=4)))
-    assert apply_valuation(back, K).body == apply_valuation(op, K).body
-
-
-def test_operator_spec_rejects_garbage():
-    with pytest.raises(FormatError):
-        op_from_json({"op": "pi_n"})
-    with pytest.raises(FormatError):
-        op_from_json({"nope": 1})

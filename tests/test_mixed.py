@@ -4,6 +4,7 @@ GL covariance, and the functional extension.
 
 from fractions import Fraction
 import itertools
+import math
 import random
 
 import pytest
@@ -180,11 +181,8 @@ def test_fn_rejects_non_homogeneous():
         HomogeneousFunction("bad", lambda xi: xi[0] ** 2 + Fraction(1))
 
 
-def test_fn_lossy_path_reports_bound():
-    import math
-
-    phi = HomogeneousFunction("euclid", lambda xi: math.sqrt(float(sum(x * x for x in xi))))
-    out = mixed_volume_fn(unit_cube4(), phi)
-    # 8 atoms of euclidean length 1 -> perimeter 8, divided by 4
-    assert abs(float(out.value) - 2.0) < 1e-12
-    assert out.bound >= 0
+def test_fn_rejects_inexact_integrand():
+    with pytest.raises(ValueError):
+        HomogeneousFunction("euclid", lambda xi: math.sqrt(float(sum(x * x for x in xi))))
+    with pytest.raises(ValueError):
+        mixed_volume_fn(unit_cube4(), lambda xi: float(abs(xi[0])))

@@ -115,6 +115,13 @@ def test_translate_preserves_volume():
     assert len(Q.vertices) == 16
 
 
+def test_translate_rejects_wrong_length():
+    P = convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    for t in ((1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError):
+            P.translate(t)
+
+
 def test_reflection_of_cube():
     P = unit_cube(4)
     minus_i = [[-1 if i == j else 0 for j in range(4)] for i in range(4)]
