@@ -34,12 +34,12 @@ N = Polytope.segment((-1, 0), (1, 0))
 triangle = convex_hull([(0, 0), (1, 0), (0, 1)])
 
 ops = [
-    ValuationOp.proj(),
-    ValuationOp.diff(),
-    ValuationOp.d_m(M),
-    ValuationOp.pi_n(N),
-    ValuationOp.dtilde_m(triangle),
-    ValuationOp.z_combined(M, N),
+    ValuationOp("proj"),
+    ValuationOp("diff"),
+    ValuationOp("d_m", M=M),
+    ValuationOp("pi_n", N=N),
+    ValuationOp("dtilde_m", M=triangle),
+    ValuationOp("z_combined", M=M, N=N),
 ]
 
 w = (1, 2, -1, 3)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cplx import DualPolytope
 from .polytope import Polytope, convex_hull
-from .valuations import ValuationOp, covariant_of
+from .valuations import ValuationOp
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -52,19 +52,12 @@ def parse_point(entry, dim: int | None = None) -> tuple:
     return pt
 
 
-def polytope_to_json(P: Polytope | DualPolytope, space: str | None = None) -> dict:
-    if isinstance(P, DualPolytope):
-        body = P.body
-        space = "W_dual" if space is None else space
-    else:
-        body = P
-    out = {
+def polytope_to_json(P: Polytope | DualPolytope) -> dict:
+    body = P.body if isinstance(P, DualPolytope) else P
+    return {
         "ambient_dim": body.ambient_dim,
         "vertices": [[format_rational(x) for x in v] for v in body.vertices],
     }
-    if space is not None:
-        out["space"] = space
-    return out
 
 
 def polytope_from_json(data) -> Polytope:
@@ -117,12 +110,10 @@ def save_json(path: str, payload: dict):
 
 
 def build_op(kind: str, M: Polytope | None, N: Polytope | None) -> ValuationOp:
-    """Build an operator from a kind token, accepting cov_of:<kind> wrappers."""
+    """Build an operator from a kind token; a rejected token raises FormatError."""
     if not isinstance(kind, str):
         raise FormatError(f"bad operator kind {kind!r}: expected a string")
     try:
-        if kind.startswith("cov_of:"):
-            return covariant_of(ValuationOp(kind[len("cov_of:"):], M=M, N=N))
         return ValuationOp(kind, M=M, N=N)
     except ValueError as e:
         raise FormatError(str(e)) from None

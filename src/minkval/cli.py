@@ -53,34 +53,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed", help="exact mixed volume of four bodies")
     p.add_argument("bodies", nargs=4, metavar="K")
 
-    kinds = ", ".join(OPERATORS) + ", cov_of:<kind>"
-    p = sub.add_parser("op", help=f"apply a valuation operator ({kinds})")
-    p.add_argument("kind")
-    p.add_argument("--body", required=True)
-    p.add_argument("--M", dest="m_file")
-    p.add_argument("--N", dest="n_file")
+    # the operator and its bodies, shared by op, decompose and sample
+    op_args = argparse.ArgumentParser(add_help=False)
+    op_args.add_argument("kind", help=", ".join(OPERATORS) + " or cov_of:<contravariant kind>")
+    op_args.add_argument("--body", required=True)
+    op_args.add_argument("--M", dest="m_file")
+    op_args.add_argument("--N", dest="n_file")
+
+    p = sub.add_parser("op", parents=[op_args], help="apply a valuation operator")
     p.add_argument("--out", help="write the output body as canonical JSON")
     p.add_argument("--dir", help="print the exact support value in this direction")
 
-    p = sub.add_parser("decompose", help="homogeneity coefficients per direction")
-    p.add_argument("kind")
-    p.add_argument("--body", required=True)
+    p = sub.add_parser("decompose", parents=[op_args],
+                       help="homogeneity coefficients per direction")
     p.add_argument("--dirs", required=True, help="JSON file with an array of directions")
-    p.add_argument("--M", dest="m_file")
-    p.add_argument("--N", dest="n_file")
 
     p = sub.add_parser("verify", help="run the property-verification suite")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--only", help=f"run one check: {', '.join(sorted(CHECKS))}")
 
-    p = sub.add_parser("sample", help="CSV of support values on a sphere grid (lossy)")
-    p.add_argument("kind")
-    p.add_argument("--body", required=True)
+    p = sub.add_parser("sample", parents=[op_args],
+                       help="CSV of support values on a sphere grid (lossy)")
     p.add_argument("--sphere-grid", type=int, required=True, metavar="G")
     p.add_argument("--csv", required=True)
-    p.add_argument("--M", dest="m_file")
-    p.add_argument("--N", dest="n_file")
 
     return parser
 
@@ -153,8 +149,8 @@ def _cmd_op(args) -> int:
     # write --out before printing, so that a failed write leaves stdout empty
     if args.out:
         out = apply_valuation(op, K)
-        space = "W_dual" if isinstance(out, DualPolytope) else "W"
-        payload = polytope_to_json(out, space=space)
+        payload = polytope_to_json(out)
+        payload["space"] = "W_dual" if isinstance(out, DualPolytope) else "W"
         payload["operator"] = op.kind
         save_json(args.out, payload)
     if w is not None:

@@ -475,7 +475,7 @@ def _drive_known_values(seed: int, trials: int) -> PropertyReport:
     return PropertyReport("known_values", seed, 1, "pass")
 
 
-def _drive_additivity(seed: int, trials: int, dirs_per_trial: int = 50) -> PropertyReport:
+def _drive_additivity(seed: int, trials: int) -> PropertyReport:
     def trial_fn(rng, trial):
         ops = _suite_ops(rng)
         P = rand_polytope(rng, min_verts=5, max_verts=9)
@@ -483,7 +483,7 @@ def _drive_additivity(seed: int, trials: int, dirs_per_trial: int = 50) -> Prope
         lo = -P.support(tuple(-x for x in xi))
         hi = P.support(xi)
         c = lo + (hi - lo) * F(rng.randint(1, 7), 8)
-        dirs = [rand_direction(rng) for _ in range(dirs_per_trial)]
+        dirs = [rand_direction(rng) for _ in range(50)]
         for op in ops:
             rep = check_valuation_additivity(op, P, xi, c, dirs, seed)
             if not rep.passed:
@@ -497,7 +497,7 @@ def _drive_additivity(seed: int, trials: int, dirs_per_trial: int = 50) -> Prope
 def _drive_equivariance(seed: int, trials: int) -> PropertyReport:
     def trial_fn(rng, trial):
         ops = _suite_ops(rng)
-        ops.append(covariant_of(ValuationOp.pi_n(rand_planar_body(rng))))
+        ops.append(covariant_of(ValuationOp("pi_n", N=rand_planar_body(rng))))
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         g = rand_sl2(rng)
         dirs = [rand_direction(rng) for _ in range(8)]
@@ -533,8 +533,8 @@ def _drive_homogeneity(seed: int, trials: int) -> PropertyReport:
 
 def _drive_degenerate(seed: int, trials: int) -> PropertyReport:
     rng = random.Random(f"{seed}:degenerate_param")
-    n_op = ValuationOp.pi_n(rand_planar_body(rng))
-    for op, stratum in ((ValuationOp.proj(), "plane2"), (n_op, "plane2"), (n_op, "e_plane")):
+    n_op = ValuationOp("pi_n", N=rand_planar_body(rng))
+    for op, stratum in ((ValuationOp("proj"), "plane2"), (n_op, "plane2"), (n_op, "e_plane")):
         rep = check_degenerate_vanishing(op, stratum, seed, trials)
         if not rep.passed:
             return rep
@@ -615,7 +615,7 @@ def _drive_dtilde_consistency(seed: int, trials: int,
             # every tenth trial constructs the explicit output body
             phi_route = dual_complex_difference_body(M, K).support(w)
         else:
-            phi_route = SupportEvaluator(ValuationOp.dtilde_m(M), K).at(w)
+            phi_route = SupportEvaluator(ValuationOp("dtilde_m", M=M), K).at(w)
         det_route = dual_diff_support_via_det(M, K, w, conjugate_atoms=conjugate_atoms)
         if trial == 0:
             with_conj = dual_diff_support_via_det(M, K, w, conjugate_atoms=True)
@@ -653,7 +653,7 @@ def _drive_det32(seed: int, trials: int) -> PropertyReport:
     """
     def trial_fn(rng, trial):
         N = rand_planar_body(rng)
-        op = ValuationOp.pi_n(N)
+        op = ValuationOp("pi_n", N=N)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         g0 = rand_sl2(rng)
         t = F(rng.randint(1, 5), rng.randint(1, 3))
@@ -746,26 +746,15 @@ CHECKS = {
 }
 
 
-def run_suite(seed: int = 42, trials: int = 100, only: str | None = None,
-              fault_flip_dtilde: bool = False) -> list[PropertyReport]:
+def run_suite(seed: int = 42, trials: int = 100, only: str | None = None) -> list[PropertyReport]:
     """Run the verification suite; deterministic given (seed, trials).
 
-    trials = 0 yields an empty summary.  fault_flip_dtilde deliberately runs
-    the dtilde consistency check under the wrong conjugation convention,
-    which must make that check fail; it exists to test the harness itself.
+    trials = 0 yields an empty summary.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check {only!r}; known: {', '.join(sorted(CHECKS))}")
-    reports = []
     if trials == 0:
-        return reports
-    for name, driver in CHECKS.items():
-        if only is not None and name != only:
-            continue
-        if name == "dtilde_consistency":
-            reports.append(driver(seed, trials, conjugate_atoms=not fault_flip_dtilde))
-        else:
-            reports.append(driver(seed, trials))
-    return reports
+        return []
+    return [driver(seed, trials) for name, driver in CHECKS.items() if only in (None, name)]

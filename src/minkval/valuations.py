@@ -58,24 +58,25 @@ def planar_atoms(M: Polytope) -> tuple[Cplx, ...]:
 
 @dataclass(frozen=True)
 class ValuationOp:
-    """An operator handle: kind token plus the planar parameter bodies it needs."""
+    """An operator handle: kind token plus the planar parameter bodies it needs.
+
+    kind is a key of OPERATORS, or cov_of:<key> for a contravariant key: the
+    covariant companion K -> Phi^{-1}(Z K), which takes the key's parameters.
+    """
 
     kind: str
     M: Polytope | None = None
     N: Polytope | None = None
-    inner: "ValuationOp | None" = None
 
     def __post_init__(self):
-        if self.kind.startswith("cov_of:"):
-            inner = self.inner
-            if inner is None or not inner.is_contravariant or self.kind != f"cov_of:{inner.kind}":
-                raise ValueError(f"{self.kind!r}: cov_of wraps contravariant kinds only")
-            return
-        spec = OPERATORS.get(self.kind)
+        spec = OPERATORS.get(self.kind.removeprefix("cov_of:"))
         if spec is None:
             raise ValueError(
                 f"unknown operator kind {self.kind!r}; known: {', '.join(OPERATORS)}"
+                ", cov_of:<contravariant kind>"
             )
+        if self.is_companion and not spec.contravariant:
+            raise ValueError(f"{self.kind!r}: cov_of wraps contravariant kinds only")
         for name in ("M", "N"):
             needed = name in spec.params
             body = getattr(self, name)
@@ -84,45 +85,33 @@ class ValuationOp:
             if body is not None and (body.ambient_dim != 2 or body.is_empty):
                 raise ValueError(f"parameter {name} must be a nonempty planar body")
 
-    # -- constructors --------------------------------------------------------
+    @property
+    def is_companion(self) -> bool:
+        """True for a cov_of: token."""
+        return self.kind.startswith("cov_of:")
 
-    @staticmethod
-    def proj() -> "ValuationOp":
-        return ValuationOp("proj")
+    @property
+    def spec(self) -> OpSpec:
+        """The OPERATORS entry of the kind, or of the kind a cov_of: token wraps."""
+        return OPERATORS[self.kind.removeprefix("cov_of:")]
 
-    @staticmethod
-    def diff() -> "ValuationOp":
-        return ValuationOp("diff")
-
-    @staticmethod
-    def d_m(M: Polytope) -> "ValuationOp":
-        return ValuationOp("d_m", M=M)
-
-    @staticmethod
-    def pi_n(N: Polytope) -> "ValuationOp":
-        return ValuationOp("pi_n", N=N)
-
-    @staticmethod
-    def dtilde_m(M: Polytope) -> "ValuationOp":
-        return ValuationOp("dtilde_m", M=M)
-
-    @staticmethod
-    def z_combined(M: Polytope, N: Polytope) -> "ValuationOp":
-        return ValuationOp("z_combined", M=M, N=N)
+    @property
+    def params(self) -> tuple[Polytope, ...]:
+        """The parameter bodies, in the order the spec's functions take them."""
+        return tuple(getattr(self, p) for p in self.spec.params)
 
     @property
     def is_contravariant(self) -> bool:
-        return self.kind in OPERATORS and OPERATORS[self.kind].contravariant
+        return self.spec.contravariant and not self.is_companion
 
     @property
     def homogeneity_degrees(self) -> frozenset[int]:
-        base = self.inner if self.inner is not None else self
-        return OPERATORS[base.kind].degrees
+        return self.spec.degrees
 
 
 def covariant_of(op: ValuationOp) -> ValuationOp:
     """The covariant companion K -> Phi^{-1}(Z K) of a contravariant operator."""
-    return ValuationOp(kind=f"cov_of:{op.kind}", inner=op)
+    return ValuationOp(f"cov_of:{op.kind}", op.M, op.N)
 
 
 # -- reconstructions ------------------------------------------------------------
@@ -312,10 +301,8 @@ OPERATORS: dict[str, OpSpec] = {
 
 def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
     """Evaluate the operator as an explicit output body."""
-    if op.kind.startswith("cov_of:"):
-        return det_duality_inverse(apply_valuation(op.inner, K))
-    spec = OPERATORS[op.kind]
-    return spec.reconstruct(*(getattr(op, p) for p in spec.params), K)
+    out = op.spec.reconstruct(*op.params, K)
+    return det_duality_inverse(out) if op.is_companion else out
 
 
 class SupportEvaluator:
@@ -330,13 +317,9 @@ class SupportEvaluator:
         _check_source(K)
         self.op = op
         self.K = K
-        if op.kind.startswith("cov_of:"):
-            inner = SupportEvaluator(op.inner, K)
-            # h(Phi^{-1} Z K, xi) = h(Z K, Phi^{-T} xi), and Phi^{-T} = Phi
-            self._h = lambda w: inner.at(det_duality_point(w))
-        else:
-            spec = OPERATORS[op.kind]
-            self._h = spec.support(*(getattr(op, p) for p in spec.params), K)
+        h = op.spec.support(*op.params, K)
+        # h(Phi^{-1} Z K, xi) = h(Z K, Phi^{-T} xi), and Phi^{-T} = Phi
+        self._h = (lambda w: h(det_duality_point(w))) if op.is_companion else h
 
     def at(self, w) -> Fraction:
         if len(w) != 4:

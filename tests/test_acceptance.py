@@ -77,7 +77,7 @@ def test_criterion_5_homogeneity_spectrum():
 
 def test_criterion_6_degenerate_vanishing():
     rng = random.Random("acceptance:6")
-    n_op = ValuationOp.pi_n(rand_planar_body(rng))
+    n_op = ValuationOp("pi_n", N=rand_planar_body(rng))
     rep1 = check_degenerate_vanishing(n_op, "plane2", 106, 50)
     rep2 = check_degenerate_vanishing(n_op, "e_plane", 106, 50)
     ok = rep1.passed and rep2.passed
@@ -128,7 +128,7 @@ def _det32_instances(seed, trials):
     rng = random.Random(seed)
     for _ in range(trials):
         N = rand_planar_body(rng)
-        op = ValuationOp.pi_n(N)
+        op = ValuationOp("pi_n", N=N)
         K = rand_polytope(rng, min_verts=5, max_verts=7)
         g0 = rand_sl2(rng)
         t = F(1)

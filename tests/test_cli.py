@@ -1,6 +1,7 @@
 """CLI tests: exact output, round trips, exit codes, determinism."""
 
 from fractions import Fraction
+import hashlib
 import itertools
 import json
 
@@ -15,7 +16,13 @@ from minkval.bodyio import (
     polytope_to_json,
 )
 from minkval.polytope import convex_hull
-from minkval.valuations import SupportEvaluator, ValuationOp, difference_body, projection_body
+from minkval.valuations import (
+    OPERATORS,
+    SupportEvaluator,
+    ValuationOp,
+    difference_body,
+    projection_body,
+)
 
 F = Fraction
 
@@ -51,6 +58,19 @@ def bodies(tmp_path):
             "vertices": cube + [["1/2", "1/2", "1/2", "1/2"], ["0", "0", "0", "0"]],
         },
     )
+    # a 6-vertex pyramid over a pyramid over the unit square, with 6 facets
+    dump(
+        "pyramid6.json",
+        {
+            "ambient_dim": 4,
+            "vertices": [
+                ["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                ["1", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"],
+            ],
+        },
+    )
+    dump("triangle.json", {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]})
+    dump("seg_tilted.json", {"ambient_dim": 2, "vertices": [["-1", "0"], ["1", "1"]]})
     dump("dirs.json", [["1", "0", "0", "0"], ["1", "1", "1", "1"]])
     dump("bad_decimal.json", {"ambient_dim": 2, "vertices": [["0.5", "1"], ["0", "0"]]})
     return paths
@@ -151,6 +171,35 @@ def test_op_covariant_wrapper_kind(bodies, capsys, tmp_path):
     assert payload["operator"] == "cov_of:pi_n"
     body = polytope_from_json(payload)
     assert body.support((0, 0, 1, 0)) == F(out.strip())
+
+
+# sha256 of `op <token> --out` on pyramid6.json with M = triangle.json and
+# N = seg_tilted.json, recorded before the operator dispatch was rewritten
+PINNED_OUT = {
+    "proj": "b2e156ad633b7558e68079567a965817b52ac21704ca5e12fab973df6ce0cb94",
+    "diff": "8269404f36c432ca6e968cb4afbbd107b13842016b5cbd5cd31e28b7174f7b5b",
+    "d_m": "145d800053f8f1b309366a92f8f22198d49ecd67feb229cd28c728a713876acd",
+    "pi_n": "9cbadd0a87988ea640a1fc5a7356fd5db8179f888ddf55a8008440441960a602",
+    "dtilde_m": "702291890aaa58cb91427cb6da925aa05dfd93b5d58fcdbe27f97556329d10b0",
+    "z_combined": "06bb500bdb415ebfbb68b9bb037ead0caee1fcd6ce22036392885231f10ac09d",
+    "cov_of:proj": "306848eb72780033d91bb30694f50c38af91ce1c6de5f20b7d51b181ced92fb5",
+    "cov_of:pi_n": "d82600d0e9816916a51ee6ff0d860824928efce712db57de85d040da9c1c8aa9",
+    "cov_of:dtilde_m": "1acf883c41fcc83f34f2a4d45aff4ec6cfab0ac433e1c4d5e12f1d96ba7bbe3f",
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_OUT)
+def test_op_out_bytes_pinned(bodies, capsys, tmp_path, kind):
+    out_file = tmp_path / "out.json"
+    params = OPERATORS[kind.removeprefix("cov_of:")].params
+    argv = ["op", kind, "--body", bodies["pyramid6.json"], "--out", str(out_file)]
+    if "M" in params:
+        argv += ["--M", bodies["triangle.json"]]
+    if "N" in params:
+        argv += ["--N", bodies["seg_tilted.json"]]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PINNED_OUT[kind]
 
 
 def test_decompose_table(bodies, capsys):
@@ -269,6 +318,26 @@ def test_unknown_kind(bodies, capsys):
     code, _, err = run(capsys, ["op", "nope", "--body", bodies["cube.json"], "--dir", "1,0,0,0"])
     assert code == 2
     assert "unknown operator kind" in err
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("cov_of:nope", []),
+        ("cov_of:cov_of:proj", []),
+        ("cov_of:diff", []),
+        ("cov_of:pi_n", []),
+        ("cov_of:pi_n", ["--M", "triangle.json", "--N", "seg_m11.json"]),
+    ],
+    ids=["unknown", "nested", "covariant", "missing_N", "stray_M"],
+)
+def test_bad_cov_of_token_exits_two(bodies, capsys, kind, params):
+    argv = ["op", kind, "--body", bodies["cube.json"], "--dir", "1,0,0,0"]
+    argv += [bodies.get(x, x) for x in params]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and repr(kind) in err
 
 
 def test_missing_parameter_body(bodies, capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import itertools
 import random
+import re
 
 import pytest
 
@@ -304,22 +305,22 @@ def test_parameter_translation_invariance():
 
 
 OPS = [
-    ValuationOp.proj(),
-    ValuationOp.diff(),
+    ValuationOp("proj"),
+    ValuationOp("diff"),
 ]
 
 
 def _all_ops():
     M, N = triangle2(), seg_m11()
     ops = [
-        ValuationOp.proj(),
-        ValuationOp.diff(),
-        ValuationOp.d_m(M),
-        ValuationOp.pi_n(N),
-        ValuationOp.dtilde_m(M),
-        ValuationOp.z_combined(M, N),
+        ValuationOp("proj"),
+        ValuationOp("diff"),
+        ValuationOp("d_m", M=M),
+        ValuationOp("pi_n", N=N),
+        ValuationOp("dtilde_m", M=M),
+        ValuationOp("z_combined", M=M, N=N),
     ]
-    ops.append(covariant_of(ValuationOp.pi_n(N)))
+    ops.append(covariant_of(ValuationOp("pi_n", N=N)))
     return ops
 
 
@@ -354,7 +355,7 @@ def test_valuation_additivity_one_split(op):
 
 def test_covariant_of_dual_diff_recovers_plain_diff():
     M = triangle2()
-    op = covariant_of(ValuationOp.dtilde_m(M))
+    op = covariant_of(ValuationOp("dtilde_m", M=M))
     K = simplex4()
     assert apply_valuation(op, K) == complex_difference_body(M, K)
 
@@ -362,7 +363,7 @@ def test_covariant_of_dual_diff_recovers_plain_diff():
 def test_covariant_of_pi_n_covariance():
     rng = random.Random(52)
     N = seg_m11()
-    op = covariant_of(ValuationOp.pi_n(N))
+    op = covariant_of(ValuationOp("pi_n", N=N))
     K = simplex4()
     for _ in range(3):
         g = rand_sl(rng)
@@ -372,7 +373,7 @@ def test_covariant_of_pi_n_covariance():
 
 
 def test_covariant_of_point_parameter_constant_zero():
-    op = covariant_of(ValuationOp.pi_n(Polytope.point((1, 2))))
+    op = covariant_of(ValuationOp("pi_n", N=Polytope.point((1, 2))))
     assert apply_valuation(op, unit_cube4()) == zero_body()
 
 
@@ -384,9 +385,19 @@ def test_op_validation():
     with pytest.raises(ValueError):
         ValuationOp("nope")
     with pytest.raises(ValueError):
-        covariant_of(ValuationOp.diff())
-    with pytest.raises(ValueError):
-        ValuationOp("cov_of:diff", inner=ValuationOp.proj())
+        covariant_of(ValuationOp("diff"))
+    # a cov_of: token is checked as typed, and its errors name it
+    N = seg_m11()
+    for kind, params in (
+        ("cov_of:nope", {}),
+        ("cov_of:cov_of:proj", {}),
+        ("cov_of:diff", {}),
+        ("cov_of:pi_n", {}),
+        ("cov_of:pi_n", {"M": triangle2(), "N": N}),
+    ):
+        with pytest.raises(ValueError, match=re.escape(repr(kind))):
+            ValuationOp(kind, **params)
+    assert ValuationOp("cov_of:pi_n", N=N) == covariant_of(ValuationOp("pi_n", N=N))
 
 
 @pytest.mark.parametrize("kind,spec", OPERATORS.items(), ids=list(OPERATORS))
