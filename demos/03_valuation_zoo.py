@@ -8,6 +8,7 @@ at the end exhibits the 1 + 3 homogeneity split of the combined operator.
 from itertools import product
 
 from minkval import (
+    DualPolytope,
     Polytope,
     SupportEvaluator,
     ValuationOp,
@@ -15,14 +16,13 @@ from minkval import (
     convex_hull,
     homogeneous_decomposition,
     mixed_volume,
-    projection_body,
 )
 
 cube = convex_hull(list(product((0, 1), repeat=4)))
 seg_e4 = Polytope.segment((0, 0, 0, 0), (0, 0, 0, 1))
 
 # Projection body of the cube: a dual cube, h = sum |v_i|.
-pi_cube = projection_body(cube)
+pi_cube = apply_valuation(ValuationOp("proj"), cube)
 print("projection body of the cube has", len(pi_cube.vertices), "vertices")
 print("h(Pi cube, e1) =", pi_cube.support((1, 0, 0, 0)))
 print("2 V(cube^3, [-e1, e1]) =", 2 * mixed_volume(cube, cube, cube,
@@ -46,7 +46,7 @@ w = (1, 2, -1, 3)
 print("\noperator     reconstruction == evaluator at", w)
 for op in ops:
     out = apply_valuation(op, cube)
-    body = out.body if hasattr(out, "body") else out
+    body = out.body if isinstance(out, DualPolytope) else out
     ev = SupportEvaluator(op, cube).at(w)
     print(f"  {op.kind:11s} {str(body.support(w)):>10s} == {str(ev):>10s}")
     assert body.support(w) == ev

@@ -45,13 +45,7 @@ from .valuations import (
     SupportEvaluator,
     ValuationOp,
     apply_valuation,
-    combined_contravariant,
-    complex_difference_body,
-    complex_projection_body,
     covariant_of,
-    difference_body,
-    dual_complex_difference_body,
-    projection_body,
 )
 
 __all__ = [
@@ -72,9 +66,6 @@ __all__ = [
     "check_equivariance",
     "check_uniqueness_translates",
     "check_valuation_additivity",
-    "combined_contravariant",
-    "complex_difference_body",
-    "complex_projection_body",
     "complex_scale",
     "convex_hull",
     "covariant_of",
@@ -82,9 +73,7 @@ __all__ = [
     "det_duality_inverse",
     "det_image",
     "det_pair",
-    "difference_body",
     "dual_action",
-    "dual_complex_difference_body",
     "dual_scalar_scale",
     "group_action",
     "homogeneous_decomposition",
@@ -92,7 +81,6 @@ __all__ = [
     "mixed_volume",
     "mixed_volume_31",
     "mixed_volume_fn",
-    "projection_body",
     "run_suite",
     "split_by_hyperplane",
     "verify_shear_simplex_area_measure",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polytope import Polytope, convex_hull, minkowski_sum
+from .polytope import Polytope, convex_hull
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,6 @@ class DualPolytope:
     def support(self, w) -> Fraction:
         """max over xi in the body of <xi, w> for a point w of W."""
         return self.body.support(w)
-
-    def __add__(self, other: "DualPolytope") -> "DualPolytope":
-        if not isinstance(other, DualPolytope):
-            raise TypeError("can only Minkowski-add DualPolytope to DualPolytope")
-        return DualPolytope(minkowski_sum(self.body, other.body))
 
 
 def _require_primal(P, what: str):

@@ -33,7 +33,6 @@ from .valuations import (
     apply_valuation,
     covariant_of,
     dual_diff_support_via_det,
-    dual_complex_difference_body,
     zero_body,
 )
 
@@ -611,11 +610,12 @@ def _drive_dtilde_consistency(seed: int, trials: int,
         M = rand_planar_body(rng)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         w = rand_direction(rng)
+        op = ValuationOp("dtilde_m", M=M)
         if trial % 10 == 0:
             # every tenth trial constructs the explicit output body
-            phi_route = dual_complex_difference_body(M, K).support(w)
+            phi_route = apply_valuation(op, K).support(w)
         else:
-            phi_route = SupportEvaluator(ValuationOp("dtilde_m", M=M), K).at(w)
+            phi_route = SupportEvaluator(op, K).at(w)
         det_route = dual_diff_support_via_det(M, K, w, conjugate_atoms=conjugate_atoms)
         if trial == 0:
             with_conj = dual_diff_support_via_det(M, K, w, conjugate_atoms=True)

@@ -4,10 +4,10 @@ and formula-direct support evaluators.
 Contravariant operators (projection body, complex projection body, the
 dual-twisted complex difference body, and their sum) land in W* and are
 returned as DualPolytope; covariant ones (difference body, complex difference
-body) stay in W.  Every operator ships two faces: a reconstruction that
-returns the output body as an explicit polytope, and a SupportEvaluator that
-computes h(ZK, w) straight from the defining formula.  The two agree exactly
-and the harness checks it.
+body) stay in W.  Every operator ships two faces: its Minkowski summands,
+which apply_valuation sums into the output body as an explicit polytope, and
+a SupportEvaluator that computes h(ZK, w) straight from the defining formula.
+The two agree exactly and the harness checks it.
 
 The operator kinds, with every fact that tells them apart, are the entries
 of OPERATORS; their keys, plus cov_of:<kind>, are the kind tokens used on
@@ -18,28 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .cplx import (
     Cplx,
     DualPolytope,
-    complex_scale,
-    det_duality,
-    det_duality_inverse,
     det_duality_inverse_point,
     det_duality_point,
     det_pair,
     scale_point,
 )
-from .polytope import Polytope, convex_hull, minkowski_sum
+from .polytope import Polytope, convex_hull
 
 
 def zero_body() -> Polytope:
     return Polytope.point((0, 0, 0, 0))
-
-
-def zero_dual() -> DualPolytope:
-    return DualPolytope(zero_body())
 
 
 def planar_atoms(M: Polytope) -> tuple[Cplx, ...]:
@@ -114,7 +107,7 @@ def covariant_of(op: ValuationOp) -> ValuationOp:
     return ValuationOp(f"cov_of:{op.kind}", op.M, op.N)
 
 
-# -- reconstructions ------------------------------------------------------------
+# -- Minkowski summands ------------------------------------------------------------
 
 
 def _check_source(K: Polytope):
@@ -124,88 +117,60 @@ def _check_source(K: Polytope):
         raise ValueError("source body must live in ambient dimension 4")
 
 
-def projection_body(K: Polytope) -> DualPolytope:
-    """The zonotope sum of segments [-sigma_F/2, sigma_F/2] in W*.
+def _projection_summands(K: Polytope):
+    """The segments [-sigma_F/2, sigma_F/2] in W*.
 
     h(Pi K, v) = (1/2) sum_F |<sigma_F, v>| = 2 V(K, K, K, [-v, v]).
     """
-    _check_source(K)
-    if K.is_empty:
-        return zero_dual()
-    total = zero_body()
-    for atom in K.area_measure():
-        half = tuple(x / 2 for x in atom)
-        seg = Polytope.segment(tuple(-x for x in half), half)
-        total = minkowski_sum(total, seg)
-    return DualPolytope(total)
+    return [(tuple(x / 2 for x in a), tuple(-x / 2 for x in a)) for a in K.area_measure()]
 
 
-def difference_body(K: Polytope) -> Polytope:
+def _difference_summands(K: Polytope):
     """K + (-K); centrally symmetric, 1-homogeneous, covariant."""
-    _check_source(K)
-    if K.is_empty:
-        return zero_body()
-    return minkowski_sum(K, -K)
+    return [K.vertices, [tuple(-x for x in v) for v in K.vertices]]
 
 
-def complex_difference_body(M: Polytope, K: Polytope) -> Polytope:
-    """Minkowski sum of the complex dilates nu_j K over the atoms of M.
+def _complex_difference_summands(M: Polytope, K: Polytope):
+    """The complex dilates nu_j K over the atoms of M.
 
     Realizes the weighted rotation average h -> integral of h(alpha K, .)
     against the boundary measure of M: the atom nu_j = len_j * u_j absorbs
     the weight by 1-homogeneity, len_j h(u_j K, xi) = h((len_j u_j) K, xi).
     """
-    _check_source(K)
-    atoms = planar_atoms(M)
-    if K.is_empty or not atoms:
-        return zero_body()
-    total = zero_body()
-    for nu in atoms:
-        total = minkowski_sum(total, complex_scale(nu, K))
-    return total
+    return [[scale_point(nu, v) for v in K.vertices] for nu in planar_atoms(M)]
 
 
-def complex_projection_body(N: Polytope, K: Polytope) -> DualPolytope:
-    """The body in W* with h(Pi_N K, w) = V(K, K, K, N.w), N.w = {c w : c in N}.
+def _complex_projection_summands(N: Polytope, K: Polytope):
+    """Summands of the body in W* with h(Pi_N K, w) = V(K, K, K, N.w), N.w = {c w : c in N}.
 
-    Reconstruction: expanding the facet form of the mixed volume, each facet
-    atom sigma_F contributes (1/4) conv{lambda_{c,F} : c vertex of N} with
-    lambda_{c,F} the covector w -> <sigma_F, c w>, which is conj(c) sigma_F.
+    Expanding the facet form of the mixed volume, each facet atom sigma_F
+    contributes (1/4) conv{lambda_{c,F} : c vertex of N} with lambda_{c,F}
+    the covector w -> <sigma_F, c w>, which is conj(c) sigma_F.
     """
-    _check_source(K)
-    if N.ambient_dim != 2 or N.is_empty:
-        raise ValueError("parameter N must be a nonempty planar body")
-    if K.is_empty:
-        return zero_dual()
     conj_vertices = [Cplx(c[0], c[1]).conjugate() for c in N.vertices]
-    total = zero_body()
-    for atom in K.area_measure():
-        pts = [tuple(x / 4 for x in scale_point(c, atom)) for c in conj_vertices]
-        total = minkowski_sum(total, convex_hull(pts, 4))
-    return DualPolytope(total)
+    return [[tuple(x / 4 for x in scale_point(c, atom)) for c in conj_vertices]
+            for atom in K.area_measure()]
 
 
-def dual_complex_difference_body(M: Polytope, K: Polytope) -> DualPolytope:
+def _dual_complex_difference_summands(M: Polytope, K: Polytope):
     """The determinant-duality image of the complex difference body.
 
-    Primary construction: apply the duality map to complex_difference_body.
-    The planar-integral route over det(K, w) is available through the
-    support evaluator and is pinned to conjugated atoms by the harness.
+    The planar-integral route over det(K, w) is dual_diff_support_via_det,
+    pinned to conjugated atoms by the harness.
     """
-    _check_source(K)
-    return det_duality(complex_difference_body(M, K))
+    return [[det_duality_point(p) for p in S] for S in _complex_difference_summands(M, K)]
 
 
-def combined_contravariant(M: Polytope, N: Polytope, K: Polytope) -> DualPolytope:
-    """Sum of the degree-1 and degree-3 contravariant parts."""
-    return dual_complex_difference_body(M, K) + complex_projection_body(N, K)
+def _combined_summands(M: Polytope, N: Polytope, K: Polytope):
+    """The degree-1 part, then the degree-3 part."""
+    return _dual_complex_difference_summands(M, K) + _complex_projection_summands(N, K)
 
 
 # -- support evaluators ------------------------------------------------------------
 #
 # Each takes the kind's parameter bodies and K and returns w -> h(Z K, w) for
 # a Fraction direction w.  They read K only through its vertices and area
-# measure, never through a reconstruction.
+# measure, never through the summands.
 
 def _projection_support(K: Polytope):
     """h(Pi K, w) = (1/2) sum_F |<sigma_F, w>|."""
@@ -274,35 +239,45 @@ class OpSpec:
     """Everything that distinguishes one operator kind of the family.
 
     params names the planar parameter bodies ("M", "N") in the order that
-    reconstruct(*params, K) and support(*params, K) take them.  The two
-    functions are independent: each is the other's oracle.
+    summands(*params, K) and support(*params, K) take them.  For a nonempty
+    K, summands returns point groups S_j with Z K = sum_j conv(S_j), built on
+    the point side; support acts on the direction side.  The two functions
+    are independent: each is the other's oracle.
     """
 
     params: tuple[str, ...]
     contravariant: bool
     degrees: frozenset[int]
-    reconstruct: Callable[..., Polytope | DualPolytope]
+    summands: Callable[..., list[Sequence[tuple]]]
     support: Callable[..., Callable[[tuple], Fraction]]
 
 
 OPERATORS: dict[str, OpSpec] = {
-    "proj": OpSpec((), True, frozenset({3}), projection_body, _projection_support),
-    "diff": OpSpec((), False, frozenset({1}), difference_body, _difference_support),
-    "d_m": OpSpec(("M",), False, frozenset({1}), complex_difference_body,
+    "proj": OpSpec((), True, frozenset({3}), _projection_summands, _projection_support),
+    "diff": OpSpec((), False, frozenset({1}), _difference_summands, _difference_support),
+    "d_m": OpSpec(("M",), False, frozenset({1}), _complex_difference_summands,
                   _complex_difference_support),
-    "pi_n": OpSpec(("N",), True, frozenset({3}), complex_projection_body,
+    "pi_n": OpSpec(("N",), True, frozenset({3}), _complex_projection_summands,
                    _complex_projection_support),
-    "dtilde_m": OpSpec(("M",), True, frozenset({1}), dual_complex_difference_body,
+    "dtilde_m": OpSpec(("M",), True, frozenset({1}), _dual_complex_difference_summands,
                        _dual_complex_difference_support),
-    "z_combined": OpSpec(("M", "N"), True, frozenset({1, 3}), combined_contravariant,
+    "z_combined": OpSpec(("M", "N"), True, frozenset({1, 3}), _combined_summands,
                          _combined_support),
 }
 
 
 def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
-    """Evaluate the operator as an explicit output body."""
-    out = op.spec.reconstruct(*op.params, K)
-    return det_duality_inverse(out) if op.is_companion else out
+    """The output body: the kind's summand groups added to a running total,
+    one hull per group.  The empty K gives the zero body."""
+    _check_source(K)
+    groups = op.spec.summands(*op.params, K) if not K.is_empty else []
+    if op.is_companion:
+        groups = [[det_duality_inverse_point(p) for p in S] for S in groups]
+    total = zero_body()
+    for S in groups:
+        total = convex_hull([tuple(a + b for a, b in zip(t, p))
+                             for t in total.vertices for p in S], 4)
+    return DualPolytope(total) if op.is_contravariant else total
 
 
 class SupportEvaluator:

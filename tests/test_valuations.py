@@ -13,6 +13,7 @@ from minkval.cplx import (
     Cplx,
     DualPolytope,
     complex_scale,
+    det_duality_inverse,
     dual_action,
     group_action,
 )
@@ -23,15 +24,9 @@ from minkval.valuations import (
     SupportEvaluator,
     ValuationOp,
     apply_valuation,
-    combined_contravariant,
-    complex_difference_body,
-    complex_projection_body,
     covariant_of,
-    difference_body,
-    dual_complex_difference_body,
     dual_diff_support_via_det,
     planar_atoms,
-    projection_body,
     zero_body,
 )
 
@@ -99,7 +94,7 @@ def rand_sl(rng, factors=2):
 
 
 def test_projection_body_of_cube():
-    P = projection_body(unit_cube4())
+    P = apply_valuation(ValuationOp("proj"), unit_cube4())
     expected = convex_hull(list(itertools.product((-1, 1), repeat=4)))
     assert P.body == expected
     rng = random.Random(41)
@@ -110,7 +105,7 @@ def test_projection_body_of_cube():
 
 def test_projection_body_low_dim_vanishes():
     K = convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)])
-    assert projection_body(K).body == zero_body()
+    assert apply_valuation(ValuationOp("proj"), K).body == zero_body()
 
 
 def test_projection_body_sl_contravariance():
@@ -118,8 +113,8 @@ def test_projection_body_sl_contravariance():
     K = simplex4()
     for _ in range(5):
         g = rand_sl(rng)
-        left = projection_body(group_action(g, K))
-        right = dual_action(g, projection_body(K))
+        left = apply_valuation(ValuationOp("proj"), group_action(g, K))
+        right = dual_action(g, apply_valuation(ValuationOp("proj"), K))
         assert left.body == right.body
 
 
@@ -127,14 +122,15 @@ def test_projection_body_sl_contravariance():
 
 
 def test_difference_body_cases():
-    assert difference_body(Polytope.point((1, 2, 3, 4))) == zero_body()
-    D = difference_body(unit_cube4())
+    assert apply_valuation(ValuationOp("diff"), Polytope.point((1, 2, 3, 4))) == zero_body()
+    D = apply_valuation(ValuationOp("diff"), unit_cube4())
     assert D == convex_hull(list(itertools.product((-1, 1), repeat=4)))
 
 
 def test_difference_body_linear_covariance():
     rng = random.Random(43)
     K = rand_body(rng, nverts=5)
+    diff = ValuationOp("diff")
     for _ in range(5):
         g = ComplexMatrix2(
             Cplx(rand_rational(rng), rand_rational(rng)),
@@ -144,7 +140,7 @@ def test_difference_body_linear_covariance():
         )
         if g.det().is_zero():
             continue
-        assert difference_body(group_action(g, K)) == group_action(g, difference_body(K))
+        assert apply_valuation(diff, group_action(g, K)) == group_action(g, apply_valuation(diff, K))
 
 
 # -- complex difference body ---------------------------------------------------------
@@ -153,12 +149,13 @@ def test_difference_body_linear_covariance():
 def test_segment_parameter_gives_difference_body():
     assert planar_atoms(seg_0i()) in ((Cplx.of(1), Cplx.of(-1)), (Cplx.of(-1), Cplx.of(1)))
     K = simplex4()
-    assert complex_difference_body(seg_0i(), K) == difference_body(K)
+    diff_K = apply_valuation(ValuationOp("diff"), K)
+    assert apply_valuation(ValuationOp("d_m", M=seg_0i()), K) == diff_K
 
 
 def test_square_parameter_gives_four_rotates():
     K = simplex4()
-    out = complex_difference_body(unit_square2(), K)
+    out = apply_valuation(ValuationOp("d_m", M=unit_square2()), K)
     expected = K
     for alpha in (Cplx.of(0, 1), Cplx.of(-1), Cplx.of(0, -1)):
         expected = minkowski_sum(expected, complex_scale(alpha, K))
@@ -168,8 +165,8 @@ def test_square_parameter_gives_four_rotates():
 def test_point_parameter_gives_zero():
     K = unit_cube4()
     M = Polytope.point((2, 5))
-    assert complex_difference_body(M, K) == zero_body()
-    assert dual_complex_difference_body(M, K).body == zero_body()
+    assert apply_valuation(ValuationOp("d_m", M=M), K) == zero_body()
+    assert apply_valuation(ValuationOp("dtilde_m", M=M), K).body == zero_body()
 
 
 # -- complex projection body ------------------------------------------------------------
@@ -178,13 +175,13 @@ def test_point_parameter_gives_zero():
 def test_point_N_gives_zero():
     K = unit_cube4()
     N = Polytope.point((3, -1))
-    assert complex_projection_body(N, K).body == zero_body()
+    assert apply_valuation(ValuationOp("pi_n", N=N), K).body == zero_body()
 
 
 def test_real_segment_N_halves_projection_body():
     K = unit_cube4()
-    out = complex_projection_body(seg_m11(), K)
-    assert out.body == projection_body(K).body.scale(F(1, 2))
+    out = apply_valuation(ValuationOp("pi_n", N=seg_m11()), K)
+    assert out.body == apply_valuation(ValuationOp("proj"), K).body.scale(F(1, 2))
     assert out.support((1, 0, 0, 0)) == F(1, 2)
 
 
@@ -193,11 +190,11 @@ def test_complex_plane_body_vanishes():
     pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 2, 0), (F(1, 2), 0, F(1, 3), 0)]
     K = convex_hull(pts)
     assert K.affine_dim == 2
-    assert complex_projection_body(triangle2(), K).body == zero_body()
+    assert apply_valuation(ValuationOp("pi_n", N=triangle2()), K).body == zero_body()
     # a complex line is still 2-dimensional
     pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
     K = convex_hull(pts)
-    assert complex_projection_body(triangle2(), K).body == zero_body()
+    assert apply_valuation(ValuationOp("pi_n", N=triangle2()), K).body == zero_body()
 
 
 def test_e_plane_projection_identity():
@@ -207,7 +204,7 @@ def test_e_plane_projection_identity():
     pts = [(rand_rational(rng), rand_rational(rng), rand_rational(rng), 0) for _ in range(6)]
     K = convex_hull(pts)
     N = triangle2()
-    out = complex_projection_body(N, K)
+    out = apply_valuation(ValuationOp("pi_n", N=N), K)
     for _ in range(10):
         alpha = Cplx(rand_rational(rng), rand_rational(rng))
         beta = Cplx(rand_rational(rng), rand_rational(rng))
@@ -222,11 +219,11 @@ def test_e_plane_projection_identity():
 def test_dual_diff_point_source():
     M = unit_square2()
     K = Polytope.point((1, F(1, 2), -2, 3))
-    assert dual_complex_difference_body(M, K).body == zero_body()
+    assert apply_valuation(ValuationOp("dtilde_m", M=M), K).body == zero_body()
 
 
 def test_dual_diff_cube_value():
-    out = dual_complex_difference_body(seg_0i(), unit_cube4())
+    out = apply_valuation(ValuationOp("dtilde_m", M=seg_0i()), unit_cube4())
     assert out.support((0, 0, 1, 0)) == 1
     # both evaluation routes agree under the pinned conjugation convention
     assert dual_diff_support_via_det(seg_0i(), unit_cube4(), (0, 0, 1, 0)) == 1
@@ -237,8 +234,8 @@ def test_dual_diff_homogeneity():
     M = triangle2()
     K = rand_body(rng, nverts=5)
     lam = F(3, 2)
-    left = dual_complex_difference_body(M, K.scale(lam))
-    right = dual_complex_difference_body(M, K)
+    left = apply_valuation(ValuationOp("dtilde_m", M=M), K.scale(lam))
+    right = apply_valuation(ValuationOp("dtilde_m", M=M), K)
     for _ in range(8):
         w = rand_dir(rng)
         assert left.support(w) == lam * right.support(w)
@@ -251,7 +248,7 @@ def test_conjugation_convention_pinned():
     for _ in range(10):
         K = rand_body(rng, nverts=5)
         w = rand_dir(rng)
-        phi_route = dual_complex_difference_body(M, K).support(w)
+        phi_route = apply_valuation(ValuationOp("dtilde_m", M=M), K).support(w)
         assert dual_diff_support_via_det(M, K, w, conjugate_atoms=True) == phi_route
         if dual_diff_support_via_det(M, K, w, conjugate_atoms=False) != phi_route:
             mismatch += 1
@@ -265,17 +262,19 @@ def test_combined_point_parameters_give_zero():
     K = unit_cube4()
     M = Polytope.point((1, 1))
     N = Polytope.point((-2, 0))
-    assert combined_contravariant(M, N, K).body == zero_body()
+    assert apply_valuation(ValuationOp("z_combined", M=M, N=N), K).body == zero_body()
 
 
 def test_combined_degree_split():
     rng = random.Random(47)
     M, N = seg_0i(), seg_m11()
     K = simplex4()
-    d1 = dual_complex_difference_body(M, K)
-    d3 = complex_projection_body(N, K)
+    d1 = apply_valuation(ValuationOp("dtilde_m", M=M), K)
+    d3 = apply_valuation(ValuationOp("pi_n", N=N), K)
     for lam in (1, 2, 3, 4, 5):
-        Z = combined_contravariant(M, N, K.scale(lam))
+        Z = apply_valuation(ValuationOp("z_combined", M=M, N=N), K.scale(lam))
+        if lam == 1:
+            assert Z.body == minkowski_sum(d1.body, d3.body)
         for _ in range(5):
             w = rand_dir(rng)
             assert Z.support(w) == lam * d1.support(w) + lam**3 * d3.support(w)
@@ -286,7 +285,8 @@ def test_combined_translation_invariance():
     M, N = triangle2(), seg_m11()
     K = rand_body(rng, nverts=5)
     t = tuple(rand_rational(rng) for _ in range(4))
-    assert combined_contravariant(M, N, K.translate(t)).body == combined_contravariant(M, N, K).body
+    op = ValuationOp("z_combined", M=M, N=N)
+    assert apply_valuation(op, K.translate(t)).body == apply_valuation(op, K).body
 
 
 # -- parameter translation invariance -------------------------------------------------------
@@ -297,8 +297,9 @@ def test_parameter_translation_invariance():
     K = simplex4()
     M = triangle2()
     t = (rand_rational(rng), rand_rational(rng))
-    assert complex_difference_body(M.translate(t), K) == complex_difference_body(M, K)
-    assert complex_projection_body(M.translate(t), K).body == complex_projection_body(M, K).body
+    for kind, param in (("d_m", "M"), ("pi_n", "N")):
+        moved = apply_valuation(ValuationOp(kind, **{param: M.translate(t)}), K)
+        assert moved == apply_valuation(ValuationOp(kind, **{param: M}), K)
 
 
 # -- evaluator / reconstruction agreement ----------------------------------------------------
@@ -350,6 +351,41 @@ def test_valuation_additivity_one_split(op):
         assert evs["P"].at(w) + evs["mid"].at(w) == evs["K"].at(w) + evs["L"].at(w)
 
 
+def certify_reconstruction(op, K):
+    """Prove that apply_valuation(op, K) is exactly the evaluator's body E.
+
+    The output R must be full-dimensional.  h_E(n_F) = c_F on every facet
+    (n_F, c_F) of R gives E inside R.  For a vertex v of R, u_v, the sum of
+    the normals of the facets through v, lies inside the normal cone of R at
+    v, so the face of E in direction u_v lies in {v}; it is nonempty exactly
+    when h_E(u_v) = <v, u_v>, which puts every vertex of R inside E.
+    """
+    out = apply_valuation(op, K)
+    R = out.body if isinstance(out, DualPolytope) else out
+    assert R.affine_dim == 4
+    ev = SupportEvaluator(op, K)
+    for f in R.facets:
+        assert ev.at(f.normal) == f.offset
+    for i, v in enumerate(R.vertices):
+        through = [f.normal for f in R.facets if i in f.vertex_ids]
+        u = tuple(sum(col) for col in zip(*through))
+        assert ev.at(u) == sum(a * b for a, b in zip(u, v))
+
+
+def _certified_tokens():
+    return list(OPERATORS) + [f"cov_of:{k}" for k, spec in OPERATORS.items() if spec.contravariant]
+
+
+@pytest.mark.parametrize("kind", _certified_tokens())
+def test_reconstruction_certified(kind):
+    # the pyramid6 body, triangle M and tilted segment N of the pinned op --out bytes
+    K = convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0),
+                     (0, 0, 0, 1)])
+    bodies = {"M": triangle2(), "N": Polytope.segment((-1, 0), (1, 1))}
+    params = OPERATORS[kind.removeprefix("cov_of:")].params
+    certify_reconstruction(ValuationOp(kind, **{p: bodies[p] for p in params}), K)
+
+
 # -- covariant companions -------------------------------------------------------------------
 
 
@@ -357,7 +393,7 @@ def test_covariant_of_dual_diff_recovers_plain_diff():
     M = triangle2()
     op = covariant_of(ValuationOp("dtilde_m", M=M))
     K = simplex4()
-    assert apply_valuation(op, K) == complex_difference_body(M, K)
+    assert apply_valuation(op, K) == apply_valuation(ValuationOp("d_m", M=M), K)
 
 
 def test_covariant_of_pi_n_covariance():
@@ -365,6 +401,8 @@ def test_covariant_of_pi_n_covariance():
     N = seg_m11()
     op = covariant_of(ValuationOp("pi_n", N=N))
     K = simplex4()
+    pi_n = apply_valuation(ValuationOp("pi_n", N=N), K)
+    assert apply_valuation(op, K) == det_duality_inverse(pi_n)
     for _ in range(3):
         g = rand_sl(rng)
         left = apply_valuation(op, group_action(g, K))
