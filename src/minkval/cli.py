@@ -2,7 +2,8 @@
 
 All numeric output is exact rational text except `sample`, which emits
 decimal for external plotting and says so in its header.  Exit codes:
-0 success, 1 verification failure, 2 malformed input or usage error.
+0 success, 1 verification failure, 2 malformed input or usage error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -222,6 +223,9 @@ def main(argv=None) -> int:
     except (FormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

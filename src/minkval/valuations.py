@@ -28,6 +28,7 @@ from .cplx import (
     det_pair,
     scale_point,
 )
+from .linalg import clear_denominators
 from .polytope import Polytope, convex_hull
 
 
@@ -170,50 +171,67 @@ def _combined_summands(M: Polytope, N: Polytope, K: Polytope):
 #
 # Each takes the kind's parameter bodies and K and returns w -> h(Z K, w) for
 # a Fraction direction w.  They read K only through its vertices and area
-# measure, never through the summands.
+# measure, never through the summands.  The setup clears K's vectors over one
+# denominator s and the complex scalars over their own q; a call clears w over
+# t, acts on the direction side and takes maxima in integers, and divides once.
+
+def _cleared_scalars(scalars):
+    """Complex scalars as integer Cplx over one common denominator q."""
+    q, pairs = clear_denominators([(c.re, c.im) for c in scalars])
+    return q, [Cplx(a, b) for a, b in pairs]
+
+
+def _max_dot(vectors, u):
+    """max over the integer 4-vectors v of <v, u>."""
+    x1, y1, x2, y2 = u
+    return max(a * x1 + b * y1 + c * x2 + d * y2 for a, b, c, d in vectors)
+
 
 def _projection_support(K: Polytope):
     """h(Pi K, w) = (1/2) sum_F |<sigma_F, w>|."""
-    atoms = tuple(K.area_measure())
+    s, atoms = clear_denominators(K.area_measure())
 
     def h(w) -> Fraction:
-        total = Fraction(0)
-        for atom in atoms:
-            total += abs(sum(a * x for a, x in zip(atom, w)))
-        return total / 2
+        t, ((x1, y1, x2, y2),) = clear_denominators([w])
+        total = sum(abs(a * x1 + b * y1 + c * x2 + d * y2) for a, b, c, d in atoms)
+        return Fraction(total, 2 * s * t)
 
     return h
 
 
 def _difference_support(K: Polytope):
-    """h(K + (-K), w) = h(K, w) + h(K, -w)."""
-    return lambda w: K.support(w) + K.support(tuple(-x for x in w))
+    """h(K + (-K), w) = h(K, w) + h(K, -w) = max_v <v, w> - min_v <v, w>."""
+    s, verts = clear_denominators(K.vertices)
+
+    def h(w) -> Fraction:
+        t, ((x1, y1, x2, y2),) = clear_denominators([w])
+        dots = [a * x1 + b * y1 + c * x2 + d * y2 for a, b, c, d in verts]
+        return Fraction(max(dots) - min(dots), s * t)
+
+    return h
 
 
 def _complex_difference_support(M: Polytope, K: Polytope):
     """h(D_M K, xi) = sum_j h(K, conj(nu_j) xi) over the atoms nu_j of M."""
-    conj_atoms = [nu.conjugate() for nu in planar_atoms(M)]
+    s, verts = clear_denominators(K.vertices)
+    q, conj_atoms = _cleared_scalars(nu.conjugate() for nu in planar_atoms(M))
 
     def h(xi) -> Fraction:
-        total = Fraction(0)
-        for c in conj_atoms:
-            total += K.support(scale_point(c, xi))
-        return total
+        t, (X,) = clear_denominators([xi])
+        return Fraction(sum(_max_dot(verts, scale_point(c, X)) for c in conj_atoms), s * q * t)
 
     return h
 
 
 def _complex_projection_support(N: Polytope, K: Polytope):
     """h(Pi_N K, w) = (1/4) sum_F max_{c vertex of N} <sigma_F, c w>."""
-    atoms = tuple(K.area_measure())
-    scalars = [Cplx(c[0], c[1]) for c in N.vertices]
+    s, atoms = clear_denominators(K.area_measure())
+    q, scalars = _cleared_scalars(Cplx(c[0], c[1]) for c in N.vertices)
 
     def h(w) -> Fraction:
-        total = Fraction(0)
-        scaled = [scale_point(c, w) for c in scalars]
-        for atom in atoms:
-            total += max(sum(a * x for a, x in zip(atom, cw)) for cw in scaled)
-        return total / 4
+        t, (W,) = clear_denominators([w])
+        scaled = [scale_point(c, W) for c in scalars]
+        return Fraction(sum(_max_dot(scaled, atom) for atom in atoms), 4 * s * q * t)
 
     return h
 

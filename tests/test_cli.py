@@ -279,6 +279,17 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     assert json.loads(out.strip())["status"] == "fail"
 
 
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("stub fault")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    code, out, err = run(capsys, ["verify", "--trials", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: stub fault\n"
+
+
 def test_sample_csv(bodies, capsys, tmp_path):
     csv_file = str(tmp_path / "sample.csv")
     code, _, _ = run(

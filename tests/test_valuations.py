@@ -386,6 +386,97 @@ def test_reconstruction_certified(kind):
     certify_reconstruction(ValuationOp(kind, **{p: bodies[p] for p in params}), K)
 
 
+@pytest.mark.parametrize("kind", [k for k in _certified_tokens() if not k.endswith("z_combined")])
+def test_reconstruction_certified_rational_body(kind):
+    # pyramid6 under a rational diagonal map and shift, with rational M and N,
+    # so that K's vectors and the complex scalars clear over denominators above 1
+    scale, shift = (F(1, 2), F(2, 3), F(3, 5), F(5, 7)), (F(1, 3), F(-2, 5), F(1, 7), F(3, 11))
+    K = convex_hull([tuple(a * x + b for a, x, b in zip(scale, v, shift))
+                     for v in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                               (0, 0, 1, 0), (0, 0, 0, 1)]])
+    bodies = {"M": convex_hull([(0, 0), (F(1, 2), 0), (F(1, 5), F(2, 3))]),
+              "N": Polytope.segment((F(-1, 2), 0), (1, F(1, 3)))}
+    params = OPERATORS[kind.removeprefix("cov_of:")].params
+    certify_reconstruction(ValuationOp(kind, **{p: bodies[p] for p in params}), K)
+
+
+def _cmul(c, w):
+    """The complex scalar c = (re, im) times each complex coordinate of w."""
+    r, i = c
+    return (r * w[0] - i * w[1], i * w[0] + r * w[1], r * w[2] - i * w[3], i * w[2] + r * w[3])
+
+
+def _fraction_formula(kind, K, M=None, N=None):
+    """h(Z K, .) by each kind's formula in plain Fraction arithmetic.
+
+    An oracle for the integer-cleared evaluators: it reads K only through
+    its vertices and area measure, and M only through planar_atoms.
+    """
+    atoms = K.area_measure()
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), F(0))
+
+    def supp(w):
+        return max(dot(v, w) for v in K.vertices)
+
+    def d_m(xi):
+        return sum((supp(_cmul((nu.re, -nu.im), xi)) for nu in planar_atoms(M)), F(0))
+
+    def pi_n(w):
+        return sum((max(dot(a, _cmul(c, w)) for c in N.vertices) for a in atoms), F(0)) / 4
+
+    def dtilde_m(w):  # Phi^{-1} w, then d_m
+        return d_m((w[2], -w[3], -w[0], w[1]))
+
+    return {
+        "proj": lambda w: sum((abs(dot(a, w)) for a in atoms), F(0)) / 2,
+        "diff": lambda w: supp(w) + supp(tuple(-x for x in w)),
+        "d_m": d_m,
+        "pi_n": pi_n,
+        "dtilde_m": dtilde_m,
+        "z_combined": lambda w: dtilde_m(w) + pi_n(w),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", _certified_tokens())
+def test_evaluator_matches_fraction_formula(kind):
+    rng = random.Random(53)
+
+    def big():
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    def flat(k):  # a k-flat through a rational point, spanned by k rational directions
+        base = tuple(big() for _ in range(4))
+        span = [tuple(rand_rational(rng) for _ in range(4)) for _ in range(k)]
+        coeffs = [[rand_rational(rng) for _ in span] for _ in range(k + 3)]
+        return convex_hull([base] + [
+            tuple(b + sum(c * d[i] for c, d in zip(cs, span)) for i, b in enumerate(base))
+            for cs in coeffs])
+
+    bodies_K = [convex_hull([tuple(big() for _ in range(4)) for _ in range(7)]),
+                flat(1), flat(2), flat(3), Polytope.point((F(1, 3), -2, F(5, 7), 0))]
+    assert [K.affine_dim for K in bodies_K] == [4, 1, 2, 3, 0]
+    planar = [Polytope.point((F(1, 2), -1)), Polytope.segment((F(-1, 3), 0), (1, F(2, 5))),
+              convex_hull([(0, 0), (F(3, 2), F(1, 7)), (1, 2), (F(-1, 4), 1)])]
+    dirs = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (2, -1, 3, 5), ("1/3", "-7/2", "0", "5/11"),
+            ("-3", 4, F(1, 7), "22/7"), (F(123456789, 1000003), F(-1, 999983), F(7, 3), 1)]
+    base = kind.removeprefix("cov_of:")
+    params = OPERATORS[base].params
+    for K in bodies_K:
+        for chosen in itertools.product(planar, repeat=len(params)):
+            bodies = dict(zip(params, chosen))
+            formula = _fraction_formula(base, K, **bodies)
+            ev = SupportEvaluator(ValuationOp(kind, **bodies), K)
+            for w in dirs:
+                value = ev.at(w)
+                assert type(value) is F
+                x1, y1, x2, y2 = (F(x) for x in w)
+                # a companion's support at w is the kind's at Phi w
+                phi_w = (-x2, y2, x1, -y1) if kind != base else (x1, y1, x2, y2)
+                assert value == formula(phi_w)
+
+
 # -- covariant companions -------------------------------------------------------------------
 
 
