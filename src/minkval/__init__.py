@@ -31,7 +31,7 @@ from .harness import (
     run_suite,
     verify_shear_simplex_area_measure,
 )
-from .mixed import HomogeneousFunction, mixed_volume, mixed_volume_31, mixed_volume_fn
+from .mixed import mixed_volume, mixed_volume_31, mixed_volume_fn
 from .polytope import (
     AreaMeasure,
     Facet,
@@ -55,7 +55,6 @@ __all__ = [
     "DecompositionTable",
     "DualPolytope",
     "Facet",
-    "HomogeneousFunction",
     "Polytope",
     "PropertyReport",
     "SupportEvaluator",

@@ -43,11 +43,11 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-def parse_point(entry, dim: int | None = None) -> tuple:
+def parse_point(entry, dim: int) -> tuple:
     if not isinstance(entry, (list, tuple)):
         raise FormatError(f"bad point {entry!r}: expected a coordinate array")
     pt = tuple(parse_rational(x) for x in entry)
-    if dim is not None and len(pt) != dim:
+    if len(pt) != dim:
         raise FormatError(f"point {entry!r} has dimension {len(pt)}, expected {dim}")
     return pt
 
@@ -111,8 +111,6 @@ def save_json(path: str, payload: dict):
 
 def build_op(kind: str, M: Polytope | None, N: Polytope | None) -> ValuationOp:
     """Build an operator from a kind token; a rejected token raises FormatError."""
-    if not isinstance(kind, str):
-        raise FormatError(f"bad operator kind {kind!r}: expected a string")
     try:
         return ValuationOp(kind, M=M, N=N)
     except ValueError as e:
@@ -127,8 +125,6 @@ def parse_inline_direction(text: str, dim: int = 4) -> tuple:
 
 
 def dirs_from_json(data) -> list[tuple]:
-    if isinstance(data, dict) and "dirs" in data:
-        data = data["dirs"]
     if not isinstance(data, list) or not data:
         raise FormatError("directions payload must be a nonempty JSON array")
     return [parse_point(d, 4) for d in data]

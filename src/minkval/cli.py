@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from itertools import product
 
 from .bodyio import (
@@ -165,8 +164,8 @@ def _cmd_decompose(args) -> int:
     dirs = dirs_from_json(read_json(args.dirs))
     table = homogeneous_decomposition(op, K, dirs)
     payload = {
-        "op": table.op_kind,
-        "dirs": [[format_rational(Fraction(x)) for x in d] for d in table.dirs],
+        "op": op.kind,
+        "dirs": [[format_rational(x) for x in d] for d in dirs],
         "coefficients": [
             [format_rational(c) for c in row] for row in table.coefficients
         ],
@@ -213,6 +212,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # exact rationals of any size cross the CLI boundary as text
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -79,8 +79,6 @@ class DecompositionTable:
     the sampled values identically.
     """
 
-    op_kind: str
-    dirs: list
     coefficients: list = field(default_factory=list)
 
     def nonzero_degrees(self) -> set[int]:
@@ -97,9 +95,9 @@ def rand_rational(rng: random.Random, span: int = 4, max_den: int = 16) -> Fract
     return F(rng.randint(-span * max_den, span * max_den), rng.randint(1, max_den))
 
 
-def rand_direction(rng: random.Random, dim: int = 4) -> tuple:
+def rand_direction(rng: random.Random) -> tuple:
     while True:
-        w = tuple(rand_rational(rng) for _ in range(dim))
+        w = tuple(rand_rational(rng) for _ in range(4))
         if any(x != 0 for x in w):
             return w
 
@@ -128,9 +126,9 @@ def rand_planar_body(rng: random.Random) -> Polytope:
     return rand_planar_polygon(rng)
 
 
-def rand_sl2(rng: random.Random, factors: int = 3) -> ComplexMatrix2:
+def rand_sl2(rng: random.Random) -> ComplexMatrix2:
     g = ComplexMatrix2.identity()
-    for _ in range(factors):
+    for _ in range(3):
         kind = rng.randrange(3)
         gamma = Cplx(rand_rational(rng, span=1, max_den=4), rand_rational(rng, span=1, max_den=4))
         if kind == 0:
@@ -206,7 +204,7 @@ def _run_trials(check: str, seed: int, trials: int, rng: random.Random,
 def homogeneous_decomposition(op: ValuationOp, K: Polytope, dirs) -> DecompositionTable:
     """Exact degree coefficients of lam -> h(Z(lam K), w) per direction."""
     evals = [SupportEvaluator(op, K.scale(lam)) for lam in LAMBDA_NODES]
-    table = DecompositionTable(op_kind=op.kind, dirs=list(dirs))
+    table = DecompositionTable()
     for w in dirs:
         values = [ev.at(w) for ev in evals]
         coeffs = tuple(dot(row, values) for row in _VANDERMONDE_INV)
@@ -223,10 +221,7 @@ def check_valuation_additivity(op: ValuationOp, P: Polytope, xi, c, dirs,
                                seed: int = 0) -> PropertyReport:
     """h(Z P, w) + h(Z(K cap L), w) = h(Z K, w) + h(Z L, w) for the split of P."""
     K, L, mid = split_by_hyperplane(P, xi, c)
-    evs = [
-        SupportEvaluator(op, B if not B.is_empty else zero_body())
-        for B in (P, K, L, mid)
-    ]
+    evs = [SupportEvaluator(op, B) for B in (P, K, L, mid)]
     for w in dirs:
         lhs = evs[0].at(w) + evs[3].at(w)
         rhs = evs[1].at(w) + evs[2].at(w)
@@ -328,7 +323,7 @@ def check_degenerate_vanishing(op: ValuationOp, stratum: str, seed: int,
     """Degree-3 operators vanish on bodies in C-independent 2-planes; on
     3-dimensional bodies in span{e1, ie1, e2} the support in direction
     alpha e1 + beta e2 only sees beta e2."""
-    if not op.is_contravariant or op.homogeneity_degrees != {3}:
+    if not op.is_contravariant or op.spec.degrees != {3}:
         raise ValueError("degenerate vanishing applies to the degree-3 operators")
     if stratum not in ("plane2", "e_plane"):
         raise ValueError(f"unknown stratum {stratum!r}")
@@ -517,12 +512,12 @@ def _drive_homogeneity(seed: int, trials: int) -> PropertyReport:
         dirs = [rand_direction(rng) for _ in range(3)]
         for op in ops:
             degrees = homogeneous_decomposition(op, K, dirs).nonzero_degrees()
-            if not degrees <= op.homogeneity_degrees:
+            if not degrees <= op.spec.degrees:
                 return {
                     "op": op.kind,
                     "K": _body_witness(K),
                     "nonzero_degrees": sorted(degrees),
-                    "allowed": sorted(op.homogeneity_degrees),
+                    "allowed": sorted(op.spec.degrees),
                 }
         return None
 

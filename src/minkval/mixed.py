@@ -9,7 +9,6 @@ value stays a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
@@ -76,33 +75,6 @@ def mixed_volume_31(K: Polytope, L: Polytope) -> Fraction:
     """
     _check_quadruple((K, K, K, L))
     return mixed_volume_fn(K, L.support)
-
-
-@dataclass
-class HomogeneousFunction:
-    """An exact 1-homogeneous integrand on covectors, f(lam * xi) = lam * f(xi).
-
-    Exactness and homogeneity are checked on registration at a few probe
-    directions.
-    """
-
-    label: str
-    fn: Callable[[tuple], Fraction]
-    probe_dirs: tuple = field(
-        default=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
-    )
-
-    def __post_init__(self):
-        for d in self.probe_dirs:
-            v1 = self.fn(tuple(Fraction(x) for x in d))
-            v2 = self.fn(tuple(Fraction(2 * x) for x in d))
-            if not (isinstance(v1, Fraction) and isinstance(v2, Fraction)):
-                raise ValueError(f"{self.label}: value at {d} is not a Fraction")
-            if v2 != 2 * v1:
-                raise ValueError(f"{self.label}: not 1-homogeneous at {d}")
-
-    def __call__(self, xi) -> Fraction:
-        return self.fn(xi)
 
 
 def mixed_volume_fn(K: Polytope, phi: Callable[[tuple], Fraction]) -> Fraction:

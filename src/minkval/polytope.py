@@ -443,23 +443,16 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
     return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms)))
 
 
-def affine_transform(P: Polytope, A: Sequence[Sequence], t: Sequence | None = None) -> Polytope:
-    """Exact image {A v + t : v in P}; changes ambient dimension with A's shape."""
+def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:
+    """Exact image {A v : v in P}; changes ambient dimension with A's shape."""
     rows = [tuple(Fraction(x) for x in row) for row in A]
     out_dim = len(rows)
     for row in rows:
         if len(row) != P.ambient_dim:
             raise ValueError("matrix shape does not match polytope dimension")
-    if t is None:
-        t = (Fraction(0),) * out_dim
-    else:
-        t = tuple(Fraction(x) for x in t)
-        if len(t) != out_dim:
-            raise ValueError("translation dimension does not match matrix rows")
     if P.is_empty:
         return Polytope.empty(out_dim)
-    images = [tuple(x + c for x, c in zip(mat_apply(rows, v), t)) for v in P.vertices]
-    return convex_hull(images, out_dim)
+    return convex_hull([mat_apply(rows, v) for v in P.vertices], out_dim)
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:

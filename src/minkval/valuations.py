@@ -98,10 +98,6 @@ class ValuationOp:
     def is_contravariant(self) -> bool:
         return self.spec.contravariant and not self.is_companion
 
-    @property
-    def homogeneity_degrees(self) -> frozenset[int]:
-        return self.spec.degrees
-
 
 def covariant_of(op: ValuationOp) -> ValuationOp:
     """The covariant companion K -> Phi^{-1}(Z K) of a contravariant operator."""
@@ -319,7 +315,7 @@ class SupportEvaluator:
             raise ValueError(f"direction has {len(w)} components, expected 4")
         if self.K.is_empty:
             return Fraction(0)
-        return self._h(tuple(Fraction(x) for x in w))
+        return self._h(tuple(x if type(x) is Fraction else Fraction(x) for x in w))
 
 
 def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool = True) -> Fraction:

@@ -218,6 +218,16 @@ def test_decompose_table(bodies, capsys):
         assert row[1] != "0" and row[3] != "0"
 
 
+def test_decompose_rejects_dirs_object(bodies, capsys, tmp_path):
+    path = tmp_path / "dirs_object.json"
+    path.write_text(json.dumps({"dirs": [["1", "0", "0", "0"]]}))
+    code, out, err = run(
+        capsys, ["decompose", "diff", "--body", bodies["cube.json"], "--dirs", str(path)]
+    )
+    assert (code, out) == (2, "")
+    assert "directions payload must be a nonempty JSON array" in err
+
+
 @pytest.mark.parametrize("kind", ["proj", "diff"])
 @pytest.mark.parametrize("length", [3, 5])
 def test_decompose_rejects_wrong_length_direction(bodies, capsys, tmp_path, kind, length):
@@ -419,6 +429,27 @@ def test_deeply_nested_json_exits_two(bodies, capsys, tmp_path, command):
     assert out == ""
     assert err.startswith(f"error: {path} is not valid JSON")
     assert err.count(str(path)) == 1 and err.count("\n") == 1
+
+
+def test_volume_with_huge_exact_result(tmp_path, capsys):
+    # the result has about 4,800 digits, past Python's default int-to-str limit
+    d = [10**1200 + k for k in (7, 9, 9, 11)]
+    verts = [["0"] * 4] + [["0"] * i + [f"1/{di}"] + ["0"] * (3 - i) for i, di in enumerate(d)]
+    path = tmp_path / "thin_simplex.json"
+    path.write_text(json.dumps({"ambient_dim": 4, "vertices": verts}))
+    code, out, err = run(capsys, ["volume", str(path)])
+    assert (code, err) == (0, "")
+    assert F(out.strip()) == F(1, 24 * d[0] * d[1] * d[2] * d[3])
+
+
+def test_huge_coordinate_roundtrips_through_hull(tmp_path, capsys):
+    big = "9" * 5000
+    verts = [["0", "0"], [big, "0"], ["0", "1"]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "vertices": verts}))
+    code, out, err = run(capsys, ["hull", str(path)])
+    assert (code, err) == (0, "")
+    assert sorted(json.loads(out)["vertices"]) == sorted(verts)
 
 
 def test_usage_error_exit_two(capsys):
