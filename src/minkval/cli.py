@@ -212,9 +212,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # exact rationals of any size cross the CLI boundary as text
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # exact rationals of any size cross the CLI boundary as text; the
+    # caller's limit comes back when main returns
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

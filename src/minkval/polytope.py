@@ -1,9 +1,13 @@
 """Exact rational convex polytopes in ambient dimension 2, 3, 4.
 
 Vertex-representation polytopes with exact Fraction coordinates.  Hulls are
-computed by an incremental beneath-beyond walk (Clarkson-Shor) over the
-integer-cleared points s * x, with integer-only sign predicates unrolled per
-dimension.  Each simplicial facet piece is kept as its primitive outward
+computed by an incremental beneath-beyond walk, which tests each new point
+against every current facet, over the integer-cleared points s * x, with
+integer-only sign predicates unrolled per dimension.  Every hull enters
+through _hull_cleared(s, points, dim), which takes the points already
+cleared: convex_hull clears its input, while Minkowski sums, dilates and the
+valuation reconstructions build their points in integers and never leave
+them.  Each simplicial facet piece is kept as its primitive outward
 normal u, offset c and the gcd g of its cross product, which is g * u.
 Coplanar pieces are merged by u into facets (u, c, G) with G the sum of their
 g, so facet identity and area-measure atoms are canonical, and
@@ -19,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
@@ -207,15 +212,50 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
 
     # a point is extreme iff the facets through it have normals of rank d;
     # every facet through an extreme point has a piece with it as a corner
-    vertex_ids = []
-    for v in sorted(incident):
-        basis = IntRowBasis()
-        for n in incident[v]:
-            basis.add(n)
-            if basis.rank == d:
-                vertex_ids.append(v)
-                break
+    vertex_ids = [v for v, normals in incident.items() if _spans(normals, d)]
     return vertex_ids, [(n, c, g) for n, (c, g) in merged.items()]
+
+
+def _spans(normals: Iterable[tuple[int, ...]], d: int) -> bool:
+    """True when the integer vectors span R^d.
+
+    In Z^4 the test is unrolled: find a vector a, then one b off the line of
+    a (a nonzero 2x2 minor of a, b), then one c off the plane of a, b (a
+    nonzero cross product x of a, b, c), then one e with <x, e> != 0.
+    """
+    if d < 4:
+        basis = IntRowBasis()
+        for n in normals:
+            if basis.add(n) and basis.rank == d:
+                return True
+        return False
+    it = iter(normals)
+    for a0, a1, a2, a3 in it:
+        if a0 or a1 or a2 or a3:
+            break
+    else:
+        return False
+    for b0, b1, b2, b3 in it:
+        m01 = a0 * b1 - a1 * b0
+        m02 = a0 * b2 - a2 * b0
+        m03 = a0 * b3 - a3 * b0
+        m12 = a1 * b2 - a2 * b1
+        m13 = a1 * b3 - a3 * b1
+        m23 = a2 * b3 - a3 * b2
+        if m01 or m02 or m03 or m12 or m13 or m23:
+            break
+    else:
+        return False
+    for c0, c1, c2, c3 in it:
+        x0 = c1 * m23 - c2 * m13 + c3 * m12
+        x1 = c2 * m03 - c0 * m23 - c3 * m02
+        x2 = c0 * m13 - c1 * m03 + c3 * m01
+        x3 = c1 * m02 - c0 * m12 - c2 * m01
+        if x0 or x1 or x2 or x3:
+            break
+    else:
+        return False
+    return any(x0 * e0 + x1 * e1 + x2 * e2 + x3 * e3 for e0, e1, e2, e3 in it)
 
 
 class Polytope:
@@ -365,8 +405,13 @@ class Polytope:
         return self.image(lambda v: tuple(a + b for a, b in zip(v, t)))
 
     def scale(self, c) -> "Polytope":
+        """The dilate cP, as the integer points a * (s * v) over s * b for c = a / b."""
         c = Fraction(c)
-        return self.image(lambda v: tuple(c * x for x in v))
+        if self.is_empty:
+            return self
+        s, iv = clear_denominators(self.vertices)
+        a = c.numerator
+        return _hull_cleared(s * c.denominator, [tuple(a * x for x in v) for v in iv], self.ambient_dim)
 
     def __add__(self, other: "Polytope") -> "Polytope":
         return minkowski_sum(self, other)
@@ -392,13 +437,18 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
         raise ValueError("ambient dimension must be between 2 and 4")
 
     scale, ipts = clear_denominators(pts)
-    # drop repeats, keeping first occurrences in input order
-    first = {}
-    for i, q in enumerate(ipts):
-        first.setdefault(q, i)
-    ipts = list(first)
-    pts = [pts[i] for i in first.values()]
+    return _hull_cleared(scale, ipts, dim)
 
+
+def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
+    """Dedupe, rank and hull integer points in Z^dim.
+
+    Returns (ipts, basis, chosen, ids, merged): the distinct points in order
+    of first occurrence; the row basis of the edges ipts[i] - ipts[0] for i in
+    chosen; the ids of the extreme points, sorted by their coordinates; and
+    the merged facets of the engine run, empty below affine rank 2.
+    """
+    ipts = list(dict.fromkeys(ipts))
     basis = IntRowBasis()
     chosen = []
     for i in range(1, len(ipts)):
@@ -407,40 +457,68 @@ def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> P
             if basis.rank == dim:
                 break
     r = basis.rank
-
+    merged = []
     if r == 0:
-        return Polytope(_raw=(dim, (pts[0],), 0, scale, (), AreaMeasure(dim, ())))
-
-    if r == dim:
+        ids = [0]
+    elif r == dim:
         ids, merged = _hull_engine(ipts, dim, [0] + chosen)
-        vertices = tuple(sorted(pts[i] for i in ids))
-        return Polytope(_raw=(dim, vertices, dim, scale, tuple(merged), None))
-
-    # lower-dimensional body: the basis edges restricted to the pivot
-    # coordinates of their row basis form a nonsingular r x r matrix, so
-    # projecting onto those coordinates maps the flat one-to-one and keeps
-    # its extreme points; the projection scales r-volume by |det| of that matrix
-    proj = [tuple(p[k] for k in basis.pivots) for p in ipts]
-    if r == 1:
-        vals = [q[0] for q in proj]
-        imin = min(range(len(vals)), key=vals.__getitem__)
-        imax = max(range(len(vals)), key=vals.__getitem__)
-        ids = [imin, imax]
-        proj_volume = vals[imax] - vals[imin]
     else:
-        ids, merged = _hull_engine(proj, r, [0] + chosen)
-        proj_volume = sum(g * c for _, c, g in merged)
+        # lower-dimensional body: the basis edges restricted to the pivot
+        # coordinates of their row basis form a nonsingular r x r matrix, so
+        # projecting onto those coordinates maps the flat one-to-one and
+        # keeps its extreme points
+        proj = [tuple(p[k] for k in basis.pivots) for p in ipts]
+        if r == 1:
+            ids = [min(range(len(proj)), key=proj.__getitem__),
+                   max(range(len(proj)), key=proj.__getitem__)]
+        else:
+            ids, merged = _hull_engine(proj, r, [0] + chosen)
+    ids.sort(key=ipts.__getitem__)
+    return ipts, basis, chosen, ids, merged
+
+
+def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope:
+    """convex_hull of the points p / scale for integer points p and scale > 0.
+
+    Sorting the integer points sorts the points, and Fractions are built
+    for the extreme points only.
+    """
+    ipts, basis, chosen, ids, merged = _hull_ids(ipts, dim)
+    vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
+    r = basis.rank
+    if r == dim:
+        return Polytope(_raw=(dim, vertices, dim, scale, tuple(merged), None))
     atoms = ()
     if r == dim - 1:
-        # a unit of flat volume is the basis parallelotope, whose weighted
-        # normal is the cross product of its edges
+        # the projection onto the pivot coordinates scales r-volume by |det|
+        # of the basis edges there; a unit of flat volume is the basis
+        # parallelotope, whose weighted normal is the cross product of its edges
+        if r == 1:
+            piv = basis.pivots[0]
+            proj_volume = ipts[ids[1]][piv] - ipts[ids[0]][piv]
+        else:
+            proj_volume = sum(g * c for _, c, g in merged)
         edges = [vec_sub(ipts[i], ipts[0]) for i in chosen]
         flat_volume = Fraction(proj_volume, factorial(r) * abs(minor_det_int(edges, basis.pivots)))
         w = cross_general(edges)
         plus = tuple(flat_volume * x / scale**r for x in w)
         atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
-    vertices = tuple(sorted(pts[i] for i in ids))
     return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms)))
+
+
+def _sum_cleared(scale: int, groups: list[list[tuple[int, ...]]], dim: int) -> Polytope:
+    """sum_j conv(S_j / scale) for nonempty groups S_j of integer points.
+
+    The groups are added in order, pairwise.  Each running total after the
+    first is cut to its extreme points before the next group is added.
+    """
+    total = groups[0]
+    for j, S in enumerate(groups[1:]):
+        if j:
+            ipts, _, _, ids, _ = _hull_ids(total, dim)
+            total = [ipts[i] for i in ids]
+        total = [tuple(map(add, p, q)) for p in total for q in S]
+    return _hull_cleared(scale, total, dim)
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:
@@ -461,8 +539,12 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
         raise ValueError("dimension mismatch in Minkowski sum")
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.ambient_dim)
-    sums = [tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices]
-    return convex_hull(sums, P.ambient_dim)
+    s, ip = clear_denominators(P.vertices)
+    t, iq = clear_denominators(Q.vertices)
+    m = lcm(s, t)
+    ip = [tuple(m // s * x for x in p) for p in ip]
+    iq = [tuple(m // t * x for x in q) for q in iq]
+    return _sum_cleared(m, [ip, iq], P.ambient_dim)
 
 
 def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytope, Polytope]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 from typing import Callable, Sequence
 
 from .cplx import (
@@ -29,7 +31,7 @@ from .cplx import (
     scale_point,
 )
 from .linalg import clear_denominators
-from .polytope import Polytope, convex_hull
+from .polytope import Polytope, _sum_cleared
 
 
 def zero_body() -> Polytope:
@@ -165,11 +167,11 @@ def _combined_summands(M: Polytope, N: Polytope, K: Polytope):
 
 # -- support evaluators ------------------------------------------------------------
 #
-# Each takes the kind's parameter bodies and K and returns w -> h(Z K, w) for
-# a Fraction direction w.  They read K only through its vertices and area
-# measure, never through the summands.  The setup clears K's vectors over one
-# denominator s and the complex scalars over their own q; a call clears w over
-# t, acts on the direction side and takes maxima in integers, and divides once.
+# Each takes the kind's parameter bodies and K and returns (t, W) -> h(Z K, W / t)
+# for an integer direction W over t > 0.  They read K only through its vertices
+# and area measure, never through the summands.  The setup clears K's vectors
+# over one denominator s and the complex scalars over their own q; a call acts
+# on the direction side and takes maxima in integers, and divides once.
 
 def _cleared_scalars(scalars):
     """Complex scalars as integer Cplx over one common denominator q."""
@@ -187,8 +189,8 @@ def _projection_support(K: Polytope):
     """h(Pi K, w) = (1/2) sum_F |<sigma_F, w>|."""
     s, atoms = clear_denominators(K.area_measure())
 
-    def h(w) -> Fraction:
-        t, ((x1, y1, x2, y2),) = clear_denominators([w])
+    def h(t, W) -> Fraction:
+        x1, y1, x2, y2 = W
         total = sum(abs(a * x1 + b * y1 + c * x2 + d * y2) for a, b, c, d in atoms)
         return Fraction(total, 2 * s * t)
 
@@ -199,8 +201,8 @@ def _difference_support(K: Polytope):
     """h(K + (-K), w) = h(K, w) + h(K, -w) = max_v <v, w> - min_v <v, w>."""
     s, verts = clear_denominators(K.vertices)
 
-    def h(w) -> Fraction:
-        t, ((x1, y1, x2, y2),) = clear_denominators([w])
+    def h(t, W) -> Fraction:
+        x1, y1, x2, y2 = W
         dots = [a * x1 + b * y1 + c * x2 + d * y2 for a, b, c, d in verts]
         return Fraction(max(dots) - min(dots), s * t)
 
@@ -212,8 +214,7 @@ def _complex_difference_support(M: Polytope, K: Polytope):
     s, verts = clear_denominators(K.vertices)
     q, conj_atoms = _cleared_scalars(nu.conjugate() for nu in planar_atoms(M))
 
-    def h(xi) -> Fraction:
-        t, (X,) = clear_denominators([xi])
+    def h(t, X) -> Fraction:
         return Fraction(sum(_max_dot(verts, scale_point(c, X)) for c in conj_atoms), s * q * t)
 
     return h
@@ -224,8 +225,7 @@ def _complex_projection_support(N: Polytope, K: Polytope):
     s, atoms = clear_denominators(K.area_measure())
     q, scalars = _cleared_scalars(Cplx(c[0], c[1]) for c in N.vertices)
 
-    def h(w) -> Fraction:
-        t, (W,) = clear_denominators([w])
+    def h(t, W) -> Fraction:
         scaled = [scale_point(c, W) for c in scalars]
         return Fraction(sum(_max_dot(scaled, atom) for atom in atoms), 4 * s * q * t)
 
@@ -235,14 +235,14 @@ def _complex_projection_support(N: Polytope, K: Polytope):
 def _dual_complex_difference_support(M: Polytope, K: Polytope):
     """h(Phi D_M K, w) = h(D_M K, Phi^T w), and Phi^T = Phi^{-1}."""
     d_m = _complex_difference_support(M, K)
-    return lambda w: d_m(det_duality_inverse_point(w))
+    return lambda t, W: d_m(t, det_duality_inverse_point(W))
 
 
 def _combined_support(M: Polytope, N: Polytope, K: Polytope):
     """The degree-1 part plus the degree-3 part."""
     deg1 = _dual_complex_difference_support(M, K)
     deg3 = _complex_projection_support(N, K)
-    return lambda w: deg1(w) + deg3(w)
+    return lambda t, W: deg1(t, W) + deg3(t, W)
 
 
 # -- the operator table ------------------------------------------------------------
@@ -255,15 +255,16 @@ class OpSpec:
     params names the planar parameter bodies ("M", "N") in the order that
     summands(*params, K) and support(*params, K) take them.  For a nonempty
     K, summands returns point groups S_j with Z K = sum_j conv(S_j), built on
-    the point side; support acts on the direction side.  The two functions
-    are independent: each is the other's oracle.
+    the point side; support acts on the direction side, on a direction
+    cleared to (t, W).  The two functions are independent: each is the
+    other's oracle.
     """
 
     params: tuple[str, ...]
     contravariant: bool
     degrees: frozenset[int]
     summands: Callable[..., list[Sequence[tuple]]]
-    support: Callable[..., Callable[[tuple], Fraction]]
+    support: Callable[..., Callable[[int, tuple], Fraction]]
 
 
 OPERATORS: dict[str, OpSpec] = {
@@ -282,15 +283,19 @@ OPERATORS: dict[str, OpSpec] = {
 
 def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
     """The output body: the kind's summand groups added to a running total,
-    one hull per group.  The empty K gives the zero body."""
+    one hull per group, in integers over one denominator.  The empty K gives
+    the zero body."""
     _check_source(K)
     groups = op.spec.summands(*op.params, K) if not K.is_empty else []
-    if op.is_companion:
-        groups = [[det_duality_inverse_point(p) for p in S] for S in groups]
-    total = zero_body()
-    for S in groups:
-        total = convex_hull([tuple(a + b for a, b in zip(t, p))
-                             for t in total.vertices for p in S], 4)
+    if not groups:
+        total = zero_body()
+    else:
+        # every group is cleared over one s, and the sums stay integral
+        s, flat = clear_denominators([p for S in groups for p in S])
+        if op.is_companion:
+            flat = [det_duality_inverse_point(p) for p in flat]
+        it = iter(flat)
+        total = _sum_cleared(s, [list(islice(it, len(S))) for S in groups], 4)
     return DualPolytope(total) if op.is_contravariant else total
 
 
@@ -308,14 +313,17 @@ class SupportEvaluator:
         self.K = K
         h = op.spec.support(*op.params, K)
         # h(Phi^{-1} Z K, xi) = h(Z K, Phi^{-T} xi), and Phi^{-T} = Phi
-        self._h = (lambda w: h(det_duality_point(w))) if op.is_companion else h
+        self._h = (lambda t, W: h(t, det_duality_point(W))) if op.is_companion else h
 
     def at(self, w) -> Fraction:
         if len(w) != 4:
             raise ValueError(f"direction has {len(w)} components, expected 4")
         if self.K.is_empty:
             return Fraction(0)
-        return self._h(tuple(x if type(x) is Fraction else Fraction(x) for x in w))
+        # w = W / t, cleared with one lcm over the four denominators
+        w = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in w]
+        t = lcm(*(x.denominator for x in w))
+        return self._h(t, tuple(x.numerator * (t // x.denominator) for x in w))
 
 
 def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool = True) -> Fraction:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -439,7 +440,13 @@ def test_volume_with_huge_exact_result(tmp_path, capsys):
     path.write_text(json.dumps({"ambient_dim": 4, "vertices": verts}))
     code, out, err = run(capsys, ["volume", str(path)])
     assert (code, err) == (0, "")
-    assert F(out.strip()) == F(1, 24 * d[0] * d[1] * d[2] * d[3])
+    # main gives the caller its int-to-str limit back, so this parse lifts it itself
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert F(out.strip()) == F(1, 24 * d[0] * d[1] * d[2] * d[3])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_huge_coordinate_roundtrips_through_hull(tmp_path, capsys):
@@ -450,6 +457,17 @@ def test_huge_coordinate_roundtrips_through_hull(tmp_path, capsys):
     code, out, err = run(capsys, ["hull", str(path)])
     assert (code, err) == (0, "")
     assert sorted(json.loads(out)["vertices"]) == sorted(verts)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--trials", "0"], 0),
+    (["verify", "--trials", "-1"], 2),
+    (["volume", "/no/such/body.json"], 2),
+])
+def test_main_restores_int_str_digit_limit(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, argv)[0] == code
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_usage_error_exit_two(capsys):

@@ -8,6 +8,7 @@ import pytest
 import minkval
 
 PACKAGE = Path(minkval.__file__).parent
+KERNEL_TESTS = Path(__file__).parent / "test_polytope.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -32,3 +33,29 @@ def test_module_uses_every_name_it_imports(path):
 def test_public_names_resolve():
     missing = [name for name in minkval.__all__ if not hasattr(minkval, name)]
     assert missing == []
+
+
+def test_kernel_oracle_shares_no_code():
+    # the brute-force _o* helpers of the kernel tests must not reach minkval
+    tree = ast.parse(KERNEL_TESTS.read_text())
+    from_minkval = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("minkval")
+        for alias in node.names
+    } | {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("minkval")
+    }
+    helpers = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_o")]
+    assert len(helpers) >= 5 and "convex_hull" in from_minkval
+    shared = {
+        (h.name, n.id)
+        for h in helpers
+        for n in ast.walk(h)
+        if isinstance(n, ast.Name) and n.id in from_minkval
+    }
+    assert sorted(shared) == []

@@ -7,7 +7,7 @@ fan-triangulation volume oracle for random bodies.
 
 from fractions import Fraction
 import itertools
-from math import gcd
+from math import gcd, lcm
 import random
 
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from minkval.linalg import cross_general, det, vec_sub
 from minkval.polytope import (
     Polytope,
+    _spans,
     affine_transform,
     convex_hull,
     minkowski_sum,
@@ -391,8 +392,8 @@ def test_hyp_area_closure(pts):
 #
 # Facets, vertices, volume and area atoms from first principles, in plain
 # Fraction arithmetic written here: a hyperplane through k of the points is a
-# facet when every point lies on one side of it.  Nothing below calls the hull
-# engine's helpers or minkval.linalg.
+# facet when every point lies on one side of it.  No _o* helper below calls
+# the hull engine's helpers or minkval.linalg (test_hygiene.py checks it).
 
 
 def _odot(a, b):
@@ -512,7 +513,7 @@ rational_point = st.tuples(small_rational, small_rational, small_rational, small
 @st.composite
 def clouds_4d(draw):
     """Up to nine distinct points in R^4, often degenerate, sometimes repeated."""
-    shape = draw(st.sampled_from(["rational", "lattice", "coplanar", "flat2", "flat3"]))
+    shape = draw(st.sampled_from(["rational", "lattice", "coplanar", "flat2", "flat3", "faces"]))
     if shape == "rational":
         pts = draw(st.lists(rational_point, min_size=5, max_size=9))
     elif shape == "lattice":
@@ -527,6 +528,14 @@ def clouds_4d(draw):
             rest = sum(a[i] * q[i] for i in range(4) if i != j)
             cluster.append(q[:j] + (F(c - rest, a[j]),) + q[j + 1:])
         pts = cluster + draw(st.lists(lattice_point, min_size=1, max_size=9 - len(cluster)))
+    elif shape == "faces":
+        # 0/1 points plus midpoints of pairs and centroids of triples of them,
+        # which lie inside edges and 2-faces when their corners span one
+        corners = draw(st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=5, max_size=9))
+        pts = list(corners)
+        for k in draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4)):
+            sub = draw(st.lists(st.sampled_from(corners), min_size=k, max_size=k))
+            pts.append(tuple(F(sum(q[i] for q in sub), k) for i in range(4)))
     else:
         r = 2 if shape == "flat2" else 3
         base = draw(lattice_point)
@@ -591,3 +600,93 @@ def test_hyp_volume_and_area_4d_match_cone_decomposition(pts):
     else:
         assert P.area_measure().atoms == ()
 
+
+
+sparse_int = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[sparse_int] * d), max_size=6),
+                        st.lists(st.tuples(*[small_int] * 3), max_size=4))))
+def test_hyp_spans_matches_fraction_rank(case):
+    # the engine's vertex test against Fraction elimination; entries are
+    # often zero, and the second list adds vectors from the span of the first
+    # ones, so coordinate-aligned and dependent sets are common
+    d, vectors, coefs = case
+    mixes = [tuple(sum(c * v[i] for c, v in zip(co, vectors)) for i in range(d)) for co in coefs]
+    normals = vectors + mixes
+    assert _spans(normals, d) == (_orank(normals, d) == d)
+    assert _spans(mixes, d) == (_orank(mixes, d) == d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_spans_coordinate_frames_in_every_order(d):
+    frame = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    for order in itertools.permutations(frame):
+        rest = list(order[1:])
+        assert _spans(order, d)
+        assert not _spans(rest + [tuple(map(sum, zip(*rest)))], d)
+
+
+def _ohull_vertices(pts):
+    """Sorted extreme points of a full-dimensional point set in R^4."""
+    distinct = sorted(set(pts))
+    return _overtices(distinct, _ofacets(distinct, 4), 4)
+
+
+def _ofull(pts):
+    return _orank([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]], 4) == 4
+
+
+@st.composite
+def summand_pairs(draw):
+    """A full simplex P, and Q a segment, a triangle or a full simplex whose
+    denominators (up to 9) mostly differ from P's."""
+    P = draw(st.lists(rational_point, min_size=5, max_size=5).filter(_ofull))
+    point = st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=9)] * 4)
+    count = draw(st.sampled_from([2, 3, 5]))
+    return P, draw(st.lists(point, min_size=count, max_size=count))
+
+
+def _osum_vertices(pts, qts):
+    """Sorted vertices of conv(pts) + conv(qts) in R^4.
+
+    An edge of the sum is parallel to an edge of a summand, so every facet
+    normal is orthogonal to three independent differences of summand points.
+    Taking every such direction, with both signs and its support value over
+    the pairwise sums, adds supporting hyperplanes of lower faces too, which
+    leaves the vertex rank test of _overtices unchanged.
+    """
+    sums = {tuple(a + b for a, b in zip(p, q)) for p in pts for q in qts}
+    diffs = {tuple(x - y for x, y in zip(p, q))
+             for S in (pts, qts) for p, q in itertools.combinations(set(S), 2)}
+    origin = (F(0),) * 4
+    normals = {_onormal([origin, *triple], 4) for triple in itertools.combinations(diffs, 3)}
+    normals.discard(None)
+    # the sums times a common denominator: integer dots, the same vertices
+    den = lcm(*(x.denominator for p in sums for x in p))
+    scaled = {tuple(int(x * den) for x in p): p for p in sums}
+    planes = {}
+    for a in normals:
+        for u in (a, tuple(-x for x in a)):
+            planes[u] = max(_odot(u, x) for x in scaled)
+    return sorted(scaled[v] for v in _overtices(list(scaled), planes, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(summand_pairs())
+def test_hyp_minkowski_sum_4d_matches_bruteforce(pair):
+    pts, qts = pair
+    S = minkowski_sum(convex_hull(pts), convex_hull(qts))
+    assert S.affine_dim == 4
+    assert S.vertices == tuple(_osum_vertices(pts, qts))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(rational_point, min_size=5, max_size=8).filter(_ofull))
+def test_hyp_scale_4d_matches_bruteforce(pts):
+    P = convex_hull(pts)
+    assert P.scale(0).vertices == ((F(0),) * 4,)
+    for c in (F(-3, 2), F(5, 7), 2):
+        assert P.scale(c).vertices == tuple(_ohull_vertices([tuple(c * x for x in p) for p in pts]))
