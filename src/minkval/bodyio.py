@@ -39,10 +39,6 @@ def parse_rational(x) -> Fraction:
     raise FormatError(f"bad rational {x!r}: expected string or integer")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def parse_point(entry, dim: int) -> tuple:
     if not isinstance(entry, (list, tuple)):
         raise FormatError(f"bad point {entry!r}: expected a coordinate array")
@@ -56,7 +52,7 @@ def polytope_to_json(P: Polytope | DualPolytope) -> dict:
     body = P.body if isinstance(P, DualPolytope) else P
     return {
         "ambient_dim": body.ambient_dim,
-        "vertices": [[format_rational(x) for x in v] for v in body.vertices],
+        "vertices": [[str(x) for x in v] for v in body.vertices],
     }
 
 
@@ -73,7 +69,7 @@ def polytope_from_json(data) -> Polytope:
     if not isinstance(raw, list) or not raw:
         raise FormatError("polytope payload needs a nonempty vertex list")
     pts = [parse_point(v, dim) for v in raw]
-    return convex_hull(pts, dim)
+    return convex_hull(pts)
 
 
 def read_json(path: str):

@@ -18,7 +18,6 @@ from .bodyio import (
     FormatError,
     build_op,
     dirs_from_json,
-    format_rational,
     load_polytope,
     parse_inline_direction,
     polytope_to_json,
@@ -111,14 +110,14 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_volume(args) -> int:
-    print(format_rational(load_polytope(args.input).volume()))
+    print(load_polytope(args.input).volume())
     return 0
 
 
 def _cmd_support(args) -> int:
     P = load_polytope(args.input)
     xi = parse_inline_direction(args.dir, P.ambient_dim)
-    print(format_rational(P.support(xi)))
+    print(P.support(xi))
     return 0
 
 
@@ -129,7 +128,7 @@ def _cmd_mixed(args) -> int:
         if K.ambient_dim != 4:
             raise FormatError(f"{f}: field ambient_dim is {K.ambient_dim}, mixed volume needs 4")
         bodies.append(K)
-    print(format_rational(mixed_volume(*bodies)))
+    print(mixed_volume(*bodies))
     return 0
 
 
@@ -154,7 +153,7 @@ def _cmd_op(args) -> int:
         payload["operator"] = op.kind
         save_json(args.out, payload)
     if w is not None:
-        print(format_rational(SupportEvaluator(op, K).at(w)))
+        print(SupportEvaluator(op, K).at(w))
     return 0
 
 
@@ -165,9 +164,9 @@ def _cmd_decompose(args) -> int:
     table = homogeneous_decomposition(op, K, dirs)
     payload = {
         "op": op.kind,
-        "dirs": [[format_rational(x) for x in d] for d in dirs],
+        "dirs": [[str(x) for x in d] for d in dirs],
         "coefficients": [
-            [format_rational(c) for c in row] for row in table.coefficients
+            [str(c) for c in row] for row in table.coefficients
         ],
     }
     print(json.dumps(payload, sort_keys=True))
@@ -192,8 +191,11 @@ def _cmd_sample(args) -> int:
     ]
     for d in _sphere_grid(args.sphere_grid):
         norm = math.sqrt(sum(x * x for x in d))
-        h = ev.at(d)
-        row = [x / norm for x in d] + [float(h) / norm]
+        try:
+            h = float(ev.at(d))
+        except OverflowError:
+            raise FormatError(f"support value at {d} is outside the double range") from None
+        row = [x / norm for x in d] + [h / norm]
         lines.append(",".join(repr(x) for x in row))
     write_text(args.csv, "\n".join(lines) + "\n")
     return 0

@@ -227,7 +227,7 @@ def det_image(K: Polytope, w) -> Polytope:
     if K.is_empty:
         return Polytope.empty(2)
     zs = [det_pair(v, w) for v in K.vertices]
-    return convex_hull([(z.re, z.im) for z in zs], 2)
+    return convex_hull([(z.re, z.im) for z in zs])
 
 
 def det_duality_point(u) -> tuple:

@@ -131,38 +131,3 @@ def clear_denominators(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[
             s = lcm(s, x.denominator)
     scaled = [tuple(x.numerator * (s // x.denominator) for x in p) for p in points]
     return s, scaled
-
-
-class IntRowBasis:
-    """Incremental integer row space with exact rank tracking.
-
-    Rows are reduced fraction-free and kept primitive to bound growth.  Each
-    added row is zero at the pivots of the rows before it, so the added
-    vectors, restricted to the pivot coordinates, form a nonsingular matrix.
-    """
-
-    def __init__(self):
-        self.rows: list[IntVec] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v: Sequence[int]) -> IntVec:
-        w = list(v)
-        for row, piv in zip(self.rows, self.pivots):
-            if w[piv] != 0:
-                a, b = row[piv], w[piv]
-                w = [a * x - b * y for x, y in zip(w, row)]
-        return primitive(w)
-
-    def add(self, v: Sequence[int]) -> bool:
-        """Add v to the span; returns True if it increased the rank."""
-        w = self.reduce(v)
-        if all(x == 0 for x in w):
-            return False
-        piv = next(i for i, x in enumerate(w) if x != 0)
-        self.rows.append(tuple(w))
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)

@@ -1,16 +1,18 @@
 """Exact rational convex polytopes in ambient dimension 2, 3, 4.
 
-Vertex-representation polytopes with exact Fraction coordinates.  Hulls are
-computed by an incremental beneath-beyond walk, which tests each new point
-against every current facet, over the integer-cleared points s * x, with
-integer-only sign predicates unrolled per dimension.  Every hull enters
-through _hull_cleared(s, points, dim), which takes the points already
-cleared: convex_hull clears its input, while Minkowski sums, dilates and the
-valuation reconstructions build their points in integers and never leave
-them.  Each simplicial facet piece is kept as its primitive outward
-normal u, offset c and the gcd g of its cross product, which is g * u.
-Coplanar pieces are merged by u into facets (u, c, G) with G the sum of their
-g, so facet identity and area-measure atoms are canonical, and
+Vertex-representation polytopes with exact Fraction coordinates.  Every hull
+and Minkowski sum enters through _sum_points(groups, dim), the one path from
+rational points to a Polytope: it clears all points over one denominator s,
+adds the groups pairwise in integers and hulls the integer points s * x in
+_hull_cleared, which builds Fractions for the kept vertices only.  The hull
+is an incremental beneath-beyond walk that tests each new point against every
+current facet with integer-only sign predicates unrolled per dimension.
+_basis, the one integer rank routine, picks the starting simplex, projects a
+flat one-to-one and tells the vertices.  Each simplicial facet piece is kept
+as its primitive outward normal u, offset c and the gcd g of its cross
+product, which is g * u.  Coplanar pieces are merged by u into facets
+(u, c, G) with G the sum of their g, so facet identity and area-measure
+atoms are canonical, and
 
     vol(P) = sum_F G * c / (n! * s^n),    atom_F = G * u / ((n-1)! * s^(n-1))
 
@@ -22,13 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd, lcm
+from itertools import combinations, islice
+from math import factorial, gcd
 from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .linalg import (
-    IntRowBasis,
     clear_denominators,
     cross_general,
     dot,
@@ -217,25 +218,30 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
 
 
 def _spans(normals: Iterable[tuple[int, ...]], d: int) -> bool:
-    """True when the integer vectors span R^d.
+    """True when the integer vectors span R^d."""
+    return len(_basis(normals, d)[0]) == d
 
-    In Z^4 the test is unrolled: find a vector a, then one b off the line of
-    a (a nonzero 2x2 minor of a, b), then one c off the plane of a, b (a
-    nonzero cross product x of a, b, c), then one e with <x, e> != 0.
+
+def _basis(vectors: Iterable[Sequence[int]], d: int):
+    """Greedy basis of the span of integer vectors in Z^d, d <= 4.
+
+    Returns (ids, cols): the positions of the vectors that raise the rank,
+    and as many coordinates on which the minor of those vectors is nonzero,
+    so projecting onto cols maps their span one-to-one.  The chain is
+    unrolled in Z^4, with shorter vectors padded by zeros, and stops at rank
+    d: a nonzero a, then b with a nonzero 2x2 minor m of a, b, then c with a
+    nonzero cross product x of a, b, c, then e with <x, e> != 0.  m and x
+    are divided by their gcd, which keeps them small on flats of huge points.
     """
-    if d < 4:
-        basis = IntRowBasis()
-        for n in normals:
-            if basis.add(n) and basis.rank == d:
-                return True
-        return False
-    it = iter(normals)
-    for a0, a1, a2, a3 in it:
-        if a0 or a1 or a2 or a3:
+    pad = (0,) * (4 - d)
+    it = enumerate(vectors if d == 4 else (tuple(v) + pad for v in vectors))
+    for ia, a in it:
+        if any(a):
             break
     else:
-        return False
-    for b0, b1, b2, b3 in it:
+        return [], []
+    a0, a1, a2, a3 = a
+    for ib, (b0, b1, b2, b3) in it:
         m01 = a0 * b1 - a1 * b0
         m02 = a0 * b2 - a2 * b0
         m03 = a0 * b3 - a3 * b0
@@ -245,8 +251,12 @@ def _spans(normals: Iterable[tuple[int, ...]], d: int) -> bool:
         if m01 or m02 or m03 or m12 or m13 or m23:
             break
     else:
-        return False
-    for c0, c1, c2, c3 in it:
+        return [ia], [next(k for k, x in enumerate(a) if x)]
+    if d == 2:
+        return [ia, ib], [0, 1]
+    g = gcd(m01, m02, m03, m12, m13, m23)
+    m01 //= g; m02 //= g; m03 //= g; m12 //= g; m13 //= g; m23 //= g
+    for ic, (c0, c1, c2, c3) in it:
         x0 = c1 * m23 - c2 * m13 + c3 * m12
         x1 = c2 * m03 - c0 * m23 - c3 * m02
         x2 = c0 * m13 - c1 * m03 + c3 * m01
@@ -254,8 +264,18 @@ def _spans(normals: Iterable[tuple[int, ...]], d: int) -> bool:
         if x0 or x1 or x2 or x3:
             break
     else:
-        return False
-    return any(x0 * e0 + x1 * e1 + x2 * e2 + x3 * e3 for e0, e1, e2, e3 in it)
+        m = {(0, 1): m01, (0, 2): m02, (0, 3): m03, (1, 2): m12, (1, 3): m13, (2, 3): m23}
+        return [ia, ib], list(next(cols for cols, x in m.items() if x))
+    if d == 3:
+        return [ia, ib, ic], [0, 1, 2]
+    g = gcd(x0, x1, x2, x3)
+    x0 //= g; x1 //= g; x2 //= g; x3 //= g
+    for ie, (e0, e1, e2, e3) in it:
+        if x0 * e0 + x1 * e1 + x2 * e2 + x3 * e3:
+            return [ia, ib, ic, ie], [0, 1, 2, 3]
+    # x_k is, up to sign, the minor of a, b, c on the other three coordinates
+    skip = next(k for k, x in enumerate((x0, x1, x2, x3)) if x)
+    return [ia, ib, ic], [k for k in range(4) if k != skip]
 
 
 class Polytope:
@@ -396,7 +416,7 @@ class Polytope:
         """
         if self.is_empty:
             return self
-        return convex_hull([f(v) for v in self.vertices], self.ambient_dim)
+        return convex_hull([f(v) for v in self.vertices])
 
     def translate(self, t: Sequence) -> "Polytope":
         t = tuple(Fraction(x) for x in t)
@@ -405,13 +425,11 @@ class Polytope:
         return self.image(lambda v: tuple(a + b for a, b in zip(v, t)))
 
     def scale(self, c) -> "Polytope":
-        """The dilate cP, as the integer points a * (s * v) over s * b for c = a / b."""
+        """The dilate cP."""
         c = Fraction(c)
         if self.is_empty:
             return self
-        s, iv = clear_denominators(self.vertices)
-        a = c.numerator
-        return _hull_cleared(s * c.denominator, [tuple(a * x for x in v) for v in iv], self.ambient_dim)
+        return _sum_points([[tuple(c * x for x in v) for v in self.vertices]], self.ambient_dim)
 
     def __add__(self, other: "Polytope") -> "Polytope":
         return minkowski_sum(self, other)
@@ -420,61 +438,55 @@ class Polytope:
         return self.image(lambda v: tuple(-x for x in v))
 
 
-def convex_hull(points: Iterable[Sequence], ambient_dim: int | None = None) -> Polytope:
+def convex_hull(points: Iterable[Sequence]) -> Polytope:
     """Convex hull with minimal vertex set and exact facet structure.
 
-    The result is independent of input order and duplicates.  Raises
-    ValueError on an empty input or inconsistent point dimensions.
+    The ambient dimension is that of the first point.  The result is
+    independent of input order and duplicates.  Raises ValueError on an
+    empty input or inconsistent point dimensions.
     """
     pts = [tuple(x if type(x) is Fraction else Fraction(x) for x in p) for p in points]
     if not pts:
         raise ValueError("convex hull of an empty point set")
-    dim = ambient_dim if ambient_dim is not None else len(pts[0])
+    dim = len(pts[0])
     for p in pts:
         if len(p) != dim:
             raise ValueError(f"point of dimension {len(p)} in ambient dimension {dim}")
     if not 2 <= dim <= 4:
         raise ValueError("ambient dimension must be between 2 and 4")
-
-    scale, ipts = clear_denominators(pts)
-    return _hull_cleared(scale, ipts, dim)
+    return _sum_points([pts], dim)
 
 
 def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
     """Dedupe, rank and hull integer points in Z^dim.
 
-    Returns (ipts, basis, chosen, ids, merged): the distinct points in order
-    of first occurrence; the row basis of the edges ipts[i] - ipts[0] for i in
-    chosen; the ids of the extreme points, sorted by their coordinates; and
-    the merged facets of the engine run, empty below affine rank 2.
+    Returns (ipts, chosen, cols, ids, merged): the distinct points in order
+    of first occurrence; the ids i whose edges ipts[i] - ipts[0] form the
+    greedy basis of all edges, and coordinates on which their minor is
+    nonzero (_basis); the ids of the extreme points, sorted by their
+    coordinates; and the merged facets of the engine run, empty below
+    affine rank 2.
     """
     ipts = list(dict.fromkeys(ipts))
-    basis = IntRowBasis()
-    chosen = []
-    for i in range(1, len(ipts)):
-        if basis.add(vec_sub(ipts[i], ipts[0])):
-            chosen.append(i)
-            if basis.rank == dim:
-                break
-    r = basis.rank
+    # the first edge is zero, so _basis skips it and its ids index ipts
+    chosen, cols = _basis((vec_sub(p, ipts[0]) for p in ipts), dim)
+    r = len(chosen)
     merged = []
     if r == 0:
         ids = [0]
     elif r == dim:
         ids, merged = _hull_engine(ipts, dim, [0] + chosen)
     else:
-        # lower-dimensional body: the basis edges restricted to the pivot
-        # coordinates of their row basis form a nonsingular r x r matrix, so
-        # projecting onto those coordinates maps the flat one-to-one and
-        # keeps its extreme points
-        proj = [tuple(p[k] for k in basis.pivots) for p in ipts]
+        # lower-dimensional body: projecting onto cols maps the flat
+        # one-to-one and keeps its extreme points
+        proj = [tuple(p[k] for k in cols) for p in ipts]
         if r == 1:
             ids = [min(range(len(proj)), key=proj.__getitem__),
                    max(range(len(proj)), key=proj.__getitem__)]
         else:
             ids, merged = _hull_engine(proj, r, [0] + chosen)
     ids.sort(key=ipts.__getitem__)
-    return ipts, basis, chosen, ids, merged
+    return ipts, chosen, cols, ids, merged
 
 
 def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope:
@@ -483,42 +495,47 @@ def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope
     Sorting the integer points sorts the points, and Fractions are built
     for the extreme points only.
     """
-    ipts, basis, chosen, ids, merged = _hull_ids(ipts, dim)
+    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim)
     vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
-    r = basis.rank
+    r = len(chosen)
     if r == dim:
         return Polytope(_raw=(dim, vertices, dim, scale, tuple(merged), None))
     atoms = ()
     if r == dim - 1:
-        # the projection onto the pivot coordinates scales r-volume by |det|
-        # of the basis edges there; a unit of flat volume is the basis
-        # parallelotope, whose weighted normal is the cross product of its edges
+        # the projection onto cols scales r-volume by |det| of the basis
+        # edges there; a unit of flat volume is the basis parallelotope,
+        # whose weighted normal is the cross product of its edges
         if r == 1:
-            piv = basis.pivots[0]
-            proj_volume = ipts[ids[1]][piv] - ipts[ids[0]][piv]
+            k = cols[0]
+            proj_volume = ipts[ids[1]][k] - ipts[ids[0]][k]
         else:
             proj_volume = sum(g * c for _, c, g in merged)
         edges = [vec_sub(ipts[i], ipts[0]) for i in chosen]
-        flat_volume = Fraction(proj_volume, factorial(r) * abs(minor_det_int(edges, basis.pivots)))
+        flat_volume = Fraction(proj_volume, factorial(r) * abs(minor_det_int(edges, cols)))
         w = cross_general(edges)
         plus = tuple(flat_volume * x / scale**r for x in w)
         atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
     return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms)))
 
 
-def _sum_cleared(scale: int, groups: list[list[tuple[int, ...]]], dim: int) -> Polytope:
-    """sum_j conv(S_j / scale) for nonempty groups S_j of integer points.
+def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:
+    """sum_j conv(S_j) for nonempty groups S_j of rational points in R^dim.
 
-    The groups are added in order, pairwise.  Each running total after the
-    first is cut to its extreme points before the next group is added.
+    The one way from rational points to a Polytope.  Every point is cleared
+    over one denominator s, and the groups are added in order, pairwise, in
+    integers; each running total after the first is cut to its extreme
+    points before the next group is added.
     """
-    total = groups[0]
+    s, ipts = clear_denominators([p for S in groups for p in S])
+    it = iter(ipts)
+    total = list(islice(it, len(groups[0])))
     for j, S in enumerate(groups[1:]):
         if j:
             ipts, _, _, ids, _ = _hull_ids(total, dim)
             total = [ipts[i] for i in ids]
+        S = list(islice(it, len(S)))
         total = [tuple(map(add, p, q)) for p in total for q in S]
-    return _hull_cleared(scale, total, dim)
+    return _hull_cleared(s, total, dim)
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:
@@ -530,7 +547,7 @@ def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:
             raise ValueError("matrix shape does not match polytope dimension")
     if P.is_empty:
         return Polytope.empty(out_dim)
-    return convex_hull([mat_apply(rows, v) for v in P.vertices], out_dim)
+    return convex_hull([mat_apply(rows, v) for v in P.vertices])
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
@@ -539,12 +556,7 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
         raise ValueError("dimension mismatch in Minkowski sum")
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.ambient_dim)
-    s, ip = clear_denominators(P.vertices)
-    t, iq = clear_denominators(Q.vertices)
-    m = lcm(s, t)
-    ip = [tuple(m // s * x for x in p) for p in ip]
-    iq = [tuple(m // t * x for x in q) for q in iq]
-    return _sum_cleared(m, [ip, iq], P.ambient_dim)
+    return _sum_points([P.vertices, Q.vertices], P.ambient_dim)
 
 
 def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytope, Polytope]:
@@ -569,7 +581,7 @@ def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytop
             t = (c - fu) / (fv - fu)
             crossings.append(tuple(a + t * (b - a) for a, b in zip(u, v)))
     dim = P.ambient_dim
-    low = convex_hull(below + crossings, dim) if below or crossings else Polytope.empty(dim)
-    high = convex_hull(above + crossings, dim) if above or crossings else Polytope.empty(dim)
-    mid = convex_hull(on + crossings, dim) if on or crossings else Polytope.empty(dim)
+    low = convex_hull(below + crossings) if below or crossings else Polytope.empty(dim)
+    high = convex_hull(above + crossings) if above or crossings else Polytope.empty(dim)
+    mid = convex_hull(on + crossings) if on or crossings else Polytope.empty(dim)
     return low, high, mid

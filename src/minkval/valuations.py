@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from typing import Callable, Sequence
 
@@ -31,7 +30,7 @@ from .cplx import (
     scale_point,
 )
 from .linalg import clear_denominators
-from .polytope import Polytope, _sum_cleared
+from .polytope import Polytope, _sum_points
 
 
 def zero_body() -> Polytope:
@@ -282,20 +281,16 @@ OPERATORS: dict[str, OpSpec] = {
 
 
 def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
-    """The output body: the kind's summand groups added to a running total,
-    one hull per group, in integers over one denominator.  The empty K gives
-    the zero body."""
+    """The output body: the sum of the kind's summand groups (_sum_points).
+    The empty K gives the zero body."""
     _check_source(K)
     groups = op.spec.summands(*op.params, K) if not K.is_empty else []
     if not groups:
         total = zero_body()
     else:
-        # every group is cleared over one s, and the sums stay integral
-        s, flat = clear_denominators([p for S in groups for p in S])
         if op.is_companion:
-            flat = [det_duality_inverse_point(p) for p in flat]
-        it = iter(flat)
-        total = _sum_cleared(s, [list(islice(it, len(S))) for S in groups], 4)
+            groups = [[det_duality_inverse_point(p) for p in S] for S in groups]
+        total = _sum_points(groups, 4)
     return DualPolytope(total) if op.is_contravariant else total
 
 

@@ -459,6 +459,22 @@ def test_huge_coordinate_roundtrips_through_hull(tmp_path, capsys):
     assert sorted(json.loads(out)["vertices"]) == sorted(verts)
 
 
+def test_sample_value_outside_double_range_exits_two(tmp_path, capsys):
+    # a support value of 10^400 has no double; --dir still prints it exactly
+    big = str(10**400)
+    verts = [["0"] * 4] + [["0"] * i + [big] + ["0"] * (3 - i) for i in range(4)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ambient_dim": 4, "vertices": verts}))
+    csv_file = tmp_path / "out.csv"
+    code, out, err = run(capsys, ["sample", "diff", "--body", str(path), "--sphere-grid", "1",
+                                  "--csv", str(csv_file)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "double range" in err and err.count("\n") == 1
+    assert not csv_file.exists()
+    code, out, err = run(capsys, ["op", "diff", "--body", str(path), "--dir", "1,0,0,0"])
+    assert (code, out, err) == (0, big + "\n", "")
+
+
 @pytest.mark.parametrize("argv,code", [
     (["verify", "--trials", "0"], 0),
     (["verify", "--trials", "-1"], 2),

@@ -59,3 +59,42 @@ def test_kernel_oracle_shares_no_code():
         if isinstance(n, ast.Name) and n.id in from_minkval
     }
     assert sorted(shared) == []
+
+
+def _names_in(tree):
+    """Every identifier the tree mentions: names, attributes, imported
+    names, and string constants that are identifiers (perfbench names the
+    functions it wraps by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[-1]
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    # dead helpers are deleted: each top-level function and class of the
+    # package is named in src, tests, demos or perfbench outside its own body
+    root = PACKAGE.parent.parent
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (root / d).rglob("*.py")]
+    trees = {p: ast.parse(p.read_text()) for p in files}
+    counts = {}
+    for tree in trees.values():
+        for name in _names_in(tree):
+            counts[name] = counts.get(name, 0) + 1
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            inside = sum(1 for name in _names_in(node) if name == node.name)
+            if counts.get(node.name, 0) - inside == 0:
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from minkval.linalg import cross_general, det, vec_sub
 from minkval.polytope import (
     Polytope,
+    _basis,
     _spans,
     affine_transform,
     convex_hull,
@@ -627,6 +628,33 @@ def test_spans_coordinate_frames_in_every_order(d):
         rest = list(order[1:])
         assert _spans(order, d)
         assert not _spans(rest + [tuple(map(sum, zip(*rest)))], d)
+
+
+huge_int = st.integers(min_value=2**2999, max_value=2**3000) | st.integers(-2**3000, -2**2999)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda d: st.tuples(st.just(d),
+                        st.lists(st.tuples(st.tuples(*[small_int | sparse_int] * d),
+                                           huge_int | st.just(1)), max_size=6),
+                        st.lists(st.tuples(*[small_int | huge_int] * 3), max_size=4),
+                        st.randoms(use_true_random=False))))
+def test_hyp_basis_matches_fraction_rank(case):
+    # the one integer rank routine against Fraction elimination, on small
+    # vectors scaled by 3,000-bit factors, so that minors share huge
+    # factors, and on combinations of them, so that many sets are dependent
+    d, scaled, coefs, rnd = case
+    vectors = [tuple(f * x for x in v) for v, f in scaled]
+    vectors += [tuple(sum(c * v[i] for c, v in zip(co, vectors)) for i in range(d)) for co in coefs]
+    rnd.shuffle(vectors)
+    ids, cols = _basis(vectors, d)
+    rank = _orank(vectors, d)
+    assert ids == [i for i in range(len(vectors))
+                   if _orank(vectors[:i + 1], d) > _orank(vectors[:i], d)]
+    assert len(cols) == rank and sorted(set(cols)) == cols and all(k < d for k in cols)
+    minor = [tuple(vectors[i][k] for k in cols) for i in ids]
+    assert _orank(minor, rank) == rank
 
 
 def _ohull_vertices(pts):
