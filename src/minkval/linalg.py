@@ -70,49 +70,6 @@ def mat_inverse(A: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(row[n:]) for row in m)
 
 
-def minor_det_int(rows: Sequence[IntVec], cols: Sequence[int]) -> int:
-    """Determinant of the integer submatrix rows x cols (Laplace, k <= 4)."""
-    k = len(rows)
-    if k == 1:
-        return rows[0][cols[0]]
-    if k == 2:
-        a, b = rows
-        return a[cols[0]] * b[cols[1]] - a[cols[1]] * b[cols[0]]
-    if k == 3:
-        r0, r1, r2 = rows
-        c0, c1, c2 = cols
-        return (
-            r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
-            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
-            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
-        )
-    total = 0
-    sign = 1
-    for i, c in enumerate(cols):
-        sub = [cols[j] for j in range(k) if j != i]
-        total += sign * rows[0][c] * minor_det_int(rows[1:], sub)
-        sign = -sign
-    return total
-
-
-def cross_general(vectors: Sequence[IntVec]) -> IntVec:
-    """Generalized cross product of d-1 integer vectors in Z^d.
-
-    The result is orthogonal to all inputs; its Euclidean length equals
-    (d-1)! times the (d-1)-volume of the simplex the vectors span.
-    """
-    d = len(vectors[0])
-    if len(vectors) != d - 1:
-        raise ValueError("need d-1 vectors in dimension d")
-    out = []
-    sign = 1
-    for i in range(d):
-        cols = [c for c in range(d) if c != i]
-        out.append(sign * minor_det_int(vectors, cols))
-        sign = -sign
-    return tuple(out)
-
-
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
     g = 0

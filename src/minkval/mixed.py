@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .polytope import Polytope, minkowski_sum
+from .polytope import Polytope, _sum_points
 
 
 def _check_quadruple(bodies: Sequence[Polytope]):
@@ -51,11 +51,9 @@ def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Frac
             counts: dict[int, int] = {}
             for c in key:
                 counts[c] = counts.get(c, 0) + 1
-            parts = [bodies[c].scale(m) if m > 1 else bodies[c] for c, m in counts.items()]
-            total = parts[0]
-            for p in parts[1:]:
-                total = minkowski_sum(total, p)
-            vol_cache[key] = total.volume()
+            groups = [[tuple(m * x for x in v) for v in bodies[c].vertices]
+                      for c, m in counts.items()]
+            vol_cache[key] = _sum_points(groups, 4).volume()
         return vol_cache[key]
 
     acc = Fraction(0)

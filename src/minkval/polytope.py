@@ -8,9 +8,11 @@ _hull_cleared, which builds Fractions for the kept vertices only.  The hull
 is an incremental beneath-beyond walk that tests each new point against every
 current facet with integer-only sign predicates unrolled per dimension.
 _basis, the one integer rank routine, picks the starting simplex, projects a
-flat one-to-one and tells the vertices.  Each simplicial facet piece is kept
-as its primitive outward normal u, offset c and the gcd g of its cross
-product, which is g * u.  Coplanar pieces are merged by u into facets
+flat one-to-one and tells the vertices.  _plane is the one integer cross
+product, unrolled in Z^4 and fed zero-padded points in Z^2 and Z^3; it gives
+every facet piece and the normal of a codimension-1 flat.  Each simplicial facet
+piece is kept as its primitive outward normal u, offset c and the gcd g of
+its cross product, which is g * u.  Coplanar pieces are merged by u into facets
 (u, c, G) with G the sum of their g, so facet identity and area-measure
 atoms are canonical, and
 
@@ -29,14 +31,7 @@ from math import factorial, gcd
 from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .linalg import (
-    clear_denominators,
-    cross_general,
-    dot,
-    mat_apply,
-    minor_det_int,
-    vec_sub,
-)
+from .linalg import clear_denominators, dot, mat_apply, vec_sub
 
 Coords = tuple[Fraction, ...]
 
@@ -85,51 +80,48 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int):
 
     Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
     and g the gcd of the simplex's cross product, which is therefore +/- g * n.
-    In Z^4 the cross product is unrolled over the six 2x2 minors of the last
-    two edges.
+    This is the kernel's one integer cross product, unrolled in Z^4 over the
+    six 2x2 minors of the last two edges.  For d < 4 the points and ref are
+    padded with zeros and the edges completed by the unit edges e_d, ..., e_3,
+    whose minors vanish off the first d coordinates: the Z^4 cross product is
+    then zero after entry d, and its first d entries are the Z^d one.
     """
-    b = points[0]
-    if len(b) == 4:
-        b0, b1, b2, b3 = b
-        u0, u1, u2, u3 = points[1]
-        v0, v1, v2, v3 = points[2]
-        w0, w1, w2, w3 = points[3]
-        u0 -= b0; u1 -= b1; u2 -= b2; u3 -= b3
-        v0 -= b0; v1 -= b1; v2 -= b2; v3 -= b3
-        w0 -= b0; w1 -= b1; w2 -= b2; w3 -= b3
-        m01 = v0 * w1 - v1 * w0
-        m02 = v0 * w2 - v2 * w0
-        m03 = v0 * w3 - v3 * w0
-        m12 = v1 * w2 - v2 * w1
-        m13 = v1 * w3 - v3 * w1
-        m23 = v2 * w3 - v3 * w2
-        x0 = u1 * m23 - u2 * m13 + u3 * m12
-        x1 = u2 * m03 - u0 * m23 - u3 * m02
-        x2 = u0 * m13 - u1 * m03 + u3 * m01
-        x3 = u1 * m02 - u0 * m12 - u2 * m01
-        g = gcd(x0, x1, x2, x3)
-        if g == 0:
-            raise RuntimeError("degenerate facet candidate")
-        x0 //= g; x1 //= g; x2 //= g; x3 //= g
-        c = x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3
-        r0, r1, r2, r3 = ref
-        side = x0 * r0 + x1 * r1 + x2 * r2 + x3 * r3 - k * c
-        if side > 0:
-            x0 = -x0; x1 = -x1; x2 = -x2; x3 = -x3; c = -c
-        n = (x0, x1, x2, x3)
-    else:
-        w = cross_general([vec_sub(p, b) for p in points[1:]])
-        g = gcd(*w)
-        if g == 0:
-            raise RuntimeError("degenerate facet candidate")
-        n = tuple(x // g for x in w)
-        c = dot(n, b)
-        side = dot(n, ref) - k * c
-        if side > 0:
-            n, c = tuple(-x for x in n), -c
+    d = len(ref)
+    if d < 4:
+        pad = (0,) * (4 - d)
+        b = points[0] + pad
+        units = [b[:j] + (b[j] + 1,) + b[j + 1:] for j in range(d, 4)]
+        points = [b, *(p + pad for p in points[1:]), *units]
+        ref += pad
+    b0, b1, b2, b3 = points[0]
+    u0, u1, u2, u3 = points[1]
+    v0, v1, v2, v3 = points[2]
+    w0, w1, w2, w3 = points[3]
+    u0 -= b0; u1 -= b1; u2 -= b2; u3 -= b3
+    v0 -= b0; v1 -= b1; v2 -= b2; v3 -= b3
+    w0 -= b0; w1 -= b1; w2 -= b2; w3 -= b3
+    m01 = v0 * w1 - v1 * w0
+    m02 = v0 * w2 - v2 * w0
+    m03 = v0 * w3 - v3 * w0
+    m12 = v1 * w2 - v2 * w1
+    m13 = v1 * w3 - v3 * w1
+    m23 = v2 * w3 - v3 * w2
+    x0 = u1 * m23 - u2 * m13 + u3 * m12
+    x1 = u2 * m03 - u0 * m23 - u3 * m02
+    x2 = u0 * m13 - u1 * m03 + u3 * m01
+    x3 = u1 * m02 - u0 * m12 - u2 * m01
+    g = gcd(x0, x1, x2, x3)
+    if g == 0:
+        raise RuntimeError("degenerate facet candidate")
+    x0 //= g; x1 //= g; x2 //= g; x3 //= g
+    c = x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3
+    r0, r1, r2, r3 = ref
+    side = x0 * r0 + x1 * r1 + x2 * r2 + x3 * r3 - k * c
     if side == 0:
         raise RuntimeError("interior reference lies on facet hyperplane")
-    return n, c, g
+    if side > 0:
+        x0 = -x0; x1 = -x1; x2 = -x2; x3 = -x3; c = -c
+    return (x0, x1, x2, x3)[:d], c, g
 
 
 def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
@@ -368,11 +360,16 @@ class Polytope:
         return self._facets
 
     def support(self, xi: Sequence) -> Fraction:
-        """Exact support value max_{x in P} <xi, x>."""
+        """Exact support value max_{x in P} <xi, x>.
+
+        Components other than int and Fraction, such as floats and strings
+        like "1/3", are read exactly by Fraction.
+        """
         if self.is_empty:
             raise ValueError("support of an empty polytope is undefined")
         if len(xi) != self.ambient_dim:
             raise ValueError("dimension mismatch in support direction")
+        xi = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]
         return max(dot(xi, v) for v in self.vertices)
 
     def volume(self) -> Fraction:
@@ -472,19 +469,16 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
     chosen, cols = _basis((vec_sub(p, ipts[0]) for p in ipts), dim)
     r = len(chosen)
     merged = []
+    # projecting onto cols maps the body's affine hull one-to-one and keeps
+    # its extreme points; at full rank cols is every coordinate
+    proj = ipts if r == dim else [tuple(p[k] for k in cols) for p in ipts]
     if r == 0:
         ids = [0]
-    elif r == dim:
-        ids, merged = _hull_engine(ipts, dim, [0] + chosen)
+    elif r == 1:
+        ids = [min(range(len(proj)), key=proj.__getitem__),
+               max(range(len(proj)), key=proj.__getitem__)]
     else:
-        # lower-dimensional body: projecting onto cols maps the flat
-        # one-to-one and keeps its extreme points
-        proj = [tuple(p[k] for k in cols) for p in ipts]
-        if r == 1:
-            ids = [min(range(len(proj)), key=proj.__getitem__),
-                   max(range(len(proj)), key=proj.__getitem__)]
-        else:
-            ids, merged = _hull_engine(proj, r, [0] + chosen)
+        ids, merged = _hull_engine(proj, r, [0] + chosen)
     ids.sort(key=ipts.__getitem__)
     return ipts, chosen, cols, ids, merged
 
@@ -502,18 +496,21 @@ def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope
         return Polytope(_raw=(dim, vertices, dim, scale, tuple(merged), None))
     atoms = ()
     if r == dim - 1:
-        # the projection onto cols scales r-volume by |det| of the basis
-        # edges there; a unit of flat volume is the basis parallelotope,
-        # whose weighted normal is the cross product of its edges
+        # projecting onto cols scales r-volume by the basis edges' minor
+        # there, which is +/- entry skip (the coordinate not in cols) of
+        # their cross product g * n; so ref lies off the flat, and the flat's
+        # volume times its unit normal is the projection's volume times
+        # n / |n[skip]|, proj_volume being r! times the projection's volume
         if r == 1:
             k = cols[0]
             proj_volume = ipts[ids[1]][k] - ipts[ids[0]][k]
         else:
             proj_volume = sum(g * c for _, c, g in merged)
-        edges = [vec_sub(ipts[i], ipts[0]) for i in chosen]
-        flat_volume = Fraction(proj_volume, factorial(r) * abs(minor_det_int(edges, cols)))
-        w = cross_general(edges)
-        plus = tuple(flat_volume * x / scale**r for x in w)
+        skip = next(k for k in range(dim) if k not in cols)
+        ref = tuple(x + (k == skip) for k, x in enumerate(ipts[0]))
+        n, _, _ = _plane([ipts[0]] + [ipts[i] for i in chosen], ref, 1)
+        flat_volume = Fraction(proj_volume, factorial(r) * abs(n[skip]))
+        plus = tuple(flat_volume * x / scale**r for x in n)
         atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
     return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms)))
 

@@ -6,6 +6,7 @@ fan-triangulation volume oracle for random bodies.
 """
 
 from fractions import Fraction
+import hashlib
 import itertools
 from math import gcd, lcm
 import random
@@ -13,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkval.linalg import cross_general, det, vec_sub
+from minkval.linalg import det, vec_sub
 from minkval.polytope import (
     Polytope,
     _basis,
@@ -289,8 +290,7 @@ def test_area_measure_codim1_two_atoms():
     edges = [(2, 0, 0, 1), (0, 3, 0, 1), (0, 0, 5, 1)]
     S3 = convex_hull([(0, 0, 0, 0)] + edges)
     assert S3.affine_dim == 3
-    plus = tuple(F(x, 6) for x in cross_general(edges))
-    assert plus == (F(5, 2), F(5, 3), F(1), F(-5))
+    plus = (F(5, 2), F(5, 3), F(1), F(-5))
     assert set(S3.area_measure().atoms) == {plus, tuple(-x for x in plus)}
 
 
@@ -500,7 +500,7 @@ def _oatom(pts, a, c, k):
 def _oflat_chart(pts, r):
     """Coordinates J (|J| = r) on which the r-flat of pts projects injectively."""
     diffs = [tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]
-    for J in itertools.combinations(range(4), r):
+    for J in itertools.combinations(range(len(pts[0])), r):
         if _orank([tuple(d[j] for j in J) for d in diffs], r) == r:
             return J
     raise AssertionError("no injective chart")
@@ -601,6 +601,69 @@ def test_hyp_volume_and_area_4d_match_cone_decomposition(pts):
     else:
         assert P.area_measure().atoms == ()
 
+
+@st.composite
+def clouds_2d_3d(draw):
+    """A dimension k in {2, 3} and up to nine points of R^k, spread or on a
+    flat of lower rank, sometimes repeated."""
+    k = draw(st.sampled_from([2, 3]))
+    lattice = st.tuples(*[small_int] * k)
+    shape = draw(st.sampled_from(["rational", "lattice", "flat"]))
+    if shape == "rational":
+        pts = draw(st.lists(st.tuples(*[small_rational] * k), min_size=k + 1, max_size=9))
+    elif shape == "lattice":
+        pts = draw(st.lists(lattice, min_size=k + 1, max_size=9))
+    else:
+        r = draw(st.integers(min_value=1, max_value=k - 1))
+        base = draw(lattice)
+        gens = [draw(lattice) for _ in range(r)]
+        pts = []
+        for _ in range(draw(st.integers(min_value=r + 1, max_value=9))):
+            coef = [draw(small_rational) for _ in range(r)]
+            pts.append(tuple(base[i] + sum(t * g[i] for t, g in zip(coef, gens)) for i in range(k)))
+    pts = [tuple(F(x) for x in p) for p in pts]
+    return k, pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(clouds_2d_3d())
+def test_hyp_hull_2d_3d_matches_bruteforce(cloud):
+    # ambient 2 and 3 at every rank: vertices, facets, volume and atoms,
+    # with the two opposite atoms of a segment in R^2 or a polygon in R^3
+    k, pts = cloud
+    P = convex_hull(pts)
+    distinct = sorted(set(pts))
+    r = _orank([tuple(x - y for x, y in zip(p, distinct[0])) for p in distinct[1:]], k)
+    assert P.affine_dim == r
+    if r == k:
+        facets = _ofacets(distinct, k)
+        verts = _overtices(distinct, facets, k)
+        assert P.vertices == tuple(verts)
+        expected = {
+            (a, c, frozenset(i for i, v in enumerate(verts) if _odot(a, v) == c))
+            for a, c in facets.items()
+        }
+        assert {(f.normal, f.offset, f.vertex_ids) for f in P.facets} == expected
+        assert P.volume() == _ovolume(distinct, k)
+        atoms = {_oatom(distinct, a, c, k) for a, c in facets.items()}
+        assert set(P.area_measure().atoms) == atoms
+        assert len(P.area_measure()) == len(atoms)
+        return
+    assert P.facets == ()
+    assert P.volume() == 0
+    if r == 0:
+        assert P.vertices == tuple(distinct)
+    else:
+        chart = {tuple(p[j] for j in _oflat_chart(distinct, r)): p for p in distinct}
+        proj = list(chart)
+        ends = [min(proj), max(proj)] if r == 1 else _overtices(proj, _ofacets(proj, r), r)
+        assert P.vertices == tuple(sorted(chart[q] for q in ends))
+    if r == k - 1:
+        u = _onormal(distinct, k)
+        atom = _oatom(distinct, u, _odot(u, distinct[0]), k)
+        assert set(P.area_measure().atoms) == {atom, tuple(-x for x in atom)}
+    else:
+        assert P.area_measure().atoms == ()
 
 
 sparse_int = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
@@ -718,3 +781,39 @@ def test_hyp_scale_4d_matches_bruteforce(pts):
     assert P.scale(0).vertices == ((F(0),) * 4,)
     for c in (F(-3, 2), F(5, 7), 2):
         assert P.scale(c).vertices == tuple(_ohull_vertices([tuple(c * x for x in p) for p in pts]))
+
+
+# -- pinned kernel output ------------------------------------------------------------
+
+# sha256 of the kernel's exact outputs on _pinned_clouds(), recorded before
+# the d < 4 cross products moved into _plane
+KERNEL_SHA256 = "07c4321d9adb204dd6c1526fbaa3ad3379c84972c90ced665a10e63bb991b299"
+
+
+def _pinned_clouds():
+    """500 seeded clouds in R^2, R^3 and R^4: flats of every rank, lattice
+    points and denominators up to 8 or 10^6, and repeated points."""
+    rng = random.Random(2026)
+    for i in range(500):
+        d = 2 + i % 3
+        r = rng.randint(1, d)
+        den = rng.choice((1, 8, 10**6))
+        q = lambda: F(rng.randint(-2 * den, 2 * den), rng.randint(1, den))
+        base = [q() for _ in range(d)]
+        gens = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(r)]
+        pts = []
+        for _ in range(rng.randint(r + 1, 9)):
+            coef = [q() for _ in range(r)]
+            pts.append(tuple(b + sum(t * g[k] for t, g in zip(coef, gens))
+                             for k, b in enumerate(base)))
+        yield pts + rng.choices(pts, k=rng.randint(0, 2))
+
+
+def test_kernel_outputs_pinned():
+    digest = hashlib.sha256()
+    for pts in _pinned_clouds():
+        P = convex_hull(pts)
+        facets = tuple((f.normal, f.offset, tuple(sorted(f.vertex_ids))) for f in P.facets)
+        out = (P.vertices, P.affine_dim, P.volume(), P.area_measure().atoms, facets)
+        digest.update(repr(out).encode())
+    assert digest.hexdigest() == KERNEL_SHA256

@@ -337,6 +337,20 @@ def test_evaluator_matches_reconstruction(op):
         assert ev.at(w) == body.support(w)
 
 
+def test_support_reads_float_and_string_directions_exactly():
+    # both faces read a float or string component as the rational it denotes
+    K = convex_hull([(0, 0, 0, 0), (F(1, 3), 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    assert K.support((0.1, 0, 0, 0)) == F(3602879701896397, 108086391056891904)
+    dirs = [(0.1, 0, 0, 0), ("1/3", 0, 0, 0), (0.25, "-7/2", 1e-3, "5")]
+    for op, space in ((ValuationOp("diff"), Polytope), (ValuationOp("proj"), DualPolytope)):
+        out = apply_valuation(op, K)
+        assert type(out) is space
+        ev = SupportEvaluator(op, K)
+        for w in dirs:
+            value = out.support(w)
+            assert type(value) is F and value == ev.at(w)
+
+
 @pytest.mark.parametrize("op", _all_ops(), ids=lambda op: op.kind)
 def test_valuation_additivity_one_split(op):
     rng = random.Random(51)
