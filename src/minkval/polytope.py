@@ -5,8 +5,11 @@ and Minkowski sum enters through _sum_points(groups, dim), the one path from
 rational points to a Polytope: it clears all points over one denominator s,
 adds the groups pairwise in integers and hulls the integer points s * x in
 _hull_cleared, which builds Fractions for the kept vertices only.  The hull
-is an incremental beneath-beyond walk that tests each new point against every
-current facet with integer-only sign predicates unrolled per dimension.
+engine is Quickhull-style: each point outside the current hull waits in the
+outside list of one simplicial piece it sees, the points are inserted
+farthest-first, and an insertion walks across ridges from the owner piece to
+the pieces the point sees and hands their outside points to the new pieces
+only.  Its sign predicates are integer-only and unrolled in Z^4.
 _basis, the one integer rank routine, picks the starting simplex, projects a
 flat one-to-one and tells the vertices.  _plane is the one integer cross
 product, unrolled in Z^4 and fed zero-padded points in Z^2 and Z^3; it gives
@@ -18,8 +21,10 @@ atoms are canonical, and
 
     vol(P) = sum_F G * c / (n! * s^n),    atom_F = G * u / ((n-1)! * s^(n-1))
 
-need no triangulation once the hull is built.  Lower-dimensional polytopes
-are first-class: operations degrade per contract rather than erroring.
+need no triangulation once the hull is built.  The sum in vol(P) is taken
+with the hull; a Polytope then keeps only u and G of each facet, in one flat
+tuple, and its facets read c off the vertices.  Lower-dimensional polytopes are
+first-class: operations degrade per contract rather than erroring.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import factorial, gcd
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .linalg import clear_denominators, dot, mat_apply, vec_sub
@@ -124,88 +129,153 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int):
     return (x0, x1, x2, x3)[:d], c, g
 
 
+class _Piece:
+    """One simplicial piece of the boundary during a _hull_engine run.
+
+    plane is (*n, c), with n padded by zeros to Z^4, and g the gcd of the
+    cross product, as _plane gives them.  verts are the sorted labels of the
+    corners; nbrs[j] is the piece across ridge j, the j-th of
+    combinations(verts, d - 1), which omits corner d - 1 - j.  outside lists
+    the points that see this piece first, or is None while there are none,
+    and mark is the last point the piece was tested against (see the walk).
+    """
+
+    __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
+
+
 def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
-    """Beneath-beyond hull of deduped integer points with affine rank d >= 2.
+    """Quickhull-style hull of deduped integer points with affine rank d >= 2.
 
     Returns (vertex_ids, merged_facets): the ids of the extreme points, and
     facets (normal, offset, G) with the outward primitive normal, after the
     coplanar merge of the simplicial pieces; G is the sum over the pieces of
     the gcd g of the piece's cross product, which is g * normal.
+
+    The points off the starting simplex are inserted once each, farthest
+    from its centroid first.  A point outside the current hull waits in the
+    outside list of the first piece it sees.  Inserting it walks across
+    ridges from that owner to every piece it sees, cones the horizon to it,
+    and hands the outside points of the deleted pieces to the new pieces
+    only: a point beyond a deleted piece and outside the new hull is beyond
+    a new piece (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point
+    that sees no piece is inside for good and is never tested again.
     """
+    k = d + 1
     # the simplex's centroid, interior2 / (d + 1), is interior to every step
-    interior2 = tuple(sum(ipts[i][k] for i in simplex) for k in range(d))
+    interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
+    # label the points in order of insertion: the simplex, then the rest by
+    # decreasing squared distance from the centroid, ties by id; so a new
+    # point's label exceeds that of every corner on the hull
+    skip = set(simplex)
+    rest = [i for i in range(len(ipts)) if i not in skip]
+    rest.sort(key=lambda i: sum((k * x - m) ** 2 for x, m in zip(ipts[i], interior2)),
+              reverse=True)
+    ids = simplex + rest
+    raw = [ipts[i] for i in ids]
+    # the visibility tests run in Z^4, on points and normals padded by zeros
+    pad = (0,) * (4 - d)
+    pts = [p + pad for p in raw] if pad else raw
 
-    # facets[fid] = (sorted point ids, n, c, g); planes[fid] = (*n, c) for
-    # the visibility scan.  Both keep insertion order.
-    facets: dict[int, tuple] = {}
-    planes: dict[int, tuple] = {}
-    next_id = 0
+    def piece(verts):
+        P = _Piece()
+        n, c, P.g = _plane([raw[v] for v in verts], interior2, k)
+        P.plane = n + pad + (c,)
+        P.verts = verts
+        P.outside = P.mark = None
+        return P
 
-    def add_facet(vert_ids, points):
-        nonlocal next_id
-        n, c, g = _plane(points, interior2, d + 1)
-        facets[next_id] = (vert_ids, n, c, g)
-        planes[next_id] = n + (c,)
-        next_id += 1
+    owner: list = [None] * len(ids)
 
-    for i in range(d + 1):
-        verts = [simplex[j] for j in range(d + 1) if j != i]
-        add_facet(tuple(sorted(verts)), [ipts[v] for v in verts])
-
-    in_simplex = set(simplex)
-    for p_idx in range(len(ipts)):
-        if p_idx in in_simplex:
-            continue
-        p = ipts[p_idx]
-        if d == 4:
-            x0, x1, x2, x3 = p
-            visible = [
-                fid for fid, (a, b, e, f, c) in planes.items()
-                if a * x0 + b * x1 + e * x2 + f * x3 > c
-            ]
-        elif d == 3:
-            x0, x1, x2 = p
-            visible = [
-                fid for fid, (a, b, e, c) in planes.items() if a * x0 + b * x1 + e * x2 > c
-            ]
-        else:
-            x0, x1 = p
-            visible = [fid for fid, (a, b, c) in planes.items() if a * x0 + b * x1 > c]
-        if not visible:
-            continue
-        # each ridge of the visible region borders two facets; the horizon
-        # keeps the ones seen once, in order of first sight
-        horizon: dict[tuple[int, ...], None] = {}
-        for fid in visible:
-            verts = facets.pop(fid)[0]
-            del planes[fid]
-            for k in range(d):
-                ridge = verts[:k] + verts[k + 1:]
-                if ridge in horizon:
-                    del horizon[ridge]
+    def assign(q, pieces):
+        # q joins the outside list of the first of the pieces it is
+        # strictly beyond, or is inside them all
+        x0, x1, x2, x3 = pts[q]
+        for P in pieces:
+            a, b, e, f, c = P.plane
+            if a * x0 + b * x1 + e * x2 + f * x3 > c:
+                owner[q] = P
+                if P.outside is None:
+                    P.outside = [q]
                 else:
-                    horizon[ridge] = None
-        for ridge in horizon:
-            # ridges are sorted; p_idx exceeds them unless they hold a later simplex point
-            verts = ridge + (p_idx,) if p_idx > ridge[-1] else tuple(sorted(ridge + (p_idx,)))
-            add_facet(verts, [ipts[v] for v in ridge] + [p])
+                    P.outside.append(q)
+                return
+        owner[q] = None
+
+    start = [piece(tuple(j for j in range(k) if j != i)) for i in range(k)]
+    for i, P in enumerate(start):
+        P.nbrs = [start[j] for j in range(d, -1, -1) if j != i]
+    # live pieces in order of creation, so that the merge below is repeatable
+    live = dict.fromkeys(start)
+    for q in range(k, len(ids)):
+        assign(q, start)
+
+    for q in range(k, len(ids)):
+        V = owner[q]
+        if V is None:
+            continue
+        owner[q] = None
+        x0, x1, x2, x3 = pts[q]
+        # walk the pieces q sees, a ball around its owner, marking each piece
+        # tested with q (seen) or ~q (not seen).  Each ridge to a piece not
+        # seen is on the horizon and gets the new piece ridge + (q,), whose
+        # ridge 0 is that ridge and ridge i + 1 that ridge's i-th sub-ridge
+        # plus q; two new pieces meet across each sub-ridge of the horizon.
+        V.mark = q
+        visible = [V]
+        new = []
+        cone = {}
+        for V in visible:
+            del live[V]
+            for ridge, N in zip(combinations(V.verts, d - 1), V.nbrs):
+                m = N.mark
+                if m == q:
+                    continue
+                if m != ~q:
+                    a, b, e, f, c = N.plane
+                    if a * x0 + b * x1 + e * x2 + f * x3 > c:
+                        N.mark = q
+                        visible.append(N)
+                        continue
+                    N.mark = ~q
+                P = piece(ridge + (q,))
+                P.nbrs = nbrs = [N] + [None] * (d - 1)
+                N.nbrs[N.nbrs.index(V)] = P
+                for j, sub in enumerate(combinations(ridge, d - 2), 1):
+                    other = cone.pop(sub, None)
+                    if other is None:
+                        cone[sub] = P, j
+                    else:
+                        O, o = other
+                        nbrs[j] = O
+                        O.nbrs[o] = P
+                new.append(P)
+                live[P] = None
+        for V in visible:
+            if V.outside is not None:
+                for r in V.outside:
+                    if r != q:
+                        assign(r, new)
+            # no cycles left behind, so the dead pieces are freed at once
+            V.nbrs = V.outside = None
 
     merged: dict[tuple[int, ...], list[int]] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
-    for verts, n, c, g in facets.values():
+    for P in live:
+        P.nbrs = None  # as for the dead pieces: no cycles left behind
+        n, c = P.plane[:d], P.plane[4]
         acc = merged.get(n)
         if acc is None:
-            merged[n] = [c, g]
+            merged[n] = [c, P.g]
         elif acc[0] != c:
             raise RuntimeError("parallel facets with distinct offsets")
         else:
-            acc[1] += g
-        for v in verts:
+            acc[1] += P.g
+        for v in P.verts:
             incident.setdefault(v, set()).add(n)
 
     # a point is extreme iff the facets through it have normals of rank d;
     # every facet through an extreme point has a piece with it as a corner
-    vertex_ids = [v for v, normals in incident.items() if _spans(normals, d)]
+    vertex_ids = [ids[v] for v, normals in incident.items() if _spans(normals, d)]
     return vertex_ids, [(n, c, g) for n, (c, g) in merged.items()]
 
 
@@ -222,8 +292,11 @@ def _basis(vectors: Iterable[Sequence[int]], d: int):
     so projecting onto cols maps their span one-to-one.  The chain is
     unrolled in Z^4, with shorter vectors padded by zeros, and stops at rank
     d: a nonzero a, then b with a nonzero 2x2 minor m of a, b, then c with a
-    nonzero cross product x of a, b, c, then e with <x, e> != 0.  m and x
-    are divided by their gcd, which keeps them small on flats of huge points.
+    nonzero cross product x of a, b, c, then e with <x, e> != 0.  At the
+    first candidate that m (or x) finds dependent, it is divided by its gcd,
+    which keeps it small while the chain scans on over a flat of huge
+    points; a chain that meets no dependent candidate, as in the vertex test,
+    never pays for the gcd.
     """
     pad = (0,) * (4 - d)
     it = enumerate(vectors if d == 4 else (tuple(v) + pad for v in vectors))
@@ -246,8 +319,7 @@ def _basis(vectors: Iterable[Sequence[int]], d: int):
         return [ia], [next(k for k, x in enumerate(a) if x)]
     if d == 2:
         return [ia, ib], [0, 1]
-    g = gcd(m01, m02, m03, m12, m13, m23)
-    m01 //= g; m02 //= g; m03 //= g; m12 //= g; m13 //= g; m23 //= g
+    reduced = False
     for ic, (c0, c1, c2, c3) in it:
         x0 = c1 * m23 - c2 * m13 + c3 * m12
         x1 = c2 * m03 - c0 * m23 - c3 * m02
@@ -255,16 +327,23 @@ def _basis(vectors: Iterable[Sequence[int]], d: int):
         x3 = c1 * m02 - c0 * m12 - c2 * m01
         if x0 or x1 or x2 or x3:
             break
+        if not reduced:
+            reduced = True
+            g = gcd(m01, m02, m03, m12, m13, m23)
+            m01 //= g; m02 //= g; m03 //= g; m12 //= g; m13 //= g; m23 //= g
     else:
         m = {(0, 1): m01, (0, 2): m02, (0, 3): m03, (1, 2): m12, (1, 3): m13, (2, 3): m23}
         return [ia, ib], list(next(cols for cols, x in m.items() if x))
     if d == 3:
         return [ia, ib, ic], [0, 1, 2]
-    g = gcd(x0, x1, x2, x3)
-    x0 //= g; x1 //= g; x2 //= g; x3 //= g
+    reduced = False
     for ie, (e0, e1, e2, e3) in it:
         if x0 * e0 + x1 * e1 + x2 * e2 + x3 * e3:
             return [ia, ib, ic, ie], [0, 1, 2, 3]
+        if not reduced:
+            reduced = True
+            g = gcd(x0, x1, x2, x3)
+            x0 //= g; x1 //= g; x2 //= g; x3 //= g
     # x_k is, up to sign, the minor of a, b, c on the other three coordinates
     skip = next(k for k, x in enumerate((x0, x1, x2, x3)) if x)
     return [ia, ib, ic], [k for k in range(4) if k != skip]
@@ -299,15 +378,15 @@ class Polytope:
             self._scale,
             self._merged,
             self._area,
+            self._volume,
         ) = _raw
         self._facets = None
-        self._volume = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(_raw=(ambient_dim, (), -1, 1, (), AreaMeasure(ambient_dim, ())))
+        return Polytope(_raw=(ambient_dim, (), -1, 1, (), AreaMeasure(ambient_dim, ()), 0))
 
     @staticmethod
     def point(coords: Sequence) -> "Polytope":
@@ -341,6 +420,13 @@ class Polytope:
 
     # -- structure -----------------------------------------------------------
 
+    def _rows(self):
+        """(n, G) of each merged facet.  _merged keeps them flat, d + 1
+        integers a facet, and not the offsets, which the vertices give: a
+        body kept in memory holds no tuple and no offset per facet."""
+        m, d = self._merged, self.ambient_dim
+        return ((m[i:i + d], m[i + d]) for i in range(0, len(m), d + 1))
+
     @property
     def facets(self) -> tuple[Facet, ...]:
         """Merged facets; populated only for full-dimensional polytopes."""
@@ -348,13 +434,16 @@ class Polytope:
             if self.affine_dim != self.ambient_dim:
                 self._facets = ()
             else:
+                # each vertex times s is an integer point; the cleared offset c
+                # of facet n is the largest <n, s * v>, taken on its vertices
+                s = self._scale
+                ivs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
                 out = []
-                for n, c_int, _ in self._merged:
-                    offset = Fraction(c_int, self._scale)
-                    ids = frozenset(
-                        i for i, v in enumerate(self.vertices) if dot(n, v) == offset
-                    )
-                    out.append(Facet(n, offset, ids))
+                for n, _ in self._rows():
+                    dots = [sum(map(mul, n, v)) for v in ivs]
+                    c = max(dots)
+                    ids = frozenset(i for i, x in enumerate(dots) if x == c)
+                    out.append(Facet(n, Fraction(c, s), ids))
                 out.sort(key=lambda f: f.normal)
                 self._facets = tuple(out)
         return self._facets
@@ -375,18 +464,15 @@ class Polytope:
     def volume(self) -> Fraction:
         """Top-dimensional volume; zero for lower-dimensional bodies.
 
-        Computed via the divergence identity vol = (1/n) sum_F h(P, sigma_F).
-        With facets (u, c, G) in the integer-cleared coordinates s * x, the
+        Via the divergence identity vol = (1/n) sum_F h(P, sigma_F): with
+        facets (u, c, G) in the integer-cleared coordinates s * x, the
         facet's cross-product weight is G * u and its support value c, so
-        vol = sum_F G * c / (n! * s^n).
+        vol = sum_F G * c / (n! * s^n).  The hull leaves the integer
+        sum_F G * c in _volume, and the first call divides it.
         """
-        if self._volume is None:
+        if type(self._volume) is int:
             n = self.ambient_dim
-            if self.affine_dim < n:
-                self._volume = Fraction(0)
-            else:
-                total = sum(g * c for _, c, g in self._merged)
-                self._volume = Fraction(total, factorial(n) * self._scale**n)
+            self._volume = Fraction(self._volume, factorial(n) * self._scale**n)
         return self._volume
 
     def area_measure(self) -> AreaMeasure:
@@ -400,7 +486,7 @@ class Polytope:
         if self._area is None:
             n = self.ambient_dim
             denom = factorial(n - 1) * self._scale ** (n - 1)
-            atoms = (tuple(Fraction(g * x, denom) for x in u) for u, _, g in self._merged)
+            atoms = (tuple(Fraction(g * x, denom) for x in u) for u, g in self._rows())
             self._area = AreaMeasure(n, tuple(sorted(atoms)))
         return self._area
 
@@ -493,7 +579,9 @@ def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope
     vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
     r = len(chosen)
     if r == dim:
-        return Polytope(_raw=(dim, vertices, dim, scale, tuple(merged), None))
+        flat = tuple(x for n, _, g in merged for x in (*n, g))
+        total = sum(g * c for _, c, g in merged)
+        return Polytope(_raw=(dim, vertices, dim, scale, flat, None, total))
     atoms = ()
     if r == dim - 1:
         # projecting onto cols scales r-volume by the basis edges' minor
@@ -512,7 +600,7 @@ def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope
         flat_volume = Fraction(proj_volume, factorial(r) * abs(n[skip]))
         plus = tuple(flat_volume * x / scale**r for x in n)
         atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
-    return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms)))
+    return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms), 0))
 
 
 def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:

@@ -783,6 +783,81 @@ def test_hyp_scale_4d_matches_bruteforce(pts):
         assert P.scale(c).vertices == tuple(_ohull_vertices([tuple(c * x for x in p) for p in pts]))
 
 
+# -- large clouds ------------------------------------------------------------------
+
+
+def _oslack(pts, a, c):
+    """min over the points of c - <a, p>: not negative when every point
+    satisfies <a, x> <= c, and zero when the hyperplane touches them."""
+    return min(c - _odot(a, p) for p in pts)
+
+
+def _oface_rank(pts, a, c):
+    """Affine rank of the points on the hyperplane <a, x> = c."""
+    on = [p for p in pts if _odot(a, p) == c]
+    return _orank([tuple(x - y for x, y in zip(p, on[0])) for p in on[1:]], len(a))
+
+
+def large_cloud(seed):
+    """40-150 points of R^4, most of them interior, on facets or repeated:
+    a box lattice grid under a unimodular shear, or all sums of three small
+    lattice point sets; every third cloud is scaled by 2/3."""
+    rng = random.Random(f"large-cloud:{seed}")
+    if seed % 2 == 0:
+        while True:
+            sides = [rng.randint(1, 3) for _ in range(4)]
+            if 40 <= (sides[0] + 1) * (sides[1] + 1) * (sides[2] + 1) * (sides[3] + 1) <= 130:
+                break
+        shear = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(4)]
+                 for i in range(4)]
+        grid = itertools.product(*(range(s + 1) for s in sides))
+        pts = [tuple(sum(r * x for r, x in zip(row, p)) for row in shear) for p in grid]
+    else:
+        # a lattice segment with its midpoint, and one more point, per set
+        sets = []
+        for _ in range(3):
+            v, w = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(2)]
+            sets.append([(0,) * 4, v, tuple(2 * x for x in v), w])
+        pts = [tuple(map(sum, zip(a, b, c))) for a, b, c in itertools.product(*sets)]
+    pts += rng.choices(pts, k=10)
+    scale = F(2, 3) if seed % 3 == 0 else 1
+    return [tuple(scale * F(x) for x in p) for p in pts]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_large_clouds_certified(seed):
+    # large enough for points to be handed between outside lists many times;
+    # the brute-force oracles above stop at nine points
+    pts = large_cloud(seed)
+    P = convex_hull(pts)
+    distinct = set(pts)
+    assert P.affine_dim == 4 and 40 <= len(distinct) <= 150
+    assert set(P.vertices) <= distinct and len(P.vertices) < len(distinct) / 2
+
+    def record(Q):
+        facets = tuple((f.normal, f.offset, tuple(sorted(f.vertex_ids))) for f in Q.facets)
+        return Q.vertices, facets, Q.volume(), Q.area_measure().atoms
+
+    rng = random.Random(seed)
+    for _ in range(5):
+        rng.shuffle(pts)
+        assert record(convex_hull(pts)) == record(P)
+
+    # every input lies beneath every facet, each facet's hyperplane meets the
+    # inputs in a 3-face, and the vertices on it are the facet's vertex ids
+    for f in P.facets:
+        assert _oslack(pts, f.normal, f.offset) == 0
+        assert _oface_rank(pts, f.normal, f.offset) == 3
+        on = {i for i, v in enumerate(P.vertices) if _odot(f.normal, v) == f.offset}
+        assert on == f.vertex_ids
+    for v in P.vertices:
+        through = [f.normal for f in P.facets if _odot(f.normal, v) == f.offset]
+        assert _orank(through, 4) == 4
+    for _ in range(64):
+        u = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        assert P.support(u) == max(_odot(u, p) for p in pts)
+
+
 # -- pinned kernel output ------------------------------------------------------------
 
 # sha256 of the kernel's exact outputs on _pinned_clouds(), recorded before
