@@ -32,8 +32,11 @@ def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Frac
     """V(K1, K2, K3, K4) by polarization; symmetric and Minkowski-multilinear.
 
     V = (1/4!) sum over nonempty S of (-1)^(4-|S|) vol(sum of K_i, i in S).
-    Repeated bodies are collapsed to dilates before summing, which keeps the
-    intermediate hulls small.
+    Repeated (equal) bodies are collapsed to dilates before summing, which
+    keeps the intermediate hulls small.  A subset of one distinct body K
+    taken m times builds no hull: its volume is m^4 * vol(K), read from K's
+    cache.  Every sum of distinct bodies is hulled, so this route stays
+    independent of the facet form.
     """
     bodies = (K1, K2, K3, K4)
     _check_quadruple(bodies)
@@ -51,9 +54,12 @@ def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Frac
             counts: dict[int, int] = {}
             for c in key:
                 counts[c] = counts.get(c, 0) + 1
-            groups = [[tuple(m * x for x in v) for v in bodies[c].vertices]
-                      for c, m in counts.items()]
-            vol_cache[key] = _sum_points(groups, 4).volume()
+            if len(counts) == 1:
+                vol_cache[key] = len(key) ** 4 * bodies[key[0]].volume()
+            else:
+                groups = [[tuple(m * x for x in v) for v in bodies[c].vertices]
+                          for c, m in counts.items()]
+                vol_cache[key] = _sum_points(groups, 4).volume()
         return vol_cache[key]
 
     acc = Fraction(0)

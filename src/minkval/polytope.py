@@ -15,7 +15,10 @@ flat one-to-one and tells the vertices.  _plane is the one integer cross
 product, unrolled in Z^4 and fed zero-padded points in Z^2 and Z^3; it gives
 every facet piece and the normal of a codimension-1 flat.  Each simplicial facet
 piece is kept as its primitive outward normal u, offset c and the gcd g of
-its cross product, which is g * u.  Coplanar pieces are merged by u into facets
+its cross product, which is g * u.  A new piece whose point lies on the plane
+of the horizon piece it borders lies on that plane too: it takes (u, c) from
+there, and _plane's known-plane form reads g off one cofactor of the cross
+product.  Coplanar pieces are merged by u into facets
 (u, c, G) with G the sum of their g, so facet identity and area-measure
 atoms are canonical, and
 
@@ -80,16 +83,22 @@ class AreaMeasure:
         return len(self.atoms)
 
 
-def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int):
+def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None):
     """Hyperplane through d points of Z^d, oriented away from the point ref / k.
 
     Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
-    and g the gcd of the simplex's cross product, which is therefore +/- g * n.
-    This is the kernel's one integer cross product, unrolled in Z^4 over the
-    six 2x2 minors of the last two edges.  For d < 4 the points and ref are
-    padded with zeros and the edges completed by the unit edges e_d, ..., e_3,
-    whose minors vanish off the first d coordinates: the Z^4 cross product is
-    then zero after entry d, and its first d entries are the Z^d one.
+    and g the gcd of the simplex's cross product X, which is therefore
+    +/- g * n.  This is the kernel's one integer cross product, unrolled in
+    Z^4 over the six 2x2 minors of the last two edges.  For d < 4 the points
+    and ref are padded with zeros and the edges completed by the unit edges
+    e_d, ..., e_3, whose minors vanish off the first d coordinates: the Z^4
+    cross product is then zero after entry d, and its first d entries are
+    the Z^d one.
+
+    known is the plane (*n, ...) of a piece the points are known to lie in,
+    with n padded to Z^4 as the engine keeps it.  Then only g is returned,
+    as |X_j / n_j| at the first nonzero n_j: one cofactor of X, with no gcd,
+    offset or orientation test.
     """
     d = len(ref)
     if d < 4:
@@ -105,6 +114,20 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int):
     u0 -= b0; u1 -= b1; u2 -= b2; u3 -= b3
     v0 -= b0; v1 -= b1; v2 -= b2; v3 -= b3
     w0 -= b0; w1 -= b1; w2 -= b2; w3 -= b3
+    if known is not None:
+        # entry j of X, written out as below with the minors inlined
+        j = 0 if known[0] else 1 if known[1] else 2 if known[2] else 3
+        if j == 0:
+            x = u1 * (v2 * w3 - v3 * w2) - u2 * (v1 * w3 - v3 * w1) + u3 * (v1 * w2 - v2 * w1)
+        elif j == 1:
+            x = u2 * (v0 * w3 - v3 * w0) - u0 * (v2 * w3 - v3 * w2) - u3 * (v0 * w2 - v2 * w0)
+        elif j == 2:
+            x = u0 * (v1 * w3 - v3 * w1) - u1 * (v0 * w3 - v3 * w0) + u3 * (v0 * w1 - v1 * w0)
+        else:
+            x = u1 * (v0 * w2 - v2 * w0) - u0 * (v1 * w2 - v2 * w1) - u2 * (v0 * w1 - v1 * w0)
+        if x == 0:
+            raise RuntimeError("degenerate facet candidate")
+        return abs(x // known[j])
     m01 = v0 * w1 - v1 * w0
     m02 = v0 * w2 - v2 * w0
     m03 = v0 * w3 - v3 * w0
@@ -176,10 +199,14 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     pad = (0,) * (4 - d)
     pts = [p + pad for p in raw] if pad else raw
 
-    def piece(verts):
+    def piece(verts, plane=None):
         P = _Piece()
-        n, c, P.g = _plane([raw[v] for v in verts], interior2, k)
-        P.plane = n + pad + (c,)
+        if plane is None:
+            n, c, P.g = _plane([raw[v] for v in verts], interior2, k)
+            P.plane = n + pad + (c,)
+        else:
+            P.g = _plane([raw[v] for v in verts], interior2, k, plane)
+            P.plane = plane
         P.verts = verts
         P.outside = P.mark = None
         return P
@@ -220,10 +247,13 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
         # seen is on the horizon and gets the new piece ridge + (q,), whose
         # ridge 0 is that ridge and ridge i + 1 that ridge's i-th sub-ridge
         # plus q; two new pieces meet across each sub-ridge of the horizon.
+        # When q lies on the plane of the piece not seen, in flat, the new
+        # piece lies on it too and takes that plane.
         V.mark = q
         visible = [V]
         new = []
         cone = {}
+        flat = set()
         for V in visible:
             del live[V]
             for ridge, N in zip(combinations(V.verts, d - 1), V.nbrs):
@@ -232,12 +262,15 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
                     continue
                 if m != ~q:
                     a, b, e, f, c = N.plane
-                    if a * x0 + b * x1 + e * x2 + f * x3 > c:
+                    t = a * x0 + b * x1 + e * x2 + f * x3 - c
+                    if t > 0:
                         N.mark = q
                         visible.append(N)
                         continue
                     N.mark = ~q
-                P = piece(ridge + (q,))
+                    if t == 0:
+                        flat.add(N)
+                P = piece(ridge + (q,), N.plane if N in flat else None)
                 P.nbrs = nbrs = [N] + [None] * (d - 1)
                 N.nbrs[N.nbrs.index(V)] = P
                 for j, sub in enumerate(combinations(ridge, d - 2), 1):
@@ -427,6 +460,11 @@ class Polytope:
         m, d = self._merged, self.ambient_dim
         return ((m[i:i + d], m[i + d]) for i in range(0, len(m), d + 1))
 
+    def _cleared(self) -> list[tuple[int, ...]]:
+        """The integer points s * v of the vertices, s being _scale."""
+        s = self._scale
+        return [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
+
     @property
     def facets(self) -> tuple[Facet, ...]:
         """Merged facets; populated only for full-dimensional polytopes."""
@@ -434,10 +472,10 @@ class Polytope:
             if self.affine_dim != self.ambient_dim:
                 self._facets = ()
             else:
-                # each vertex times s is an integer point; the cleared offset c
-                # of facet n is the largest <n, s * v>, taken on its vertices
+                # the cleared offset c of facet n is the largest <n, s * v>,
+                # taken on its vertices
                 s = self._scale
-                ivs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
+                ivs = self._cleared()
                 out = []
                 for n, _ in self._rows():
                     dots = [sum(map(mul, n, v)) for v in ivs]
@@ -449,17 +487,21 @@ class Polytope:
         return self._facets
 
     def support(self, xi: Sequence) -> Fraction:
-        """Exact support value max_{x in P} <xi, x>.
+        """Exact support value max_{x in P} <xi, x>, always a Fraction.
 
         Components other than int and Fraction, such as floats and strings
-        like "1/3", are read exactly by Fraction.
+        like "1/3", are read exactly by Fraction.  The value is taken in
+        integers: xi is cleared once to t * xi and the vertices to s * v, s
+        being _scale, and the largest <t * xi, s * v> over the vertices
+        gives the one Fraction built.  Nothing of it is stored.
         """
         if self.is_empty:
             raise ValueError("support of an empty polytope is undefined")
         if len(xi) != self.ambient_dim:
             raise ValueError("dimension mismatch in support direction")
-        xi = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]
-        return max(dot(xi, v) for v in self.vertices)
+        t, (w,) = clear_denominators(
+            [[x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]])
+        return Fraction(max(sum(map(mul, w, v)) for v in self._cleared()), t * self._scale)
 
     def volume(self) -> Fraction:
         """Top-dimensional volume; zero for lower-dimensional bodies.

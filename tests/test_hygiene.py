@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+import sys
 
 import pytest
 
@@ -28,6 +29,22 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text())
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    # the package has no runtime dependency: every import is relative,
+    # __future__ or a standard-library module
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        outside += [t for t in tops if t != "__future__" and t not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_public_names_resolve():

@@ -8,9 +8,10 @@ import random
 
 import pytest
 
+from minkval import mixed
 from minkval.linalg import det, dot
 from minkval.mixed import mixed_volume, mixed_volume_31, mixed_volume_fn
-from minkval.polytope import Polytope, affine_transform, convex_hull, minkowski_sum
+from minkval.polytope import Polytope, _sum_points, affine_transform, convex_hull, minkowski_sum
 
 F = Fraction
 
@@ -97,6 +98,66 @@ def test_low_dimensional_K_vanishes():
     L = rand_body(rng, nverts=6)
     assert mixed_volume_31(K, L) == 0
     assert mixed_volume(K, K, K, L) == 0
+
+
+# -- dilates of one body ---------------------------------------------------------
+
+
+def flat_body(rng, rank, max_den):
+    """A body of affine dimension rank in R^4 with denominators up to max_den."""
+    while True:
+        base = [rand_rational(rng, max_den=max_den) for _ in range(4)]
+        gens = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(rank)]
+        pts = []
+        for _ in range(rank + 3):
+            coef = [rand_rational(rng, max_den=max_den) for _ in range(rank)]
+            pts.append(tuple(b + sum(t * g[i] for t, g in zip(coef, gens)) for i, b in enumerate(base)))
+        P = convex_hull(pts)
+        if P.affine_dim == rank:
+            return P
+
+
+def test_diagonal_is_volume_random():
+    rng = random.Random(41)
+    for rank in (0, 2, 3, 4, 4):
+        K = flat_body(rng, rank, 10**6)
+        assert mixed_volume(K, K, K, K) == K.volume()
+
+
+@pytest.mark.parametrize("max_den", [4, 10**6])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_polarization_with_dilates_matches_facet_form(rank, max_den):
+    # V(P, P, P, Q) reads vol(mP) as m^4 vol(P), also when P comes as two
+    # equal bodies that are distinct objects
+    rng = random.Random(f"dilates:{rank}:{max_den}")
+    for _ in range(2):
+        P = flat_body(rng, rank, max_den)
+        twin = convex_hull(reversed(P.vertices))
+        assert twin == P and twin is not P
+        Q = rand_body(rng, nverts=5)
+        want = mixed_volume_31(P, Q)
+        assert (want == 0) == (rank < 3)
+        assert mixed_volume(P, P, P, Q) == want
+        assert mixed_volume(P, twin, P, Q) == want
+        assert mixed_volume(Q, twin, P, twin) == want
+
+
+def test_one_body_subsets_build_no_hull(monkeypatch):
+    built = []
+
+    def counted(groups, dim):
+        built.append(len(groups))
+        return _sum_points(groups, dim)
+
+    monkeypatch.setattr(mixed, "_sum_points", counted)
+    C, S = unit_cube4(), standard_simplex4()
+    assert mixed_volume(C, C, C, C) == 1 and built == []
+    assert mixed_volume(C, C, C, S) == mixed_volume_31(C, S)
+    # of P, Q, 2P, P+Q, 3P, 2P+Q and 3P+Q only the sums are hulled
+    assert built == [2, 2, 2]
+    built.clear()
+    assert mixed_volume(*[axis_segment(i) for i in range(4)]) == F(1, 24)
+    assert len(built) == 11 and min(built) == 2
 
 
 # -- structural properties ---------------------------------------------------------

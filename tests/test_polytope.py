@@ -8,16 +8,20 @@ fan-triangulation volume oracle for random bodies.
 from fractions import Fraction
 import hashlib
 import itertools
+import math
 from math import gcd, lcm
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minkval.cplx import DualPolytope
 from minkval.linalg import det, vec_sub
+import minkval.polytope as polytope
 from minkval.polytope import (
     Polytope,
     _basis,
+    _plane,
     _spans,
     affine_transform,
     convex_hull,
@@ -382,6 +386,41 @@ def test_hyp_support_additivity(pts1, pts2, xi):
     assert S.support(xi) == P.support(xi) + Q.support(xi)
 
 
+huge_den = st.fractions(min_value=-9, max_value=9, max_denominator=10**12)
+direction_component = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    huge_den,
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.builds("{}/{}".format, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def bodies_of_any_rank(draw):
+    """(k, points): up to seven points of a flat of rank 0 to k in R^k, for
+    k in {2, 3, 4}, with denominators up to 10^12."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    r = draw(st.integers(min_value=0, max_value=k))
+    base = draw(st.tuples(*[huge_den] * k))
+    gens = [draw(st.tuples(*[small_int] * k)) for _ in range(r)]
+    coefs = draw(st.lists(st.tuples(*[huge_den] * r), min_size=1, max_size=7))
+    return k, [tuple(b + sum(t * g[i] for t, g in zip(co, gens)) for i, b in enumerate(base))
+               for co in coefs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bodies_of_any_rank(), st.data())
+def test_hyp_support_is_an_exact_fraction_max(body, data):
+    # int, Fraction, float and "p/q" components, each read exactly, against
+    # a Fraction max over the input points; the dual body answers the same
+    k, pts = body
+    P = convex_hull(pts)
+    xi = data.draw(st.tuples(*[direction_component] * k))
+    want = max(sum(F(a) * x for a, x in zip(xi, p)) for p in pts)
+    for got in (P.support(xi), DualPolytope(P).support(xi), P.support(list(xi))):
+        assert type(got) is Fraction and got == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(point_lists(dim=3, min_size=4, max_size=8))
 def test_hyp_area_closure(pts):
@@ -625,13 +664,10 @@ def clouds_2d_3d(draw):
     return k, pts + draw(st.lists(st.sampled_from(pts), max_size=3))
 
 
-@settings(max_examples=100, deadline=None)
-@given(clouds_2d_3d())
-def test_hyp_hull_2d_3d_matches_bruteforce(cloud):
-    # ambient 2 and 3 at every rank: vertices, facets, volume and atoms,
-    # with the two opposite atoms of a segment in R^2 or a polygon in R^3
-    k, pts = cloud
-    P = convex_hull(pts)
+def assert_matches_bruteforce(P, pts, k):
+    """P, the hull of pts in R^k, against the _o* oracles at every rank:
+    vertices, facets, volume and atoms, with the two opposite atoms of a
+    body of dimension k - 1."""
     distinct = sorted(set(pts))
     r = _orank([tuple(x - y for x, y in zip(p, distinct[0])) for p in distinct[1:]], k)
     assert P.affine_dim == r
@@ -664,6 +700,108 @@ def test_hyp_hull_2d_3d_matches_bruteforce(cloud):
         assert set(P.area_measure().atoms) == {atom, tuple(-x for x in atom)}
     else:
         assert P.area_measure().atoms == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(clouds_2d_3d())
+def test_hyp_hull_2d_3d_matches_bruteforce(cloud):
+    k, pts = cloud
+    assert_matches_bruteforce(convex_hull(pts), pts, k)
+
+
+def hull_record(P):
+    facets = tuple((f.normal, f.offset, tuple(sorted(f.vertex_ids))) for f in P.facets)
+    return P.vertices, facets, P.volume(), P.area_measure().atoms
+
+
+def coplanar_cloud(rng, k, shape):
+    """About a dozen points of R^k, many of them on one facet plane: a
+    lattice grid in a hyperplane and two points off it, sums of lattice
+    segments, points on the faces of a box (most on two opposite ones), or
+    (k = 4) a lattice grid on a 2- or 3-flat.  Sheared, scaled by 1/3 or
+    1/10^6 at times, and with a few repeats."""
+    size = (12, 16, 11)[k - 2]
+    if shape in ("flat2", "flat3"):
+        r = int(shape[-1])
+        gens = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(r)]
+        coefs = itertools.product(*([range(3)] * 2 + [range(2)] * (r - 2)))
+        pts = [tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(k)) for cs in coefs]
+    elif shape == "grid":
+        while True:
+            sides = [rng.randint(1, 3) for _ in range(k - 1)]
+            if math.prod(s + 1 for s in sides) <= size - 2:
+                break
+        pts = [p + (0,) for p in itertools.product(*(range(s + 1) for s in sides))]
+        pts += [tuple(rng.randint(-1, 3) for _ in range(k - 1)) + (rng.randint(1, 2),)
+                for _ in range(2)]
+    elif shape == "segments":
+        segs = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(k)]
+        steps = [range(3)] + [range(2)] * (k - 1)
+        pts = [tuple(sum(c * g[i] for c, g in zip(cs, segs)) for i in range(k))
+               for cs in itertools.product(*steps)]
+        pts = rng.sample(pts, min(size, len(pts)))
+    else:
+        sides = [rng.randint(1, 3) for _ in range(k)]
+        pts = []
+        for _ in range(size):
+            p = [F(rng.randint(0, 2 * s), 2) for s in sides]
+            j = rng.choice([0, 0, 0] + list(range(1, k)))
+            p[j] = rng.choice((0, sides[j]))
+            pts.append(tuple(p))
+    shear = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(k)] for i in range(k)]
+    scale = rng.choice((1, F(1, 3), F(1, 10**6)))
+    pts = [tuple(scale * sum(a * F(x) for a, x in zip(row, p)) for row in shear) for p in pts]
+    return pts + rng.choices(pts, k=2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coplanar_clouds_match_bruteforce(k, monkeypatch):
+    # many points on each facet plane, so that a new piece often lies in the
+    # plane of the horizon piece it borders and takes that plane; the result
+    # must match the oracles and not depend on the input order
+    known = []
+
+    def counted(points, ref, kk, plane=None):
+        known.append(plane is not None)
+        return _plane(points, ref, kk, plane)
+
+    monkeypatch.setattr(polytope, "_plane", counted)
+    rng = random.Random(f"coplanar:{k}")
+    shapes = ["grid", "segments", "faces"] + (["flat2", "flat3"] if k == 4 else [])
+    for shape in shapes:
+        for _ in range(3 if k < 4 else 2):
+            pts = coplanar_cloud(rng, k, shape)
+            P = convex_hull(pts)
+            assert_matches_bruteforce(P, pts, k)
+            for _ in range(5):
+                rng.shuffle(pts)
+                assert hull_record(convex_hull(pts)) == hull_record(P)
+    assert sum(known) >= 10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_plane_known_form_gives_the_gcd(d):
+    # the known-plane form reads the same weight g off one cofactor, for any
+    # d points on the plane, and still rejects a degenerate simplex
+    rng = random.Random(f"plane:{d}")
+    pad = (0,) * (4 - d)
+    for _ in range(100):
+        face = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(d)]
+        ref = tuple(rng.randint(-9, 9) for _ in range(d))
+        if _orank([vec_sub(p, ref) for p in face], d) < d:
+            continue
+        n, c, g = _plane(face, ref, 1)
+        assert _plane(face, ref, 1, n + pad + (c,)) == g
+        # other points of the plane: integer affine combinations of the face
+        other = [tuple(x + sum(a * (q[i] - x) for a, q in zip(co, face[1:]))
+                       for i, x in enumerate(face[0]))
+                 for co in ([rng.randint(-3, 3) for _ in range(d - 1)] for _ in range(d))]
+        if _orank([vec_sub(p, other[0]) for p in other[1:]], d) == d - 1:
+            n2, c2, g2 = _plane(other, ref, 1)
+            assert (n2, c2) == (n, c)
+            assert _plane(other, ref, 1, n + pad + (c,)) == g2
+        with pytest.raises(RuntimeError):
+            _plane([face[0]] * d, ref, 1, n + pad + (c,))
 
 
 sparse_int = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
@@ -834,14 +972,10 @@ def test_hull_large_clouds_certified(seed):
     assert P.affine_dim == 4 and 40 <= len(distinct) <= 150
     assert set(P.vertices) <= distinct and len(P.vertices) < len(distinct) / 2
 
-    def record(Q):
-        facets = tuple((f.normal, f.offset, tuple(sorted(f.vertex_ids))) for f in Q.facets)
-        return Q.vertices, facets, Q.volume(), Q.area_measure().atoms
-
     rng = random.Random(seed)
     for _ in range(5):
         rng.shuffle(pts)
-        assert record(convex_hull(pts)) == record(P)
+        assert hull_record(convex_hull(pts)) == hull_record(P)
 
     # every input lies beneath every facet, each facet's hyperplane meets the
     # inputs in a 3-face, and the vertices on it are the facet's vertex ids
