@@ -22,12 +22,24 @@ product.  Coplanar pieces are merged by u into facets
 (u, c, G) with G the sum of their g, so facet identity and area-measure
 atoms are canonical, and
 
-    vol(P) = sum_F G * c / (n! * s^n),    atom_F = G * u / ((n-1)! * s^(n-1))
+    vol(P) = sum_F G * c / (n! * s * W),    atom_F = G * u / ((n-1)! * W)
 
-need no triangulation once the hull is built.  The sum in vol(P) is taken
-with the hull; a Polytope then keeps only u and G of each facet, in one flat
-tuple, and its facets read c off the vertices.  Lower-dimensional polytopes are
-first-class: operations degrade per contract rather than erroring.
+need no triangulation once the hull is built.  W is the unit of the weights:
+s^(n-1) in general.  A common s can be far larger than the denominators of
+any one coordinate column, since it is the lcm over every point: a hundred
+points with denominators up to 10^6 give s with over a thousand digits, and
+each column's lcm s_k under a third of that.  When s has more than two
+30-bit digits and prod s_k is smaller than s^(n-1) (by bit lengths, see
+_sum_points), the full-rank hulls run _plane per column: the edges are
+divided column-wise by s / s_k, so the cross product multiplies integers
+the size of s_k, and W = prod s_k.  Otherwise the divisions would cost more
+than the smaller products save.  The points, planes, offsets and
+visibility tests stay over s, so every engine run makes the same pieces in
+the same order either way.  The sum in vol(P) is taken with the hull; a
+Polytope then keeps only u and G of each facet, in one flat tuple, with W
+beside s, and its facets read c off the vertices.  Lower-dimensional
+polytopes are first-class: operations degrade per contract rather than
+erroring.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import factorial, gcd
+from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
@@ -83,7 +95,8 @@ class AreaMeasure:
         return len(self.atoms)
 
 
-def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None):
+def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None,
+           dens=None):
     """Hyperplane through d points of Z^d, oriented away from the point ref / k.
 
     Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
@@ -99,6 +112,15 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     with n padded to Z^4 as the engine keeps it.  Then only g is returned,
     as |X_j / n_j| at the first nonzero n_j: one cofactor of X, with no gcd,
     offset or orientation test.
+
+    dens, when given, is the per-column form ((f_0..f_3), (s_0..s_3)) for
+    points s * x cleared over s = lcm(s_k), s_k the lcm of the denominators
+    in column k and f_k = s / s_k (f_k = s_k = 1 on padded columns).
+    Column k of every edge is then a multiple of f_k; the cross product runs
+    on the edges divided by it, whose entries have the size of s_k instead
+    of s, and its entry j is multiplied by s_j.  That is X * W / s^(d-1)
+    with W = prod s_k, so n, c and the orientation are the same, and only g
+    (of either form) is in units of W instead of s^(d-1).
     """
     d = len(ref)
     if d < 4:
@@ -114,6 +136,11 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     u0 -= b0; u1 -= b1; u2 -= b2; u3 -= b3
     v0 -= b0; v1 -= b1; v2 -= b2; v3 -= b3
     w0 -= b0; w1 -= b1; w2 -= b2; w3 -= b3
+    if dens is not None:
+        (f0, f1, f2, f3), sk = dens
+        u0 //= f0; u1 //= f1; u2 //= f2; u3 //= f3
+        v0 //= f0; v1 //= f1; v2 //= f2; v3 //= f3
+        w0 //= f0; w1 //= f1; w2 //= f2; w3 //= f3
     if known is not None:
         # entry j of X, written out as below with the minors inlined
         j = 0 if known[0] else 1 if known[1] else 2 if known[2] else 3
@@ -127,6 +154,8 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
             x = u1 * (v0 * w2 - v2 * w0) - u0 * (v1 * w2 - v2 * w1) - u2 * (v0 * w1 - v1 * w0)
         if x == 0:
             raise RuntimeError("degenerate facet candidate")
+        if dens is not None:
+            x *= sk[j]
         return abs(x // known[j])
     m01 = v0 * w1 - v1 * w0
     m02 = v0 * w2 - v2 * w0
@@ -138,6 +167,8 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     x1 = u2 * m03 - u0 * m23 - u3 * m02
     x2 = u0 * m13 - u1 * m03 + u3 * m01
     x3 = u1 * m02 - u0 * m12 - u2 * m01
+    if dens is not None:
+        x0 *= sk[0]; x1 *= sk[1]; x2 *= sk[2]; x3 *= sk[3]
     g = gcd(x0, x1, x2, x3)
     if g == 0:
         raise RuntimeError("degenerate facet candidate")
@@ -166,7 +197,7 @@ class _Piece:
     __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
 
 
-def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
+def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], dens=None):
     """Quickhull-style hull of deduped integer points with affine rank d >= 2.
 
     Returns (vertex_ids, merged_facets): the ids of the extreme points, and
@@ -182,6 +213,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     only: a point beyond a deleted piece and outside the new hull is beyond
     a new piece (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point
     that sees no piece is inside for good and is never tested again.
+    dens, when given, goes to every _plane call, and G is then in its units.
     """
     k = d + 1
     # the simplex's centroid, interior2 / (d + 1), is interior to every step
@@ -202,10 +234,10 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     def piece(verts, plane=None):
         P = _Piece()
         if plane is None:
-            n, c, P.g = _plane([raw[v] for v in verts], interior2, k)
+            n, c, P.g = _plane([raw[v] for v in verts], interior2, k, None, dens)
             P.plane = n + pad + (c,)
         else:
-            P.g = _plane([raw[v] for v in verts], interior2, k, plane)
+            P.g = _plane([raw[v] for v in verts], interior2, k, plane, dens)
             P.plane = plane
         P.verts = verts
         P.outside = P.mark = None
@@ -395,6 +427,7 @@ class Polytope:
         "vertices",
         "affine_dim",
         "_scale",
+        "_unit",
         "_merged",
         "_facets",
         "_area",
@@ -409,6 +442,7 @@ class Polytope:
             self.vertices,
             self.affine_dim,
             self._scale,
+            self._unit,
             self._merged,
             self._area,
             self._volume,
@@ -419,7 +453,7 @@ class Polytope:
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(_raw=(ambient_dim, (), -1, 1, (), AreaMeasure(ambient_dim, ()), 0))
+        return Polytope(_raw=(ambient_dim, (), -1, 1, 1, (), AreaMeasure(ambient_dim, ()), 0))
 
     @staticmethod
     def point(coords: Sequence) -> "Polytope":
@@ -508,26 +542,27 @@ class Polytope:
 
         Via the divergence identity vol = (1/n) sum_F h(P, sigma_F): with
         facets (u, c, G) in the integer-cleared coordinates s * x, the
-        facet's cross-product weight is G * u and its support value c, so
-        vol = sum_F G * c / (n! * s^n).  The hull leaves the integer
-        sum_F G * c in _volume, and the first call divides it.
+        facet's cross-product weight is G * u / W and its support value
+        c / s, so vol = sum_F G * c / (n! * s * W), W being _unit (s^(n-1),
+        or prod s_k where _plane ran per column).  The hull leaves the
+        integer sum_F G * c in _volume, and the first call divides it.
         """
         if type(self._volume) is int:
             n = self.ambient_dim
-            self._volume = Fraction(self._volume, factorial(n) * self._scale**n)
+            self._volume = Fraction(self._volume, factorial(n) * self._scale * self._unit)
         return self._volume
 
     def area_measure(self) -> AreaMeasure:
         """Surface area measure as exact weighted-normal atoms.
 
         For a full-dimensional body each facet (u, c, G) gives the atom
-        G * u / ((n-1)! * s^(n-1)), the summed cross products of its
-        simplicial pieces rescaled from the integer-cleared coordinates.
+        G * u / ((n-1)! * W), the summed cross products of its simplicial
+        pieces rescaled from the integer-cleared coordinates, W being _unit.
         Lower-dimensional bodies get theirs from convex_hull.
         """
         if self._area is None:
             n = self.ambient_dim
-            denom = factorial(n - 1) * self._scale ** (n - 1)
+            denom = factorial(n - 1) * self._unit
             atoms = (tuple(Fraction(g * x, denom) for x in u) for u, g in self._rows())
             self._area = AreaMeasure(n, tuple(sorted(atoms)))
         return self._area
@@ -582,7 +617,7 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return _sum_points([pts], dim)
 
 
-def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
+def _hull_ids(ipts: list[tuple[int, ...]], dim: int, dens=None):
     """Dedupe, rank and hull integer points in Z^dim.
 
     Returns (ipts, chosen, cols, ids, merged): the distinct points in order
@@ -590,7 +625,7 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
     greedy basis of all edges, and coordinates on which their minor is
     nonzero (_basis); the ids of the extreme points, sorted by their
     coordinates; and the merged facets of the engine run, empty below
-    affine rank 2.
+    affine rank 2.  dens goes to a full-rank engine run (see _plane).
     """
     ipts = list(dict.fromkeys(ipts))
     # the first edge is zero, so _basis skips it and its ids index ipts
@@ -606,24 +641,25 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
         ids = [min(range(len(proj)), key=proj.__getitem__),
                max(range(len(proj)), key=proj.__getitem__)]
     else:
-        ids, merged = _hull_engine(proj, r, [0] + chosen)
+        ids, merged = _hull_engine(proj, r, [0] + chosen, dens if r == dim else None)
     ids.sort(key=ipts.__getitem__)
     return ipts, chosen, cols, ids, merged
 
 
-def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope:
+def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int, dens=None) -> Polytope:
     """convex_hull of the points p / scale for integer points p and scale > 0.
 
     Sorting the integer points sorts the points, and Fractions are built
-    for the extreme points only.
+    for the extreme points only.  dens is _plane's per-column form, or None.
     """
-    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim)
+    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim, dens)
     vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
     r = len(chosen)
     if r == dim:
         flat = tuple(x for n, _, g in merged for x in (*n, g))
         total = sum(g * c for _, c, g in merged)
-        return Polytope(_raw=(dim, vertices, dim, scale, flat, None, total))
+        unit = scale ** (dim - 1) if dens is None else prod(dens[1])
+        return Polytope(_raw=(dim, vertices, dim, scale, unit, flat, None, total))
     atoms = ()
     if r == dim - 1:
         # projecting onto cols scales r-volume by the basis edges' minor
@@ -642,7 +678,7 @@ def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int) -> Polytope
         flat_volume = Fraction(proj_volume, factorial(r) * abs(n[skip]))
         plus = tuple(flat_volume * x / scale**r for x in n)
         atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
-    return Polytope(_raw=(dim, vertices, r, scale, (), AreaMeasure(dim, atoms), 0))
+    return Polytope(_raw=(dim, vertices, r, scale, 1, (), AreaMeasure(dim, atoms), 0))
 
 
 def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:
@@ -652,17 +688,32 @@ def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:
     over one denominator s, and the groups are added in order, pairwise, in
     integers; each running total after the first is cut to its extreme
     points before the next group is added.
+
+    s is the lcm of the column lcms s_k.  The hulls use _plane's per-column
+    form when s has more than two 30-bit digits and the bit lengths of the
+    s_k sum to less than dim - 1 times that of s, a cheap stand-in for
+    W = prod s_k being smaller than the unit s^(dim-1) it replaces; below
+    that size, or where the columns share most of s, the divisions cost more
+    than the smaller products save.  In R^2 it never fires, since
+    prod s_k >= lcm(s_k) = s.
     """
-    s, ipts = clear_denominators([p for S in groups for p in S])
+    pts = [p for S in groups for p in S]
+    sk = [lcm(*(p[k].denominator for p in pts)) for k in range(dim)]
+    s = lcm(*sk)
+    ipts = [tuple(x.numerator * (s // x.denominator) for x in p) for p in pts]
+    dens = None
+    if s >> 60 and sum(x.bit_length() for x in sk) < (dim - 1) * s.bit_length():
+        pad = (1,) * (4 - dim)
+        dens = tuple(s // x for x in sk) + pad, tuple(sk) + pad
     it = iter(ipts)
     total = list(islice(it, len(groups[0])))
     for j, S in enumerate(groups[1:]):
         if j:
-            ipts, _, _, ids, _ = _hull_ids(total, dim)
+            ipts, _, _, ids, _ = _hull_ids(total, dim, dens)
             total = [ipts[i] for i in ids]
         S = list(islice(it, len(S)))
         total = [tuple(map(add, p, q)) for p in total for q in S]
-    return _hull_cleared(s, total, dim)
+    return _hull_cleared(s, total, dim, dens)
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:

@@ -1,11 +1,16 @@
 """CLI tests: exact output, round trips, exit codes, determinism."""
 
+import contextlib
 from fractions import Fraction
 import hashlib
+import io
 import itertools
 import json
+import os
 import sys
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 import minkval.cli as cli
@@ -508,3 +513,95 @@ def test_polytope_json_roundtrip():
     assert polytope_from_json(payload) == P
     values = [tuple(F(x) for x in v) for v in payload["vertices"]]
     assert values == sorted(values)
+
+
+# -- boundary fuzz -----------------------------------------------------------------------
+
+_digits30 = st.integers(min_value=10**29, max_value=10**30 - 1)
+
+
+@st.composite
+def _rational_text(draw):
+    """A coordinate as JSON: well-formed or not, with signs, zero
+    denominators, decimals, exponents and 30-digit parts."""
+    num = draw(st.integers(-9, 9) | _digits30)
+    den = draw(st.integers(0, 9) | _digits30)
+    sign = draw(st.sampled_from(["", "+", "-", " -", "--"]))
+    return draw(st.sampled_from([
+        num, f"{sign}{num}", f"{sign}{num}/{den}", f"{num}.{abs(den)}", f"{num}e{den % 7}",
+        f"{num}/{den}/2", float(num % 97) / 8, True, None, [f"{num}"], {"p": num},
+    ]))
+
+
+@st.composite
+def _body_payload(draw):
+    """A body payload: a well-formed body in R^2, R^3 or R^4, or one with a
+    single fault: an ambient_dim from 0 to 5 or not an int, a missing field,
+    a nested or non-array vertex list, a wrong-length point, a bad rational,
+    or a payload of the wrong type."""
+    dim = draw(st.integers(2, 4))
+    good = (st.integers(-3, 3) | _digits30.map(str)
+            | st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 9) | _digits30,
+                        st.integers(1, 9) | _digits30).map(lambda t: f"{t[0]}{t[1]}/{t[2]}"))
+    vertices = draw(st.lists(st.lists(good, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    body = {"ambient_dim": dim, "vertices": vertices}
+    fault = draw(st.sampled_from(["none"] * 4 + ["dim", "no_dim", "no_vertices", "nested",
+                                                  "not_array", "length", "rational", "type"]))
+    if fault == "dim":
+        body["ambient_dim"] = draw(st.sampled_from([0, 1, 5, 4.0, "4", True, None, [4]]))
+    elif fault in ("no_dim", "no_vertices"):
+        del body["ambient_dim" if fault == "no_dim" else "vertices"]
+    elif fault == "nested":
+        body["vertices"] = [vertices]
+    elif fault == "not_array":
+        body["vertices"] = draw(st.sampled_from([[], {}, "0,0", 7, None, [7]]))
+    elif fault == "length":
+        vertices[-1] = vertices[-1][:-1] if draw(st.booleans()) else vertices[-1] + ["0"]
+    elif fault == "rational":
+        vertices[-1][-1] = draw(_rational_text())
+    elif fault == "type":
+        body = draw(st.sampled_from([[], [body], "body", 4, None]))
+    return body
+
+
+def _cli_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_body_payload())
+def test_fuzzed_bodies_exit_zero_or_two(payload):
+    # every command that reads a body either works or rejects the payload
+    # with exit 2 and one stderr line; none of them exits 3 or prints a
+    # traceback, and a body that parses round-trips as a fixed point
+    try:
+        P = polytope_from_json(payload)
+    except FormatError:
+        P = None
+    if P is not None:
+        wire = polytope_to_json(P)
+        assert polytope_to_json(polytope_from_json(wire)) == wire
+    dim = payload.get("ambient_dim") if isinstance(payload, dict) else None
+    ndir = dim if type(dim) is int and 2 <= dim <= 4 else 4
+    direction = ",".join(["1", "-2/3", "5", "0"][:ndir])
+    with tempfile.TemporaryDirectory() as tmp:
+        body = os.path.join(tmp, "body.json")
+        cube = os.path.join(tmp, "cube.json")
+        with open(body, "w") as fh:
+            json.dump(payload, fh)
+        with open(cube, "w") as fh:
+            json.dump({"ambient_dim": 4, "vertices": [[str(x) for x in v] for v in
+                                                      itertools.product((0, 1), repeat=4)]}, fh)
+        for argv in (["hull", body], ["volume", body], ["support", body, "--dir", direction],
+                     ["op", "diff", "--body", body, "--dir", "1,0,-1/2,3"],
+                     ["op", "d_m", "--body", cube, "--M", body, "--dir", "1,0,-1/2,3"],
+                     ["mixed", body, cube, cube, cube]):
+            code, err = _cli_in_process(argv)
+            assert code in (0, 2), (argv[0], err)
+            assert (code == 0) == (err == "")
+            assert err.count("\n") <= 1 and "Traceback" not in err
+            if P is not None and argv[0] in ("hull", "volume"):
+                assert code == 0

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from minkval import mixed
+from minkval import mixed, polytope
 from minkval.linalg import det, dot
 from minkval.mixed import mixed_volume, mixed_volume_31, mixed_volume_fn
 from minkval.polytope import Polytope, _sum_points, affine_transform, convex_hull, minkowski_sum
@@ -140,6 +140,38 @@ def test_polarization_with_dilates_matches_facet_form(rank, max_den):
         assert mixed_volume(P, P, P, Q) == want
         assert mixed_volume(P, twin, P, Q) == want
         assert mixed_volume(Q, twin, P, twin) == want
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["columns", "shared"])
+def test_column_denominators_polarization_matches_facet_form(shared, monkeypatch):
+    # P's coordinates carry unrelated denominators up to 10^6, so its hull,
+    # the sums P+Q, 2P+Q, 3P+Q of polarization and minkowski_sum(P, Q) run
+    # the hull kernel's cross product per column; over one shared
+    # denominator none of them does
+    runs = [0, 0]
+    engine = polytope._hull_engine
+
+    def counted(ipts, d, simplex, dens=None):
+        runs[dens is not None] += 1
+        return engine(ipts, d, simplex, dens)
+
+    monkeypatch.setattr(polytope, "_hull_engine", counted)
+    rng = random.Random(f"mixed-columns:{shared}")
+    for _ in range(3):
+        one = rng.randint(5 * 10**5, 10**6)
+        P = convex_hull([tuple(F(rng.randint(-4 * 10**6, 4 * 10**6),
+                                 one if shared else rng.randint(5 * 10**5, 10**6))
+                               for _ in range(4)) for _ in range(6)])
+        Q = rand_body(rng, nverts=5, full=True)
+        assert mixed_volume(P, P, P, Q) == mixed_volume_31(P, Q)
+        S = minkowski_sum(P, Q)
+        sums = {tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices}
+        assert set(S.vertices) <= sums
+        for _ in range(8):
+            w = tuple(rand_rational(rng) for _ in range(4))
+            assert S.support(w) == P.support(w) + Q.support(w) == max(dot(w, v) for v in sums)
+    # per round: the hull of P, three polarization sums and minkowski_sum
+    assert runs[1] == (0 if shared else 3 * 5)
 
 
 def test_one_body_subsets_build_no_hull(monkeypatch):

@@ -761,9 +761,9 @@ def test_coplanar_clouds_match_bruteforce(k, monkeypatch):
     # must match the oracles and not depend on the input order
     known = []
 
-    def counted(points, ref, kk, plane=None):
+    def counted(points, ref, kk, plane=None, *rest):
         known.append(plane is not None)
-        return _plane(points, ref, kk, plane)
+        return _plane(points, ref, kk, plane, *rest)
 
     monkeypatch.setattr(polytope, "_plane", counted)
     rng = random.Random(f"coplanar:{k}")
@@ -802,6 +802,94 @@ def test_plane_known_form_gives_the_gcd(d):
             assert _plane(other, ref, 1, n + pad + (c,)) == g2
         with pytest.raises(RuntimeError):
             _plane([face[0]] * d, ref, 1, n + pad + (c,))
+
+
+# -- per-column denominators ---------------------------------------------------------
+
+
+def column_cloud(rng, k, shared):
+    """k + 2 to seven points of R^k with numerators up to 4 * 10^6.  Each
+    coordinate has its own denominator in [5 * 10^5, 10^6], unrelated to the
+    others, or (shared) every coordinate of the cloud has one denominator."""
+    count = rng.randint(k + 2, 7)
+    one = rng.randint(5 * 10**5, 10**6)
+    return [tuple(F(rng.randint(-4 * 10**6, 4 * 10**6),
+                    one if shared else rng.randint(5 * 10**5, 10**6)) for _ in range(k))
+            for _ in range(count)]
+
+
+def engine_runs(monkeypatch):
+    """Counts of hull engine runs [without, with] the per-column form."""
+    runs = [0, 0]
+    engine = polytope._hull_engine
+
+    def counted(ipts, d, simplex, dens=None):
+        runs[dens is not None] += 1
+        return engine(ipts, d, simplex, dens)
+
+    monkeypatch.setattr(polytope, "_hull_engine", counted)
+    return runs
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["columns", "shared"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_column_denominator_clouds_match_bruteforce(k, shared, monkeypatch):
+    # columns with unrelated denominators give s with hundreds of bits and
+    # prod s_k far below s^(k-1), so the hull runs _plane per column; over
+    # one shared denominator s is small and it does not.  In R^2 the gate
+    # never fires: prod s_k >= lcm(s_k) = s = s^(k-1).
+    Q = [(F(0),) * k, tuple(F(1, 2 + j) for j in range(k))]
+    Qh = convex_hull(Q)
+    runs = engine_runs(monkeypatch)
+    rng = random.Random(f"columns:{k}:{shared}")
+    for _ in range(3):
+        pts = column_cloud(rng, k, shared)
+        P = convex_hull(pts)
+        assert_matches_bruteforce(P, pts, k)
+        for _ in range(3):
+            rng.shuffle(pts)
+            assert hull_record(convex_hull(pts)) == hull_record(P)
+        # the sum with a segment: support additivity, and the brute-force
+        # vertices of the pairwise sums
+        S = minkowski_sum(P, Qh)
+        for _ in range(8):
+            w = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k))
+            assert S.support(w) == max(_odot(w, p) for p in pts) + max(_odot(w, q) for q in Q)
+        if k < 4:
+            sums = sorted({tuple(a + b for a, b in zip(p, q)) for p in pts for q in Q})
+            assert S.vertices == tuple(_overtices(sums, _ofacets(sums, k), k))
+        else:
+            assert S.vertices == tuple(_osum_vertices(pts, Q))
+    # per cloud: four hulls and one sum, all full-rank
+    off, fired = runs
+    assert off + fired == 3 * 5
+    assert fired == (0 if shared or k == 2 else 3 * 5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_plane_per_column_form_scales_only_the_weight(d):
+    # the same (n, c) with and without the per-column form, and weights in
+    # the ratio s^(d-1) / W, for the full and the known-plane forms
+    rng = random.Random(f"plane-columns:{d}")
+    for _ in range(60):
+        pts = [tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(d))
+               for _ in range(d + 1)]
+        sk = [lcm(*(p[j].denominator for p in pts)) for j in range(d)]
+        s = lcm(*sk)
+        cleared = [tuple(int(x * s) for x in p) for p in pts]
+        face, ref = cleared[:d], cleared[d]
+        if _orank([vec_sub(p, ref) for p in face], d) < d:
+            continue
+        pad = (1,) * (4 - d)
+        dens = tuple(s // x for x in sk) + pad, tuple(sk) + pad
+        W = math.prod(sk)
+        n, c, g = _plane(face, ref, 1)
+        n2, c2, g2 = _plane(face, ref, 1, None, dens)
+        assert (n2, c2) == (n, c)
+        assert g * W == g2 * s ** (d - 1)
+        known = n + (0,) * (4 - d) + (c,)
+        assert _plane(face, ref, 1, known, dens) == g2
+        assert _plane(face[::-1], ref, 1, known, dens) == g2
 
 
 sparse_int = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
