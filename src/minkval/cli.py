@@ -9,6 +9,7 @@ decimal for external plotting and says so in its header.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,7 +33,11 @@ from .mixed import mixed_volume
 from .valuations import OPERATORS, SupportEvaluator, apply_valuation
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call only: a build takes about a millisecond, an
+    # in-process caller may make many calls, and parsing leaves no state in
+    # the parser
     parser = argparse.ArgumentParser(
         prog="minkval",
         description="Exact convex geometry: polytopes, mixed volumes, Minkowski valuations.",

@@ -2,11 +2,11 @@
 
 Vertex-representation polytopes with exact Fraction coordinates.  Every hull
 and Minkowski sum enters through _sum_points(groups, dim), the one path from
-rational points to a Polytope: it clears all points over one denominator s,
-adds the groups pairwise in integers and hulls the integer points s * x in
-_hull_cleared, which builds Fractions for the kept vertices only.  The hull
-engine is Quickhull-style: each point outside the current hull waits in the
-outside list of one simplicial piece it sees, the points are inserted
+rational points to a Polytope: it makes the points integer, adds the groups
+pairwise in integers and hulls the integer points in _hull_cleared, which
+builds Fractions for the kept vertices only.  The hull engine is
+Quickhull-style: each point outside the current hull waits in the outside
+list of one simplicial piece it sees, the points are inserted
 farthest-first, and an insertion walks across ridges from the owner piece to
 the pieces the point sees and hands their outside points to the new pieces
 only.  Its sign predicates are integer-only and unrolled in Z^4.
@@ -24,22 +24,25 @@ atoms are canonical, and
 
     vol(P) = sum_F G * c / (n! * s * W),    atom_F = G * u / ((n-1)! * W)
 
-need no triangulation once the hull is built.  W is the unit of the weights:
-s^(n-1) in general.  A common s can be far larger than the denominators of
-any one coordinate column, since it is the lcm over every point: a hundred
-points with denominators up to 10^6 give s with over a thousand digits, and
-each column's lcm s_k under a third of that.  When s has more than two
-30-bit digits and prod s_k is smaller than s^(n-1) (by bit lengths, see
-_sum_points), the full-rank hulls run _plane per column: the edges are
-divided column-wise by s / s_k, so the cross product multiplies integers
-the size of s_k, and W = prod s_k.  Otherwise the divisions would cost more
-than the smaller products save.  The points, planes, offsets and
-visibility tests stay over s, so every engine run makes the same pieces in
-the same order either way.  The sum in vol(P) is taken with the hull; a
-Polytope then keeps only u and G of each facet, in one flat tuple, with W
-beside s, and its facets read c off the vertices.  Lower-dimensional
-polytopes are first-class: operations degrade per contract rather than
-erroring.
+need no triangulation once the hull is built, with c over s, the lcm of the
+vertices' denominators (Polytope._scale), and G over the unit W
+(Polytope._unit, see _hull_cleared).
+
+The points are integer in one of two forms.  Mostly every point x is
+cleared over the lcm s of all denominators, as s * x.  But that s is the
+lcm over every point, so it grows with the point count: a hundred points
+with denominators up to 10^6 give s with thousands of bits, though no
+point's own denominators take a hundred.  When s is that large beside them
+(see _sum_points), each point enters as the homogeneous (w * x, w) over its
+own w instead, and the engine's integers keep the size of the points: its
+edges are w_0 * p_i - w_i * p_0, a point (p, w) is beyond a piece (u, c, v)
+when v * <u, p> > w * c, and each piece's g is divided by its edges'
+weights once the hull is built, summed per merged facet as a Fraction.
+Either way the facets, volume and atoms are the same numbers.  The sum in
+vol(P) is taken with the hull; a Polytope then keeps only u and G of each
+facet, in one flat tuple, and its facets read c off the vertices.
+Lower-dimensional polytopes are first-class: operations degrade per
+contract rather than erroring.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ from typing import Callable, Iterable, Sequence
 from .linalg import clear_denominators, dot, mat_apply, vec_sub
 
 Coords = tuple[Fraction, ...]
+
+# _sum_points takes the homogeneous form when the common denominator s has
+# more than _GATE_BITS bits and more than _GATE_RATIO times those of every
+# point's own denominator
+_GATE_BITS = 512
+_GATE_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -95,8 +104,7 @@ class AreaMeasure:
         return len(self.atoms)
 
 
-def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None,
-           dens=None):
+def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None):
     """Hyperplane through d points of Z^d, oriented away from the point ref / k.
 
     Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
@@ -113,14 +121,6 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     as |X_j / n_j| at the first nonzero n_j: one cofactor of X, with no gcd,
     offset or orientation test.
 
-    dens, when given, is the per-column form ((f_0..f_3), (s_0..s_3)) for
-    points s * x cleared over s = lcm(s_k), s_k the lcm of the denominators
-    in column k and f_k = s / s_k (f_k = s_k = 1 on padded columns).
-    Column k of every edge is then a multiple of f_k; the cross product runs
-    on the edges divided by it, whose entries have the size of s_k instead
-    of s, and its entry j is multiplied by s_j.  That is X * W / s^(d-1)
-    with W = prod s_k, so n, c and the orientation are the same, and only g
-    (of either form) is in units of W instead of s^(d-1).
     """
     d = len(ref)
     if d < 4:
@@ -136,11 +136,6 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     u0 -= b0; u1 -= b1; u2 -= b2; u3 -= b3
     v0 -= b0; v1 -= b1; v2 -= b2; v3 -= b3
     w0 -= b0; w1 -= b1; w2 -= b2; w3 -= b3
-    if dens is not None:
-        (f0, f1, f2, f3), sk = dens
-        u0 //= f0; u1 //= f1; u2 //= f2; u3 //= f3
-        v0 //= f0; v1 //= f1; v2 //= f2; v3 //= f3
-        w0 //= f0; w1 //= f1; w2 //= f2; w3 //= f3
     if known is not None:
         # entry j of X, written out as below with the minors inlined
         j = 0 if known[0] else 1 if known[1] else 2 if known[2] else 3
@@ -154,8 +149,6 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
             x = u1 * (v0 * w2 - v2 * w0) - u0 * (v1 * w2 - v2 * w1) - u2 * (v0 * w1 - v1 * w0)
         if x == 0:
             raise RuntimeError("degenerate facet candidate")
-        if dens is not None:
-            x *= sk[j]
         return abs(x // known[j])
     m01 = v0 * w1 - v1 * w0
     m02 = v0 * w2 - v2 * w0
@@ -167,8 +160,6 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     x1 = u2 * m03 - u0 * m23 - u3 * m02
     x2 = u0 * m13 - u1 * m03 + u3 * m01
     x3 = u1 * m02 - u0 * m12 - u2 * m01
-    if dens is not None:
-        x0 *= sk[0]; x1 *= sk[1]; x2 *= sk[2]; x3 *= sk[3]
     g = gcd(x0, x1, x2, x3)
     if g == 0:
         raise RuntimeError("degenerate facet candidate")
@@ -183,21 +174,44 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     return (x0, x1, x2, x3)[:d], c, g
 
 
+def _plane_hom(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None):
+    """_plane for homogeneous points (*p, w), each standing for p / w, w > 0.
+
+    The edges w_0 * p_i - w_i * p_0, which are w_0 * w_i times the rational
+    ones, go to _plane as points beside the origin, and ref / k moves by the
+    same map, to w_0 * ref - k * p_0.  So X is w_0^(d-1) * prod_{i>0} w_i
+    times the rational cross product, n is the same, and c = <n, p_0> is w_0
+    times the rational offset.
+    """
+    *b, w = points[0]
+    d = len(b)
+    edges = [(0,) * d]
+    for p in points[1:]:
+        f = p[d]
+        edges.append(tuple([w * x - f * y for x, y in zip(p, b)]))
+    if known is not None:
+        return _plane(edges, ref, k, known)
+    n, _, g = _plane(edges, tuple([w * r - k * x for r, x in zip(ref, b)]), 1)
+    return n, sum(map(mul, n, b)), g
+
+
 class _Piece:
     """One simplicial piece of the boundary during a _hull_engine run.
 
     plane is (*n, c), with n padded by zeros to Z^4, and g the gcd of the
-    cross product, as _plane gives them.  verts are the sorted labels of the
-    corners; nbrs[j] is the piece across ridge j, the j-th of
-    combinations(verts, d - 1), which omits corner d - 1 - j.  outside lists
-    the points that see this piece first, or is None while there are none,
-    and mark is the last point the piece was tested against (see the walk).
+    cross product, as _plane gives them; on homogeneous points it is
+    (*n, c, w) with c / w the rational offset in lowest terms.  verts are the
+    sorted labels of the corners; nbrs[j] is the piece across ridge j, the
+    j-th of combinations(verts, d - 1), which omits corner d - 1 - j.
+    outside lists the points that see this piece first, or is None while
+    there are none, and mark is the last point the piece was tested against
+    (see the walk).
     """
 
     __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
 
 
-def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], dens=None):
+def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], hom=False):
     """Quickhull-style hull of deduped integer points with affine rank d >= 2.
 
     Returns (vertex_ids, merged_facets): the ids of the extreme points, and
@@ -213,31 +227,71 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], dens=N
     only: a point beyond a deleted piece and outside the new hull is beyond
     a new piece (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point
     that sees no piece is inside for good and is never tested again.
-    dens, when given, goes to every _plane call, and G is then in its units.
+
+    hom: the points are homogeneous, (*p, w) for p / w (see _plane_hom).  A
+    point (p, w) is then beyond a plane (n, c, v) when v * <n, p> > w * c.
+    A merged offset is then the pair (c, v), and G the Fraction sum of each
+    piece's g divided by the product of its edges' weights, taken per facet
+    once the hull is built.  Otherwise c and G are in the units of the
+    points.
     """
     k = d + 1
-    # the simplex's centroid, interior2 / (d + 1), is interior to every step
-    interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
+    # the simplex's centroid, interior2 / kw, is interior to every step; on
+    # homogeneous points kw is k times the lcm of the corners' weights
+    if hom:
+        lw = lcm(*(ipts[i][d] for i in simplex))
+        interior2 = tuple(sum(ipts[i][j] * (lw // ipts[i][d]) for i in simplex) for j in range(d))
+        kw = k * lw
+
+        def dist(i):
+            # |p / w - interior2 / kw|^2 times kw^2, floored: the floor can
+            # only tie distances less than 1 / kw^2 apart, and any order
+            # gives the same hull
+            *p, w = ipts[i]
+            return sum((kw * x - w * m) ** 2 for x, m in zip(p, interior2)) // w**2
+    else:
+        interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
+        dist = lambda i: sum((k * x - m) ** 2 for x, m in zip(ipts[i], interior2))
     # label the points in order of insertion: the simplex, then the rest by
     # decreasing squared distance from the centroid, ties by id; so a new
     # point's label exceeds that of every corner on the hull
     skip = set(simplex)
     rest = [i for i in range(len(ipts)) if i not in skip]
-    rest.sort(key=lambda i: sum((k * x - m) ** 2 for x, m in zip(ipts[i], interior2)),
-              reverse=True)
+    rest.sort(key=dist, reverse=True)
     ids = simplex + rest
     raw = [ipts[i] for i in ids]
     # the visibility tests run in Z^4, on points and normals padded by zeros
     pad = (0,) * (4 - d)
-    pts = [p + pad for p in raw] if pad else raw
+    if not pad:
+        pts = raw
+    elif hom:
+        pts = [p[:d] + pad + p[d:] for p in raw]
+    else:
+        pts = [p + pad for p in raw]
 
     def piece(verts, plane=None):
         P = _Piece()
         if plane is None:
-            n, c, P.g = _plane([raw[v] for v in verts], interior2, k, None, dens)
+            n, c, P.g = _plane([raw[v] for v in verts], interior2, k)
             P.plane = n + pad + (c,)
         else:
-            P.g = _plane([raw[v] for v in verts], interior2, k, plane, dens)
+            P.g = _plane([raw[v] for v in verts], interior2, k, plane)
+            P.plane = plane
+        P.verts = verts
+        P.outside = P.mark = None
+        return P
+
+    def piece_hom(verts, plane=None):
+        # the same on homogeneous points, with the offset c / w in lowest
+        # terms, so that equal planes are equal tuples
+        P = _Piece()
+        if plane is None:
+            n, c, P.g = _plane_hom([raw[v] for v in verts], interior2, kw)
+            w = raw[verts[0]][d]
+            h = gcd(c, w)
+            P.plane = n + pad + (c // h, w // h)
+        else:
+            P.g = _plane_hom([raw[v] for v in verts], interior2, kw, plane)
             P.plane = plane
         P.verts = verts
         P.outside = P.mark = None
@@ -260,6 +314,25 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], dens=N
                 return
         owner[q] = None
 
+    def assign_hom(q, pieces):
+        # the same on homogeneous points and planes
+        x0, x1, x2, x3, w = pts[q]
+        for P in pieces:
+            a, b, e, f, c, v = P.plane
+            if v * (a * x0 + b * x1 + e * x2 + f * x3) > w * c:
+                owner[q] = P
+                if P.outside is None:
+                    P.outside = [q]
+                else:
+                    P.outside.append(q)
+                return
+        owner[q] = None
+
+    # two closures each, rather than a branch in them, keep the common
+    # path's inner loops as lean as they were
+    if hom:
+        piece, assign = piece_hom, assign_hom
+
     start = [piece(tuple(j for j in range(k) if j != i)) for i in range(k)]
     for i, P in enumerate(start):
         P.nbrs = [start[j] for j in range(d, -1, -1) if j != i]
@@ -273,7 +346,10 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], dens=N
         if V is None:
             continue
         owner[q] = None
-        x0, x1, x2, x3 = pts[q]
+        if hom:
+            x0, x1, x2, x3, w = pts[q]
+        else:
+            x0, x1, x2, x3 = pts[q]
         # walk the pieces q sees, a ball around its owner, marking each piece
         # tested with q (seen) or ~q (not seen).  Each ridge to a piece not
         # seen is on the horizon and gets the new piece ridge + (q,), whose
@@ -293,8 +369,12 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], dens=N
                 if m == q:
                     continue
                 if m != ~q:
-                    a, b, e, f, c = N.plane
-                    t = a * x0 + b * x1 + e * x2 + f * x3 - c
+                    if hom:
+                        a, b, e, f, c, v = N.plane
+                        t = v * (a * x0 + b * x1 + e * x2 + f * x3) - w * c
+                    else:
+                        a, b, e, f, c = N.plane
+                        t = a * x0 + b * x1 + e * x2 + f * x3 - c
                     if t > 0:
                         N.mark = q
                         visible.append(N)
@@ -323,18 +403,23 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], dens=N
             # no cycles left behind, so the dead pieces are freed at once
             V.nbrs = V.outside = None
 
-    merged: dict[tuple[int, ...], list[int]] = {}
+    merged: dict[tuple[int, ...], list] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
     for P in live:
         P.nbrs = None  # as for the dead pieces: no cycles left behind
-        n, c = P.plane[:d], P.plane[4]
+        n, c, g = P.plane[:d], P.plane[4], P.g
+        if hom:
+            # the offset (c, w) for c / w, and g over the edge weights
+            c = P.plane[4:]
+            w = [raw[v][d] for v in P.verts]
+            g = Fraction(g, w[0] ** (d - 2) * prod(w))
         acc = merged.get(n)
         if acc is None:
-            merged[n] = [c, P.g]
+            merged[n] = [c, g]
         elif acc[0] != c:
             raise RuntimeError("parallel facets with distinct offsets")
         else:
-            acc[1] += P.g
+            acc[1] += g
         for v in P.verts:
             incident.setdefault(v, set()).add(n)
 
@@ -495,7 +580,8 @@ class Polytope:
         return ((m[i:i + d], m[i + d]) for i in range(0, len(m), d + 1))
 
     def _cleared(self) -> list[tuple[int, ...]]:
-        """The integer points s * v of the vertices, s being _scale."""
+        """The integer points s * v of the vertices, s being _scale, the lcm
+        of their denominators."""
         s = self._scale
         return [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
 
@@ -541,11 +627,11 @@ class Polytope:
         """Top-dimensional volume; zero for lower-dimensional bodies.
 
         Via the divergence identity vol = (1/n) sum_F h(P, sigma_F): with
-        facets (u, c, G) in the integer-cleared coordinates s * x, the
-        facet's cross-product weight is G * u / W and its support value
-        c / s, so vol = sum_F G * c / (n! * s * W), W being _unit (s^(n-1),
-        or prod s_k where _plane ran per column).  The hull leaves the
-        integer sum_F G * c in _volume, and the first call divides it.
+        facets (u, c, G) in the integer-cleared coordinates s * x, s being
+        _scale, the facet's cross-product weight is G * u / W and its support
+        value c / s, so vol = sum_F G * c / (n! * s * W), W being _unit.
+        The hull leaves the integer sum_F G * c in _volume, and the first
+        call divides it.
         """
         if type(self._volume) is int:
             n = self.ambient_dim
@@ -617,103 +703,169 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return _sum_points([pts], dim)
 
 
-def _hull_ids(ipts: list[tuple[int, ...]], dim: int, dens=None):
-    """Dedupe, rank and hull integer points in Z^dim.
+def _hull_ids(ipts: list[tuple[int, ...]], dim: int, hom=False):
+    """Dedupe, rank and hull integer points in Z^dim, or homogeneous ones.
 
     Returns (ipts, chosen, cols, ids, merged): the distinct points in order
     of first occurrence; the ids i whose edges ipts[i] - ipts[0] form the
     greedy basis of all edges, and coordinates on which their minor is
     nonzero (_basis); the ids of the extreme points, sorted by their
     coordinates; and the merged facets of the engine run, empty below
-    affine rank 2.  dens goes to a full-rank engine run (see _plane).
+    affine rank 2.  hom: every point is (*p, w) for p / w, in lowest terms
+    (see _plane_hom), and its edges are w_0 * p - w * p_0.
     """
     ipts = list(dict.fromkeys(ipts))
+    if hom:
+        *b, w = ipts[0]
+        edges = (tuple(w * x - p[dim] * y for x, y in zip(p, b)) for p in ipts)
+        key = lambda i: [Fraction(x, ipts[i][dim]) for x in ipts[i][:dim]]
+    else:
+        edges = (vec_sub(p, ipts[0]) for p in ipts)
+        key = ipts.__getitem__
     # the first edge is zero, so _basis skips it and its ids index ipts
-    chosen, cols = _basis((vec_sub(p, ipts[0]) for p in ipts), dim)
+    chosen, cols = _basis(edges, dim)
     r = len(chosen)
     merged = []
     # projecting onto cols maps the body's affine hull one-to-one and keeps
     # its extreme points; at full rank cols is every coordinate
-    proj = ipts if r == dim else [tuple(p[k] for k in cols) for p in ipts]
+    proj = ipts if r == dim else [tuple(p[k] for k in cols) + p[dim:] for p in ipts]
     if r == 0:
         ids = [0]
     elif r == 1:
-        ids = [min(range(len(proj)), key=proj.__getitem__),
-               max(range(len(proj)), key=proj.__getitem__)]
+        line = (lambda i: Fraction(*proj[i])) if hom else proj.__getitem__
+        ids = [min(range(len(proj)), key=line), max(range(len(proj)), key=line)]
     else:
-        ids, merged = _hull_engine(proj, r, [0] + chosen, dens if r == dim else None)
-    ids.sort(key=ipts.__getitem__)
+        ids, merged = _hull_engine(proj, r, [0] + chosen, hom)
+    ids.sort(key=key)
     return ipts, chosen, cols, ids, merged
 
 
-def _hull_cleared(scale: int, ipts: list[tuple[int, ...]], dim: int, dens=None) -> Polytope:
-    """convex_hull of the points p / scale for integer points p and scale > 0.
+def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale=None) -> Polytope:
+    """convex_hull of the points p / scale for integer points p and scale > 0,
+    or, with scale None, of the homogeneous points (*p, w) in lowest terms.
 
-    Sorting the integer points sorts the points, and Fractions are built
-    for the extreme points only.  dens is _plane's per-column form, or None.
+    Fractions are built for the extreme points only.  The Polytope keeps
+    its offsets over _scale, the lcm of its vertices' denominators, whatever
+    the points came over, and its facet weights over _unit: scale^(dim-1)
+    for points over a common scale, else the lcm of the weights' own
+    denominators.
     """
-    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim, dens)
-    vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
+    hom = scale is None
+    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim, hom)
     r = len(chosen)
+    if hom:
+        vertices = tuple(tuple(Fraction(x, ipts[i][dim]) for x in ipts[i][:dim]) for i in ids)
+        s = lcm(*(ipts[i][dim] for i in ids))
+        # c * s is an integer, c being <n, v> at a vertex v on the facet
+        unit = lcm(*(g.denominator for _, _, g in merged))
+        merged = [(n, c * (s // w), g.numerator * (unit // g.denominator))
+                  for n, (c, w), g in merged]
+    else:
+        vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
+        # s = scale / f, f the gcd of scale and every vertex coordinate,
+        # which is 1 after the first vertex or two
+        f = scale
+        for i in ids:
+            f = gcd(f, *ipts[i])
+            if f == 1:
+                break
+        s = scale // f
+        unit = scale ** max(r - 1, 0)
+        if f > 1:
+            merged = [(n, c // f, g) for n, c, g in merged]
     if r == dim:
         flat = tuple(x for n, _, g in merged for x in (*n, g))
         total = sum(g * c for _, c, g in merged)
-        unit = scale ** (dim - 1) if dens is None else prod(dens[1])
-        return Polytope(_raw=(dim, vertices, dim, scale, unit, flat, None, total))
+        return Polytope(_raw=(dim, vertices, dim, s, unit, flat, None, total))
     atoms = ()
     if r == dim - 1:
         # projecting onto cols scales r-volume by the basis edges' minor
         # there, which is +/- entry skip (the coordinate not in cols) of
         # their cross product g * n; so ref lies off the flat, and the flat's
         # volume times its unit normal is the projection's volume times
-        # n / |n[skip]|, proj_volume being r! times the projection's volume
+        # n / |n[skip]|, proj_volume being r! * s * unit times the
+        # projection's volume
         if r == 1:
             k = cols[0]
-            proj_volume = ipts[ids[1]][k] - ipts[ids[0]][k]
+            proj_volume = (vertices[1][k] - vertices[0][k]) * s
         else:
             proj_volume = sum(g * c for _, c, g in merged)
         skip = next(k for k in range(dim) if k not in cols)
-        ref = tuple(x + (k == skip) for k, x in enumerate(ipts[0]))
-        n, _, _ = _plane([ipts[0]] + [ipts[i] for i in chosen], ref, 1)
+        w = ipts[0][dim] if hom else 1
+        ref = tuple(x + w * (k == skip) for k, x in enumerate(ipts[0][:dim]))
+        n, _, _ = (_plane_hom if hom else _plane)([ipts[0]] + [ipts[i] for i in chosen], ref, w)
         flat_volume = Fraction(proj_volume, factorial(r) * abs(n[skip]))
-        plus = tuple(flat_volume * x / scale**r for x in n)
+        plus = tuple(flat_volume * x / (s * unit) for x in n)
         atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
-    return Polytope(_raw=(dim, vertices, r, scale, 1, (), AreaMeasure(dim, atoms), 0))
+    return Polytope(_raw=(dim, vertices, r, s, 1, (), AreaMeasure(dim, atoms), 0))
+
+
+def _hom_add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of homogeneous points (*p, w) and (*q, v), in lowest terms."""
+    w, v = p[-1], q[-1]
+    m = lcm(w, v)
+    a, b = m // w, m // v
+    out = [x * a + y * b for x, y in zip(p[:-1], q)]
+    g = gcd(m, *out)
+    return (*(x // g for x in out), m // g)
+
+
+def _lcm_within(values: Sequence[int], bits: int):
+    """The lcm of the positive integers, or None once it has more than bits
+    bits.  They are taken 64 at a time, so a small input costs one lcm call
+    and a large one stops soon after the bound."""
+    m = 1
+    for i in range(0, len(values), 64):
+        m = lcm(m, *values[i:i + 64])
+        if m.bit_length() > bits:
+            return None
+    return m
 
 
 def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:
     """sum_j conv(S_j) for nonempty groups S_j of rational points in R^dim.
 
-    The one way from rational points to a Polytope.  Every point is cleared
-    over one denominator s, and the groups are added in order, pairwise, in
-    integers; each running total after the first is cut to its extreme
-    points before the next group is added.
+    The one way from rational points to a Polytope.  The points are made
+    integer, and the groups are added in order, pairwise, in integers; each
+    running total after the first is cut to its extreme points before the
+    next group is added.
 
-    s is the lcm of the column lcms s_k.  The hulls use _plane's per-column
-    form when s has more than two 30-bit digits and the bit lengths of the
-    s_k sum to less than dim - 1 times that of s, a cheap stand-in for
-    W = prod s_k being smaller than the unit s^(dim-1) it replaces; below
-    that size, or where the columns share most of s, the divisions cost more
-    than the smaller products save.  In R^2 it never fires, since
-    prod s_k >= lcm(s_k) = s.
+    Every point is cleared over the lcm s of all denominators, unless s is
+    huge beside each point's own: then each point x enters as the
+    homogeneous (w * x, w), w the lcm of its own denominators, and the hull
+    engine's integers have the size of the w rather than of s.  A hundred
+    points with denominators up to 10^6 give s with thousands of bits and
+    each w under eighty.  The gate is bits(s) > max(_GATE_BITS,
+    _GATE_RATIO * bits(w)) for every w: below it, the homogeneous
+    predicates' extra products and Fractions cost about as much as the
+    smaller integers save, or more (at 75-412 bits of s, 0.9-1.3 times the
+    common-s time; at 700 bits and more, under 0.55 times).
     """
     pts = [p for S in groups for p in S]
-    sk = [lcm(*(p[k].denominator for p in pts)) for k in range(dim)]
-    s = lcm(*sk)
-    ipts = [tuple(x.numerator * (s // x.denominator) for x in p) for p in pts]
-    dens = None
-    if s >> 60 and sum(x.bit_length() for x in sk) < (dim - 1) * s.bit_length():
-        pad = (1,) * (4 - dim)
-        dens = tuple(s // x for x in sk) + pad, tuple(sk) + pad
+    # s is built only as far as the gate needs: past it, the points go
+    # homogeneous and s is never used, and on large clouds building it
+    # whole would cost more than the hull
+    s = _lcm_within([x.denominator for p in pts for x in p], _GATE_BITS)
+    if s is None:
+        wts = [lcm(*(x.denominator for x in p)) for p in pts]
+        s = _lcm_within(wts, _GATE_RATIO * max(wts).bit_length())
+    hom = s is None
+    if hom:
+        ipts = [(*(x.numerator * (w // x.denominator) for x in p), w) for p, w in zip(pts, wts)]
+    else:
+        ipts = [tuple(x.numerator * (s // x.denominator) for x in p) for p in pts]
     it = iter(ipts)
     total = list(islice(it, len(groups[0])))
     for j, S in enumerate(groups[1:]):
         if j:
-            ipts, _, _, ids, _ = _hull_ids(total, dim, dens)
+            ipts, _, _, ids, _ = _hull_ids(total, dim, hom)
             total = [ipts[i] for i in ids]
         S = list(islice(it, len(S)))
-        total = [tuple(map(add, p, q)) for p in total for q in S]
-    return _hull_cleared(s, total, dim, dens)
+        if hom:
+            total = [_hom_add(p, q) for p in total for q in S]
+        else:
+            total = [tuple(map(add, p, q)) for p in total for q in S]
+    return _hull_cleared(total, dim, None if hom else s)
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:

@@ -496,6 +496,44 @@ def test_usage_error_exit_two(capsys):
     assert cli.main([]) == 2
 
 
+def _cli_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_successive_calls_answer_as_fresh_processes(bodies, monkeypatch):
+    # main() builds its parser once per process; every call after the first
+    # must still answer exactly as the same call in a fresh interpreter:
+    # several subcommands, usage errors, the help texts, then verify
+    import subprocess
+
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+    seq = [
+        ["volume", bodies["cube.json"]],
+        ["support", bodies["simplex.json"], "--dir", "1,-1,2/3,0"],
+        ["hull", bodies["redundant.json"]],
+        ["op", "diff", "--body", bodies["simplex.json"], "--dir", "1,0,-1/2,3"],
+        ["nope-command"],
+        ["volume"],
+        ["verify", "--trials", "x"],
+        ["--help"],
+        ["op", "--help"],
+        ["verify", "--seed", "3", "--trials", "1", "--only", "known_values"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    reused = [_cli_captured(argv) for argv in seq]
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 2, 2, 2, 0, 0, 0]
+    for argv, got in zip(seq, reused):
+        fresh = subprocess.run([sys.executable, "-m", "minkval.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert reused[7][1].startswith("usage: minkval ") and "verify" in reused[7][1]
+    assert reused[8][1].startswith("usage: minkval op ")
+
+
 # -- wire formats directly -------------------------------------------------------------
 
 

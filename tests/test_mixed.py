@@ -144,23 +144,23 @@ def test_polarization_with_dilates_matches_facet_form(rank, max_den):
 
 @pytest.mark.parametrize("shared", [False, True], ids=["columns", "shared"])
 def test_column_denominators_polarization_matches_facet_form(shared, monkeypatch):
-    # P's coordinates carry unrelated denominators up to 10^6, so its hull,
-    # the sums P+Q, 2P+Q, 3P+Q of polarization and minkowski_sum(P, Q) run
-    # the hull kernel's cross product per column; over one shared
-    # denominator none of them does
+    # P's coordinates carry unrelated denominators of about 100 bits, so its
+    # hull, the sums P+Q, 2P+Q, 3P+Q of polarization and minkowski_sum(P, Q)
+    # run the hull engine on homogeneous points, each over its own
+    # denominator; over one shared denominator none of them does
     runs = [0, 0]
     engine = polytope._hull_engine
 
-    def counted(ipts, d, simplex, dens=None):
-        runs[dens is not None] += 1
-        return engine(ipts, d, simplex, dens)
+    def counted(ipts, d, simplex, hom=False):
+        runs[hom] += 1
+        return engine(ipts, d, simplex, hom)
 
     monkeypatch.setattr(polytope, "_hull_engine", counted)
     rng = random.Random(f"mixed-columns:{shared}")
     for _ in range(3):
-        one = rng.randint(5 * 10**5, 10**6)
-        P = convex_hull([tuple(F(rng.randint(-4 * 10**6, 4 * 10**6),
-                                 one if shared else rng.randint(5 * 10**5, 10**6))
+        one = rng.randint(2**100, 2**101)
+        P = convex_hull([tuple(F(rng.randint(-4 * 2**100, 4 * 2**100),
+                                 one if shared else rng.randint(2**100, 2**101))
                                for _ in range(4)) for _ in range(6)])
         Q = rand_body(rng, nverts=5, full=True)
         assert mixed_volume(P, P, P, Q) == mixed_volume_31(P, Q)

@@ -22,6 +22,7 @@ from minkval.polytope import (
     Polytope,
     _basis,
     _plane,
+    _plane_hom,
     _spans,
     affine_transform,
     convex_hull,
@@ -804,28 +805,28 @@ def test_plane_known_form_gives_the_gcd(d):
             _plane([face[0]] * d, ref, 1, n + pad + (c,))
 
 
-# -- per-column denominators ---------------------------------------------------------
+# -- per-point denominators ----------------------------------------------------------
 
 
 def column_cloud(rng, k, shared):
-    """k + 2 to seven points of R^k with numerators up to 4 * 10^6.  Each
-    coordinate has its own denominator in [5 * 10^5, 10^6], unrelated to the
+    """Six or seven points of R^k with numerators up to 4 * 2^100.  Each
+    coordinate has its own denominator in [2^100, 2^101], unrelated to the
     others, or (shared) every coordinate of the cloud has one denominator."""
-    count = rng.randint(k + 2, 7)
-    one = rng.randint(5 * 10**5, 10**6)
-    return [tuple(F(rng.randint(-4 * 10**6, 4 * 10**6),
-                    one if shared else rng.randint(5 * 10**5, 10**6)) for _ in range(k))
+    count = rng.randint(6, 7)
+    one = rng.randint(2**100, 2**101)
+    return [tuple(F(rng.randint(-4 * 2**100, 4 * 2**100),
+                    one if shared else rng.randint(2**100, 2**101)) for _ in range(k))
             for _ in range(count)]
 
 
 def engine_runs(monkeypatch):
-    """Counts of hull engine runs [without, with] the per-column form."""
+    """Counts of hull engine runs [over a common s, per point]."""
     runs = [0, 0]
     engine = polytope._hull_engine
 
-    def counted(ipts, d, simplex, dens=None):
-        runs[dens is not None] += 1
-        return engine(ipts, d, simplex, dens)
+    def counted(ipts, d, simplex, hom=False):
+        runs[hom] += 1
+        return engine(ipts, d, simplex, hom)
 
     monkeypatch.setattr(polytope, "_hull_engine", counted)
     return runs
@@ -834,24 +835,28 @@ def engine_runs(monkeypatch):
 @pytest.mark.parametrize("shared", [False, True], ids=["columns", "shared"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_column_denominator_clouds_match_bruteforce(k, shared, monkeypatch):
-    # columns with unrelated denominators give s with hundreds of bits and
-    # prod s_k far below s^(k-1), so the hull runs _plane per column; over
-    # one shared denominator s is small and it does not.  In R^2 the gate
-    # never fires: prod s_k >= lcm(s_k) = s = s^(k-1).
+    # columns with unrelated denominators give a common s of six or seven
+    # times the bits of any one point's, so the hull runs on homogeneous
+    # points, each over its own denominator; over one shared denominator s
+    # is each point's own, and it does not
     Q = [(F(0),) * k, tuple(F(1, 2 + j) for j in range(k))]
     Qh = convex_hull(Q)
     runs = engine_runs(monkeypatch)
     rng = random.Random(f"columns:{k}:{shared}")
     for _ in range(3):
         pts = column_cloud(rng, k, shared)
+        runs[:] = [0, 0]
         P = convex_hull(pts)
         assert_matches_bruteforce(P, pts, k)
         for _ in range(3):
             rng.shuffle(pts)
             assert hull_record(convex_hull(pts)) == hull_record(P)
+        # four hulls, all full-rank
+        assert runs == ([4, 0] if shared else [0, 4])
         # the sum with a segment: support additivity, and the brute-force
         # vertices of the pairwise sums
         S = minkowski_sum(P, Qh)
+        assert sum(runs) == 5 and (runs[1] == 0 if shared else runs[1] >= 4)
         for _ in range(8):
             w = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k))
             assert S.support(w) == max(_odot(w, p) for p in pts) + max(_odot(w, q) for q in Q)
@@ -860,36 +865,137 @@ def test_column_denominator_clouds_match_bruteforce(k, shared, monkeypatch):
             assert S.vertices == tuple(_overtices(sums, _ofacets(sums, k), k))
         else:
             assert S.vertices == tuple(_osum_vertices(pts, Q))
-    # per cloud: four hulls and one sum, all full-rank
-    off, fired = runs
-    assert off + fired == 3 * 5
-    assert fired == (0 if shared or k == 2 else 3 * 5)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_plane_per_column_form_scales_only_the_weight(d):
-    # the same (n, c) with and without the per-column form, and weights in
-    # the ratio s^(d-1) / W, for the full and the known-plane forms
-    rng = random.Random(f"plane-columns:{d}")
+def test_plane_per_point_form_scales_only_the_weight(d):
+    # the same normal with and without the per-point form, the offset over
+    # the first point's weight w_0 instead of s, and weights in the ratio
+    # D / s^(d-1), D = w_0^(d-1) * prod_{i>0} w_i the product of the edges'
+    # weights, for the full and the known-plane forms and either corner
+    # order
+    rng = random.Random(f"plane-points:{d}")
     for _ in range(60):
         pts = [tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(d))
                for _ in range(d + 1)]
-        sk = [lcm(*(p[j].denominator for p in pts)) for j in range(d)]
-        s = lcm(*sk)
+        s = lcm(*(x.denominator for p in pts for x in p))
         cleared = [tuple(int(x * s) for x in p) for p in pts]
         face, ref = cleared[:d], cleared[d]
         if _orank([vec_sub(p, ref) for p in face], d) < d:
             continue
-        pad = (1,) * (4 - d)
-        dens = tuple(s // x for x in sk) + pad, tuple(sk) + pad
-        W = math.prod(sk)
+        hom = []
+        for p in pts:
+            w = lcm(*(x.denominator for x in p))
+            hom.append(tuple(int(x * w) for x in p) + (w,))
+        hface, (*href, hk) = hom[:d], hom[d]
+
+        def D(corners):
+            ws = [p[d] for p in corners]
+            return ws[0] ** (d - 1) * math.prod(ws[1:])
+
         n, c, g = _plane(face, ref, 1)
-        n2, c2, g2 = _plane(face, ref, 1, None, dens)
-        assert (n2, c2) == (n, c)
-        assert g * W == g2 * s ** (d - 1)
+        n2, c2, g2 = _plane_hom(hface, tuple(href), hk)
+        assert n2 == n
+        assert c2 * s == c * hface[0][d]
+        assert g2 * s ** (d - 1) == g * D(hface)
         known = n + (0,) * (4 - d) + (c,)
-        assert _plane(face, ref, 1, known, dens) == g2
-        assert _plane(face[::-1], ref, 1, known, dens) == g2
+        assert _plane_hom(hface, tuple(href), hk, known) == g2
+        assert _plane_hom(hface[::-1], tuple(href), hk, known) * s ** (d - 1) == g * D(hface[::-1])
+
+
+def flat_cloud(rng, k, r, count, max_den):
+    """count points of a rank-r flat of R^k: a rational base point plus
+    rational multiples of r lattice vectors, every coordinate p / q with
+    1 <= q <= max_den drawn on its own, so that the points' denominators are
+    unrelated.  Like box_cloud, few of them are extreme."""
+    while True:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(r)]
+        if _orank(gens, k) == r:
+            break
+    q = lambda: F(rng.randint(-4 * max_den, 4 * max_den), rng.randint(1, max_den))
+    base = [q() for _ in range(k)]
+    pts = []
+    for _ in range(count):
+        t = [q() for _ in range(r)]
+        pts.append(tuple(b + sum(c * g[i] for c, g in zip(t, gens)) for i, b in enumerate(base)))
+    return pts
+
+
+def assert_certified_by_vertices(P, pts, k):
+    """P, the hull of pts in R^k, against the _o* oracles run on P's own
+    vertices, which must be input points, and every input inside their
+    hull: then conv(pts) = conv(vertices), and the oracles see it whole."""
+    verts = list(P.vertices)
+    assert set(verts) <= set(pts)
+    assert_matches_bruteforce(P, verts, k)
+    r = P.affine_dim
+    assert _orank([vec_sub(p, verts[0]) for p in pts], k) == r
+    if r == k:
+        for f in P.facets:
+            assert _oslack(pts, f.normal, f.offset) == 0
+    elif r > 0:
+        J = _oflat_chart(verts, r)
+        chart = lambda p: tuple(p[j] for j in J)
+        ends = [chart(v) for v in verts]
+        if r == 1:
+            assert min(ends) <= min(map(chart, pts)) and max(map(chart, pts)) <= max(ends)
+        else:
+            for a, c in _ofacets(ends, r).items():
+                assert _oslack([chart(p) for p in pts], a, c) == 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_large_point_denominator_clouds_match_bruteforce(k, monkeypatch):
+    # 40-200 points with unrelated denominators up to 10^6, on flats of
+    # every rank: the hull runs on homogeneous points at every rank >= 2,
+    # matches the oracles and does not depend on the input order
+    runs = engine_runs(monkeypatch)
+    rng = random.Random(f"large-points:{k}")
+    for r in [*range(k + 1), k]:
+        pts = flat_cloud(rng, k, r, rng.randint(40, 200), 10**6)
+        pts += rng.choices(pts, k=5)
+        runs[:] = [0, 0]
+        P = convex_hull(pts)
+        assert P.affine_dim == r
+        assert runs == [0, int(r >= 2)]
+        assert_certified_by_vertices(P, pts, k)
+        for _ in range(3):
+            rng.shuffle(pts)
+            assert hull_record(convex_hull(pts)) == hull_record(P)
+
+
+def box_cloud(rng, count, max_den):
+    """count points of R^4 with coordinates p / q, |p| <= 4 * max_den and
+    1 <= q <= max_den uniform: few of them extreme."""
+    return [tuple(F(rng.randint(-4 * max_den, 4 * max_den), rng.randint(1, max_den))
+                  for _ in range(4)) for _ in range(count)]
+
+
+def test_plane_integers_do_not_grow_with_the_point_count(monkeypatch):
+    # per-point denominators keep the cross product's integers the size of
+    # the points: 800 points with denominators up to 10^6 hand _plane no
+    # larger integers than 50 such points do.  Over one common s they would
+    # grow with the count (about 2,400 bits of s at 50 points, 27,000 at 800)
+    seen = []
+
+    def counted(points, ref, k, known=None):
+        seen[-1][0] = max(seen[-1][0], *(abs(x).bit_length() for p in points for x in p))
+        seen[-1][1] = max(seen[-1][1], k.bit_length(), *(abs(x).bit_length() for x in ref),
+                          *(abs(x).bit_length() for x in known or ()))
+        return _plane(points, ref, k, known)
+
+    monkeypatch.setattr(polytope, "_plane", counted)
+    for count in (50, 800):
+        seen.append([0, 0])
+        P = convex_hull(box_cloud(random.Random(f"box:{count}"), count, 10**6))
+        assert P.affine_dim == 4 and P._scale.bit_length() < 1000
+    (small, small_all), (large, large_all) = seen
+    # the edges w_0 * p_i - w_i * p_0, w a point's own weight, the lcm of
+    # four denominators up to 10^6
+    assert large <= small + 16 <= 2 * 90
+    # the reference point, the centroid of the starting simplex, is over
+    # the lcm of five such weights, whatever the count
+    assert large_all <= small_all + 64 <= 7 * 90
 
 
 sparse_int = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
@@ -1114,3 +1220,20 @@ def test_kernel_outputs_pinned():
         out = (P.vertices, P.affine_dim, P.volume(), P.area_measure().atoms, facets)
         digest.update(repr(out).encode())
     assert digest.hexdigest() == KERNEL_SHA256
+
+
+# sha256 of tests/kernel_digest.py over its first 24 clouds, recorded with
+# the common-denominator kernel before the per-point form was added
+KERNEL_DIGEST_24 = "90198b96815b184efe3130859ab624fbc33907056efe8fbda6a2638d43f7a020"
+
+
+def test_kernel_digest_script_smoke(monkeypatch, capsys):
+    # the parent-vs-change digest script runs, prints one sha256, and on a
+    # few clouds of both denominator sizes still reads what it read before,
+    # with some of its engine runs on homogeneous points
+    import kernel_digest
+
+    runs = engine_runs(monkeypatch)
+    assert kernel_digest.main(["--clouds", "24"]) == 0
+    assert capsys.readouterr().out == KERNEL_DIGEST_24 + "\n"
+    assert runs[1] > 0
