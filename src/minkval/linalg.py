@@ -7,7 +7,7 @@ tuples.  Everything here is exact; nothing ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -78,13 +78,3 @@ def primitive(v: Sequence[int]) -> IntVec:
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
-
-
-def clear_denominators(points: Sequence[Sequence[Fraction]]) -> tuple[int, list[IntVec]]:
-    """Common positive scale s such that s * p is integral for every point."""
-    s = 1
-    for p in points:
-        for x in p:
-            s = lcm(s, x.denominator)
-    scaled = [tuple(x.numerator * (s // x.denominator) for x in p) for p in points]
-    return s, scaled

@@ -10,7 +10,8 @@ value stays a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .polytope import Polytope, _sum_points
@@ -32,41 +33,31 @@ def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Frac
     """V(K1, K2, K3, K4) by polarization; symmetric and Minkowski-multilinear.
 
     V = (1/4!) sum over nonempty S of (-1)^(4-|S|) vol(sum of K_i, i in S).
-    Repeated (equal) bodies are collapsed to dilates before summing, which
-    keeps the intermediate hulls small.  A subset of one distinct body K
-    taken m times builds no hull: its volume is m^4 * vol(K), read from K's
-    cache.  Every sum of distinct bodies is hulled, so this route stays
-    independent of the facet form.
+    The sum runs over the multiplicity vectors k of the distinct bodies B_j,
+    each taken m_j times: a vector stands for prod C(m_j, k_j) subsets, all
+    with the volume of sum k_j B_j, which keeps the hulls few and small.
+    A vector of one distinct body B builds no hull: its volume is
+    k^4 * vol(B), read from B's cache.  Every sum of distinct bodies is
+    hulled, so this route stays independent of the facet form.
     """
     bodies = (K1, K2, K3, K4)
     _check_quadruple(bodies)
-
-    canon = []
-    for i, K in enumerate(bodies):
-        j = next((k for k in range(i) if bodies[k] == K), i)
-        canon.append(j)
-
-    vol_cache: dict[tuple[int, ...], Fraction] = {}
-
-    def subset_volume(ids: tuple[int, ...]) -> Fraction:
-        key = tuple(sorted(canon[i] for i in ids))
-        if key not in vol_cache:
-            counts: dict[int, int] = {}
-            for c in key:
-                counts[c] = counts.get(c, 0) + 1
-            if len(counts) == 1:
-                vol_cache[key] = len(key) ** 4 * bodies[key[0]].volume()
-            else:
-                groups = [[tuple(m * x for x in v) for v in bodies[c].vertices]
-                          for c, m in counts.items()]
-                vol_cache[key] = _sum_points(groups, 4).volume()
-        return vol_cache[key]
+    # equal bodies are found by ==, on the vertices, identity first, as tuple
+    # membership compares
+    distinct = [K for i, K in enumerate(bodies) if K not in bodies[:i]]
+    mults = [bodies.count(B) for B in distinct]
 
     acc = Fraction(0)
-    for size in range(1, 5):
-        sign = (-1) ** (4 - size)
-        for ids in combinations(range(4), size):
-            acc += sign * subset_volume(ids)
+    # the first vector is zero, the empty subset
+    for ks in list(product(*(range(m + 1) for m in mults)))[1:]:
+        used = [(k, B) for k, B in zip(ks, distinct) if k]
+        if len(used) == 1:
+            [(k, B)] = used
+            vol = k**4 * B.volume()
+        else:
+            groups = [[tuple(k * x for x in v) for v in B.vertices] for k, B in used]
+            vol = _sum_points(groups, 4).volume()
+        acc += (-1) ** (4 - sum(ks)) * prod(map(comb, mults, ks)) * vol
     return acc / 24
 
 

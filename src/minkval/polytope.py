@@ -40,9 +40,12 @@ when v * <u, p> > w * c, and each piece's g is divided by its edges'
 weights once the hull is built, summed per merged facet as a Fraction.
 Either way the facets, volume and atoms are the same numbers.  The sum in
 vol(P) is taken with the hull; a Polytope then keeps only u and G of each
-facet, in one flat tuple, and its facets read c off the vertices.
-Lower-dimensional polytopes are first-class: operations degrade per
-contract rather than erroring.
+facet, in one flat tuple, and its facets read c off the vertices; a
+codimension-1 body keeps its two sides as the facet pair (+/-u, G).  This
+record is a body's one integer form: area_measure builds every body's
+atoms from it, and the support evaluators read its rows and cleared
+vertices (_cleared_atoms, _cleared).  Lower-dimensional polytopes are
+first-class: operations degrade per contract rather than erroring.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from .linalg import clear_denominators, dot, mat_apply, vec_sub
+from .linalg import dot, mat_apply, vec_sub
 
 Coords = tuple[Fraction, ...]
 
@@ -529,16 +532,15 @@ class Polytope:
             self._scale,
             self._unit,
             self._merged,
-            self._area,
             self._volume,
         ) = _raw
-        self._facets = None
+        self._facets = self._area = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(_raw=(ambient_dim, (), -1, 1, 1, (), AreaMeasure(ambient_dim, ()), 0))
+        return Polytope(_raw=(ambient_dim, (), -1, 1, 1, (), 0))
 
     @staticmethod
     def point(coords: Sequence) -> "Polytope":
@@ -573,9 +575,11 @@ class Polytope:
     # -- structure -----------------------------------------------------------
 
     def _rows(self):
-        """(n, G) of each merged facet.  _merged keeps them flat, d + 1
-        integers a facet, and not the offsets, which the vertices give: a
-        body kept in memory holds no tuple and no offset per facet."""
+        """(n, G) of each merged facet, the atom G * n / ((d-1)! * _unit);
+        a codimension-1 body has the pair (n, G), (-n, G), and a lower one
+        none.  _merged keeps them flat, d + 1 integers a facet, and not the
+        offsets, which the vertices give: a body kept in memory holds no
+        tuple and no offset per facet."""
         m, d = self._merged, self.ambient_dim
         return ((m[i:i + d], m[i + d]) for i in range(0, len(m), d + 1))
 
@@ -584,6 +588,14 @@ class Polytope:
         of their denominators."""
         s = self._scale
         return [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
+
+    def _cleared_atoms(self) -> tuple[int, list[tuple[int, ...]]]:
+        """(D, atoms): the area measure's atoms as integer vectors over D,
+        the lcm of their entries' denominators, read off the rows."""
+        D = factorial(self.ambient_dim - 1) * self._unit
+        atoms = [tuple(g * x for x in n) for n, g in self._rows()]
+        f = gcd(D, *(x for a in atoms for x in a))
+        return D // f, [tuple(x // f for x in a) for a in atoms]
 
     @property
     def facets(self) -> tuple[Facet, ...]:
@@ -619,8 +631,9 @@ class Polytope:
             raise ValueError("support of an empty polytope is undefined")
         if len(xi) != self.ambient_dim:
             raise ValueError("dimension mismatch in support direction")
-        t, (w,) = clear_denominators(
-            [[x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]])
+        xi = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]
+        t = lcm(*(x.denominator for x in xi))
+        w = [x.numerator * (t // x.denominator) for x in xi]
         return Fraction(max(sum(map(mul, w, v)) for v in self._cleared()), t * self._scale)
 
     def volume(self) -> Fraction:
@@ -641,10 +654,10 @@ class Polytope:
     def area_measure(self) -> AreaMeasure:
         """Surface area measure as exact weighted-normal atoms.
 
-        For a full-dimensional body each facet (u, c, G) gives the atom
-        G * u / ((n-1)! * W), the summed cross products of its simplicial
-        pieces rescaled from the integer-cleared coordinates, W being _unit.
-        Lower-dimensional bodies get theirs from convex_hull.
+        Each row (u, G) gives the atom G * u / ((n-1)! * W), W being _unit:
+        for a full-dimensional body the summed cross products of a facet's
+        simplicial pieces rescaled from the integer-cleared coordinates, for
+        a codimension-1 body its two sides (see _hull_cleared).
         """
         if self._area is None:
             n = self.ambient_dim
@@ -748,7 +761,8 @@ def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale=None) -> Polytope
     its offsets over _scale, the lcm of its vertices' denominators, whatever
     the points came over, and its facet weights over _unit: scale^(dim-1)
     for points over a common scale, else the lcm of the weights' own
-    denominators.
+    denominators, and for a codimension-1 body that unit times the factor
+    of its facet pair.
     """
     hom = scale is None
     ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim, hom)
@@ -773,31 +787,28 @@ def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale=None) -> Polytope
         unit = scale ** max(r - 1, 0)
         if f > 1:
             merged = [(n, c // f, g) for n, c, g in merged]
+    rows, total = (), 0
     if r == dim:
-        flat = tuple(x for n, _, g in merged for x in (*n, g))
+        rows = tuple(x for n, _, g in merged for x in (*n, g))
         total = sum(g * c for _, c, g in merged)
-        return Polytope(_raw=(dim, vertices, dim, s, unit, flat, None, total))
-    atoms = ()
-    if r == dim - 1:
-        # projecting onto cols scales r-volume by the basis edges' minor
-        # there, which is +/- entry skip (the coordinate not in cols) of
-        # their cross product g * n; so ref lies off the flat, and the flat's
-        # volume times its unit normal is the projection's volume times
-        # n / |n[skip]|, proj_volume being r! * s * unit times the
-        # projection's volume
+    elif r == dim - 1:
+        # the facet pair (+/-n, G) over the unit |n[skip]| * s * unit, G the
+        # projection's volume times r! * s * unit: projecting onto cols
+        # scales r-volume by the basis edges' minor there, which is +/- entry
+        # skip (the coordinate not in cols) of their cross product g * n, so
+        # ref lies off the flat
         if r == 1:
             k = cols[0]
-            proj_volume = (vertices[1][k] - vertices[0][k]) * s
+            G = int((vertices[1][k] - vertices[0][k]) * s)
         else:
-            proj_volume = sum(g * c for _, c, g in merged)
+            G = sum(g * c for _, c, g in merged)
         skip = next(k for k in range(dim) if k not in cols)
         w = ipts[0][dim] if hom else 1
         ref = tuple(x + w * (k == skip) for k, x in enumerate(ipts[0][:dim]))
         n, _, _ = (_plane_hom if hom else _plane)([ipts[0]] + [ipts[i] for i in chosen], ref, w)
-        flat_volume = Fraction(proj_volume, factorial(r) * abs(n[skip]))
-        plus = tuple(flat_volume * x / (s * unit) for x in n)
-        atoms = tuple(sorted([plus, tuple(-x for x in plus)]))
-    return Polytope(_raw=(dim, vertices, r, s, 1, (), AreaMeasure(dim, atoms), 0))
+        unit *= abs(n[skip]) * s
+        rows = (*n, G, *(-x for x in n), G)
+    return Polytope(_raw=(dim, vertices, r, s, unit, rows, total))
 
 
 def _hom_add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

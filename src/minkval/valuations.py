@@ -29,7 +29,6 @@ from .cplx import (
     det_pair,
     scale_point,
 )
-from .linalg import clear_denominators
 from .polytope import Polytope, _sum_points
 
 
@@ -168,14 +167,11 @@ def _combined_summands(M: Polytope, N: Polytope, K: Polytope):
 #
 # Each takes the kind's parameter bodies and K and returns (t, W) -> h(Z K, W / t)
 # for an integer direction W over t > 0.  They read K only through its vertices
-# and area measure, never through the summands.  The setup clears K's vectors
-# over one denominator s and the complex scalars over their own q; a call acts
-# on the direction side and takes maxima in integers, and divides once.
-
-def _cleared_scalars(scalars):
-    """Complex scalars as integer Cplx over one common denominator q."""
-    q, pairs = clear_denominators([(c.re, c.im) for c in scalars])
-    return q, [Cplx(a, b) for a, b in pairs]
+# and area measure, never through the summands, and read both in the integer
+# form the body keeps: K's vertices over its _scale s (_cleared) or its atoms
+# over their own s (_cleared_atoms), and the complex scalars, the atoms of M or
+# the vertices of N, over their own q the same way.  A call acts on the
+# direction side and takes maxima in integers, and divides once.
 
 
 def _max_dot(vectors, u):
@@ -186,7 +182,7 @@ def _max_dot(vectors, u):
 
 def _projection_support(K: Polytope):
     """h(Pi K, w) = (1/2) sum_F |<sigma_F, w>|."""
-    s, atoms = clear_denominators(K.area_measure())
+    s, atoms = K._cleared_atoms()
 
     def h(t, W) -> Fraction:
         x1, y1, x2, y2 = W
@@ -198,7 +194,7 @@ def _projection_support(K: Polytope):
 
 def _difference_support(K: Polytope):
     """h(K + (-K), w) = h(K, w) + h(K, -w) = max_v <v, w> - min_v <v, w>."""
-    s, verts = clear_denominators(K.vertices)
+    s, verts = K._scale, K._cleared()
 
     def h(t, W) -> Fraction:
         x1, y1, x2, y2 = W
@@ -210,8 +206,9 @@ def _difference_support(K: Polytope):
 
 def _complex_difference_support(M: Polytope, K: Polytope):
     """h(D_M K, xi) = sum_j h(K, conj(nu_j) xi) over the atoms nu_j of M."""
-    s, verts = clear_denominators(K.vertices)
-    q, conj_atoms = _cleared_scalars(nu.conjugate() for nu in planar_atoms(M))
+    s, verts = K._scale, K._cleared()
+    q, atoms = M._cleared_atoms()
+    conj_atoms = [Cplx(a, -b) for a, b in atoms]
 
     def h(t, X) -> Fraction:
         return Fraction(sum(_max_dot(verts, scale_point(c, X)) for c in conj_atoms), s * q * t)
@@ -221,8 +218,8 @@ def _complex_difference_support(M: Polytope, K: Polytope):
 
 def _complex_projection_support(N: Polytope, K: Polytope):
     """h(Pi_N K, w) = (1/4) sum_F max_{c vertex of N} <sigma_F, c w>."""
-    s, atoms = clear_denominators(K.area_measure())
-    q, scalars = _cleared_scalars(Cplx(c[0], c[1]) for c in N.vertices)
+    s, atoms = K._cleared_atoms()
+    q, scalars = N._scale, [Cplx(a, b) for a, b in N._cleared()]
 
     def h(t, W) -> Fraction:
         scaled = [scale_point(c, W) for c in scalars]

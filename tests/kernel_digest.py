@@ -14,7 +14,9 @@ three tenths on a flat of lower rank; some points repeat.  Per cloud
 the digest covers the hull record (vertices, affine dimension, volume, area
 atoms and facets with their vertex ids), the support values in four fixed
 directions, the vertices and volume of the sum with a small simplex and, in
-R^4, both mixed volumes V(P, P, P, Q).
+R^4, both mixed volumes V(P, P, P, Q) and the SupportEvaluator values of
+every kind token at the four directions, with a fixed segment M and
+triangle N.
 """
 
 from __future__ import annotations
@@ -26,8 +28,16 @@ from fractions import Fraction
 
 from minkval.mixed import mixed_volume, mixed_volume_31
 from minkval.polytope import convex_hull, minkowski_sum
+from minkval.valuations import OPERATORS, SupportEvaluator, ValuationOp
 
 F = Fraction
+
+PARAMS = {
+    "M": convex_hull([(F(-1, 2), F(1, 3)), (F(3, 4), F(2, 5))]),
+    "N": convex_hull([(0, 0), (2, F(1, 3)), (F(-1, 2), F(5, 7))]),
+}
+# every kind, then the covariant companion of every contravariant kind
+TOKENS = [*OPERATORS, *(f"cov_of:{k}" for k, spec in OPERATORS.items() if spec.contravariant)]
 
 
 def cloud(i: int) -> list[tuple]:
@@ -71,6 +81,10 @@ def record(i: int) -> str:
     out += [S.vertices, S.volume()]
     if d == 4:
         out += [mixed_volume(P, P, P, Q), mixed_volume_31(P, Q)]
+        for kind in TOKENS:
+            params = OPERATORS[kind.removeprefix("cov_of:")].params
+            ev = SupportEvaluator(ValuationOp(kind, **{p: PARAMS[p] for p in params}), P)
+            out.append(tuple(ev.at(u) for u in dirs))
     return repr(out)
 
 

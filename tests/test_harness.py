@@ -3,11 +3,13 @@ and the deliberate fault-injection self-test."""
 
 from fractions import Fraction
 import itertools
+import json
 import random
 
 import pytest
 
 from minkval.cplx import ComplexMatrix2, Cplx
+import minkval.harness as harness
 from minkval.harness import (
     CHECKS,
     check_equivariance,
@@ -245,3 +247,59 @@ def test_all_checks_registered():
         "dtilde_consistency", "det32_pattern", "uniqueness_translates",
     }
     assert set(CHECKS) == expected
+
+
+# each check sees a fault planted in what it tests: name is the harness name
+# the fault replaces, fault(real) the faulty stand-in for real, and seen
+# tells the fault's mark in the witness
+
+
+def _plus_one_on_diff(real):
+    class Shifted(real):
+        def at(self, w):
+            return super().at(w) + (self.op.kind == "diff")
+
+    return Shifted
+
+
+def _scaled_action(real):
+    # the group acts by 2g, which is not in SL(2, C); a shift of one kind's
+    # evaluator would cancel between the two sides of equivariance
+    return lambda g, K: real(g, K).scale(2)
+
+
+PLANTED = {
+    # the split loses its middle piece
+    "valuation_additivity": (
+        "split_by_hyperplane",
+        lambda real: lambda P, xi, c: (*real(P, xi, c)[:2], Polytope.empty(4)),
+        lambda w: w["lhs"] != w["rhs"]),
+    "equivariance": ("group_action", _scaled_action, lambda w: w["lhs"] != w["rhs"]),
+    # a constant, degree 0, in the difference body's support
+    "homogeneity_spectrum": ("SupportEvaluator", _plus_one_on_diff,
+                             lambda w: w["op"] == "diff" and w["nonzero_degrees"] == [0, 1]),
+    "mixed_volume_oracles": ("mixed_volume_31", lambda real: lambda K, L: real(K, L) + 1,
+                             lambda w: Fraction(w["facet_form"]) == Fraction(w["polarization"]) + 1),
+    "known_values": ("mixed_volume", lambda real: lambda *bodies: 2 * real(*bodies),
+                     lambda w: (w["which"], w["got"]) == ("V(seg1..seg4)", "1/12")),
+    # the sum drops its second summand
+    "kernel_invariants": ("minkowski_sum", lambda real: lambda P, Q: P,
+                          lambda w: set(w) == {"support_additivity", "P", "trial"}),
+    "det32_pattern": ("group_action", _scaled_action,
+                      lambda w: w["t3_g0_inverse"] == w["t4_g_inverse"] != w["lhs"]),
+}
+
+
+@pytest.mark.parametrize("check", PLANTED)
+def test_planted_fault_fails_the_check(check, monkeypatch):
+    name, fault, seen = PLANTED[check]
+    monkeypatch.setattr(harness, name, fault(getattr(harness, name)))
+    rep = CHECKS[check](42, 3)
+    assert rep.status == "fail" and rep.check == check
+    record = json.loads(rep.to_json())
+    assert record["status"] == "fail" and record["check"] == check and record["seed"] == 42
+    assert seen(record["witness"])
+    # the fault shows at once, and the report counts one trial; known_values
+    # checks one fixed instance and names no trial
+    assert rep.trials == 1 and record["witness"].get("trial", 0) == 0
+    assert ("trial" in record["witness"]) == (check != "known_values")

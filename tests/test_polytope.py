@@ -338,6 +338,27 @@ def test_split_missing_the_body():
     assert mid.is_empty
 
 
+def test_empty_body_maps_sums_and_splits():
+    # the empty body, which splits make, comes back empty from every body
+    # map, sum and split, and has no atoms and volume zero
+    E = Polytope.empty(4)
+    assert E.is_empty and repr(E) == "Polytope.empty(4)"
+    assert E.area_measure().atoms == () and E.area_measure().ambient_dim == 4
+    assert E.volume() == 0
+    assert E._cleared() == [] and E._cleared_atoms() == (1, [])
+    for B in (E.image(lambda v: v), E.translate((1, 2, 3, 4)), E.scale(3), -E):
+        assert B.is_empty and B.ambient_dim == 4
+    flat = affine_transform(E, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert flat.is_empty and flat == Polytope.empty(2) and flat.area_measure().ambient_dim == 2
+    C = unit_cube(4)
+    assert minkowski_sum(E, C).is_empty and minkowski_sum(C, E).is_empty
+    with pytest.raises(ValueError):
+        minkowski_sum(E, unit_cube(3))
+    assert all(B.is_empty and B.ambient_dim == 4 for B in split_by_hyperplane(E, (1, 0, 0, 0), 0))
+    with pytest.raises(ValueError):
+        E.support((1, 0, 0, 0))
+
+
 def test_split_simplex_volume_additivity():
     P = standard_simplex(4)
     low, high, mid = split_by_hyperplane(P, (1, 0, 0, 0), F(1, 2))
@@ -1115,6 +1136,96 @@ def test_hyp_scale_4d_matches_bruteforce(pts):
         assert P.scale(c).vertices == tuple(_ohull_vertices([tuple(c * x for x in p) for p in pts]))
 
 
+# -- both integer forms ------------------------------------------------------------
+#
+# The gate of _sum_points runs every hull of the oracle tests above over one
+# common denominator: their clouds' denominators are small.  The twins below
+# run the same tests, on fewer examples, with the gate forced open, so that
+# every hull, sum and dilate of them runs on homogeneous points and the same
+# oracles check the per-point form.
+
+
+@pytest.fixture
+def per_point_form(monkeypatch):
+    """Every hull of the test on homogeneous points, whatever its common
+    denominator."""
+    monkeypatch.setattr(polytope, "_GATE_BITS", 0)
+    monkeypatch.setattr(polytope, "_GATE_RATIO", 0)
+
+
+@pytest.mark.usefixtures("per_point_form")
+@settings(max_examples=20, deadline=None)
+@given(clouds_4d())
+def test_hyp_hull_4d_matches_bruteforce_facets_per_point(pts):
+    test_hyp_hull_4d_matches_bruteforce_facets.hypothesis.inner_test(pts)
+
+
+@pytest.mark.usefixtures("per_point_form")
+@settings(max_examples=20, deadline=None)
+@given(clouds_4d())
+def test_hyp_volume_and_area_4d_per_point(pts):
+    test_hyp_volume_and_area_4d_match_cone_decomposition.hypothesis.inner_test(pts)
+
+
+@pytest.mark.usefixtures("per_point_form")
+@settings(max_examples=40, deadline=None)
+@given(clouds_2d_3d())
+def test_hyp_hull_2d_3d_per_point(cloud):
+    test_hyp_hull_2d_3d_matches_bruteforce.hypothesis.inner_test(cloud)
+
+
+@pytest.mark.usefixtures("per_point_form")
+@settings(max_examples=4, deadline=None)
+@given(summand_pairs())
+def test_hyp_minkowski_sum_4d_per_point(pair):
+    test_hyp_minkowski_sum_4d_matches_bruteforce.hypothesis.inner_test(pair)
+
+
+@pytest.mark.usefixtures("per_point_form")
+@settings(max_examples=6, deadline=None)
+@given(st.lists(rational_point, min_size=5, max_size=8).filter(_ofull))
+def test_hyp_scale_4d_per_point(pts):
+    test_hyp_scale_4d_matches_bruteforce.hypothesis.inner_test(pts)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_integer_forms_give_equal_records(k, monkeypatch):
+    # each integer form is the other's oracle: every hull over a common
+    # denominator and every hull on homogeneous points give the same hull
+    # records, integer atoms, sums and, in R^4, mixed volumes, on seeded
+    # clouds of every rank (codimension-1 flats, whose facet pair is kept
+    # as rows, among them) with small and large denominators, and on clouds
+    # with many points per facet plane
+    from minkval.mixed import mixed_volume, mixed_volume_31
+
+    Q = convex_hull([(F(0),) * k] + [tuple(F(int(j == i), 2 + i) for j in range(k))
+                                     for i in range(k)])
+    rng = random.Random(f"forms:{k}")
+    clouds = [flat_cloud(rng, k, r, rng.randint(r + 1, 12), den)
+              for r in range(k + 1) for den in (16, 10**6)]
+    clouds += [coplanar_cloud(rng, k, shape) for shape in ("grid", "segments", "faces")]
+    runs = engine_runs(monkeypatch)
+    # the gate is shut for any s under an infinite _GATE_BITS, and open for
+    # every s at 0 with _GATE_RATIO 0
+    monkeypatch.setattr(polytope, "_GATE_RATIO", 0)
+    for pts in clouds:
+        records = []
+        for bits in (math.inf, 0):
+            monkeypatch.setattr(polytope, "_GATE_BITS", bits)
+            runs[:] = [0, 0]
+            P = convex_hull(pts)
+            S = minkowski_sum(P, Q)
+            D, atoms = P._cleared_atoms()
+            rec = [hull_record(P), P._scale, D, sorted(atoms), hull_record(S)]
+            if k == 4:
+                rec += [mixed_volume(P, P, P, Q), mixed_volume(P, P, Q, Q),
+                        mixed_volume_31(P, Q), mixed_volume_31(Q, P)]
+            records.append(rec)
+            # the sum's engine run at least, in the forced form only
+            assert runs[bits == 0] >= 1 and runs[bits != 0] == 0
+        assert records[0] == records[1]
+
+
 # -- large clouds ------------------------------------------------------------------
 
 
@@ -1222,9 +1333,10 @@ def test_kernel_outputs_pinned():
     assert digest.hexdigest() == KERNEL_SHA256
 
 
-# sha256 of tests/kernel_digest.py over its first 24 clouds, recorded with
-# the common-denominator kernel before the per-point form was added
-KERNEL_DIGEST_24 = "90198b96815b184efe3130859ab624fbc33907056efe8fbda6a2638d43f7a020"
+# sha256 of tests/kernel_digest.py over its first 24 clouds, recorded when
+# the digest took in the support evaluators, on the kernel before they read
+# the body's integer rows
+KERNEL_DIGEST_24 = "7573e22deade3c0f16f61175ea90eeefafcb30c0cf8f8d636fa20acf6599c496"
 
 
 def test_kernel_digest_script_smoke(monkeypatch, capsys):
