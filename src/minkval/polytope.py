@@ -26,26 +26,29 @@ atoms are canonical, and
 
 need no triangulation once the hull is built, with c over s, the lcm of the
 vertices' denominators (Polytope._scale), and G over the unit W
-(Polytope._unit, see _hull_cleared).
+(Polytope._unit, see _hull_cleared).  A segment's facets are its two ends,
+each of weight 1, so that the same sum gives its length.
 
-The points are integer in one of two forms.  Mostly every point x is
-cleared over the lcm s of all denominators, as s * x.  But that s is the
-lcm over every point, so it grows with the point count: a hundred points
-with denominators up to 10^6 give s with thousands of bits, though no
-point's own denominators take a hundred.  When s is that large beside them
-(see _sum_points), each point enters as the homogeneous (w * x, w) over its
-own w instead, and the engine's integers keep the size of the points: its
-edges are w_0 * p_i - w_i * p_0, a point (p, w) is beyond a piece (u, c, v)
-when v * <u, p> > w * c, and each piece's g is divided by its edges'
-weights once the hull is built, summed per merged facet as a Fraction.
-Either way the facets, volume and atoms are the same numbers.  The sum in
-vol(P) is taken with the hull; a Polytope then keeps only u and G of each
-facet, in one flat tuple, and its facets read c off the vertices; a
-codimension-1 body keeps its two sides as the facet pair (+/-u, G).  This
-record is a body's one integer form: area_measure builds every body's
-atoms from it, and the support evaluators read its rows and cleared
-vertices (_cleared_atoms, _cleared).  Lower-dimensional polytopes are
-first-class: operations degrade per contract rather than erroring.
+The points are integer in one of two forms.  In the common form, which
+most hulls take, every point x is cleared over the lcm s of all
+denominators, as s * x.  But that s is the lcm over every point, so it
+grows with the point count: a hundred points with denominators up to 10^6
+give s with thousands of bits, though no point's own denominators take a
+hundred.  When s is that large beside them (see _sum_points), the points
+take the per-point form: each point enters as the homogeneous (w * x, w),
+w the lcm of its own denominators, and the engine's integers keep the
+size of the points: its edges are w_0 * p_i - w_i * p_0, a point (p, w)
+is beyond a piece (u, c, v) when v * <u, p> > w * c, and each piece's g
+is divided by its edges' weights once the hull is built, summed per
+merged facet as a Fraction.  Either way s is the lcm of the built
+vertices' denominators, and the facets, volume and atoms are the same
+numbers.  The sum in vol(P) is taken with the hull; a Polytope then keeps
+only u and G of each facet, in one flat tuple, and its facets read c off
+the vertices; a codimension-1 body keeps its two sides as the facet pair
+(+/-u, G).  This record is a body's one integer form: area_measure builds
+every body's atoms from it, and the support evaluators read its rows and
+cleared vertices (_cleared_atoms, _cleared).  Lower-dimensional polytopes
+are first-class: operations degrade per contract rather than erroring.
 """
 
 from __future__ import annotations
@@ -178,11 +181,12 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
 
 
 def _plane_hom(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None):
-    """_plane for homogeneous points (*p, w), each standing for p / w, w > 0.
+    """_plane for homogeneous points (*p, w), the per-point form of the
+    module docstring.
 
-    The edges w_0 * p_i - w_i * p_0, which are w_0 * w_i times the rational
-    ones, go to _plane as points beside the origin, and ref / k moves by the
-    same map, to w_0 * ref - k * p_0.  So X is w_0^(d-1) * prod_{i>0} w_i
+    The edges, w_0 * w_i times the rational ones, go to _plane as points
+    beside the origin, and ref / k moves by the same map, to
+    w_0 * ref - k * p_0.  So X is w_0^(d-1) * prod_{i>0} w_i
     times the rational cross product, n is the same, and c = <n, p_0> is w_0
     times the rational offset.
     """
@@ -229,14 +233,13 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], hom=Fa
     and hands the outside points of the deleted pieces to the new pieces
     only: a point beyond a deleted piece and outside the new hull is beyond
     a new piece (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point
-    that sees no piece is inside for good and is never tested again.
+    that sees no piece is inside for good and is never tested again.  Every
+    piece is built by one constructor, piece, from _plane or, on homogeneous
+    points, _plane_hom, bound once per run.
 
-    hom: the points are homogeneous, (*p, w) for p / w (see _plane_hom).  A
-    point (p, w) is then beyond a plane (n, c, v) when v * <n, p> > w * c.
-    A merged offset is then the pair (c, v), and G the Fraction sum of each
-    piece's g divided by the product of its edges' weights, taken per facet
-    once the hull is built.  Otherwise c and G are in the units of the
-    points.
+    hom: the points are in the per-point form of the module docstring.  A
+    merged offset is then the pair (c, v) for c / v in lowest terms, and G
+    a Fraction.  Otherwise c and G are in the units of the points.
     """
     k = d + 1
     # the simplex's centroid, interior2 / kw, is interior to every step; on
@@ -254,6 +257,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], hom=Fa
             return sum((kw * x - w * m) ** 2 for x, m in zip(p, interior2)) // w**2
     else:
         interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
+        kw = k
         dist = lambda i: sum((k * x - m) ** 2 for x, m in zip(ipts[i], interior2))
     # label the points in order of insertion: the simplex, then the rest by
     # decreasing squared distance from the centroid, ties by id; so a new
@@ -264,37 +268,26 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], hom=Fa
     ids = simplex + rest
     raw = [ipts[i] for i in ids]
     # the visibility tests run in Z^4, on points and normals padded by zeros
+    # ahead of a homogeneous point's weight
     pad = (0,) * (4 - d)
-    if not pad:
-        pts = raw
-    elif hom:
-        pts = [p[:d] + pad + p[d:] for p in raw]
-    else:
-        pts = [p + pad for p in raw]
+    pts = [p[:d] + pad + p[d:] for p in raw] if pad else raw
+    plane_of = _plane_hom if hom else _plane
 
     def piece(verts, plane=None):
         P = _Piece()
+        corners = [raw[v] for v in verts]
         if plane is None:
-            n, c, P.g = _plane([raw[v] for v in verts], interior2, k)
-            P.plane = n + pad + (c,)
+            n, c, P.g = plane_of(corners, interior2, kw)
+            if hom:
+                # the offset c / w in lowest terms, so that equal planes are
+                # equal tuples
+                w = corners[0][d]
+                h = gcd(c, w)
+                P.plane = n + pad + (c // h, w // h)
+            else:
+                P.plane = n + pad + (c,)
         else:
-            P.g = _plane([raw[v] for v in verts], interior2, k, plane)
-            P.plane = plane
-        P.verts = verts
-        P.outside = P.mark = None
-        return P
-
-    def piece_hom(verts, plane=None):
-        # the same on homogeneous points, with the offset c / w in lowest
-        # terms, so that equal planes are equal tuples
-        P = _Piece()
-        if plane is None:
-            n, c, P.g = _plane_hom([raw[v] for v in verts], interior2, kw)
-            w = raw[verts[0]][d]
-            h = gcd(c, w)
-            P.plane = n + pad + (c // h, w // h)
-        else:
-            P.g = _plane_hom([raw[v] for v in verts], interior2, kw, plane)
+            P.g = plane_of(corners, interior2, kw, plane)
             P.plane = plane
         P.verts = verts
         P.outside = P.mark = None
@@ -331,10 +324,10 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], hom=Fa
                 return
         owner[q] = None
 
-    # two closures each, rather than a branch in them, keep the common
-    # path's inner loops as lean as they were
+    # two closures, rather than a branch in one, keep the common path's
+    # inner loop as lean as it was
     if hom:
-        piece, assign = piece_hom, assign_hom
+        assign = assign_hom
 
     start = [piece(tuple(j for j in range(k) if j != i)) for i in range(k)]
     for i, P in enumerate(start):
@@ -540,6 +533,8 @@ class Polytope:
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
+        if not 2 <= ambient_dim <= 4:
+            raise ValueError("ambient dimension must be between 2 and 4")
         return Polytope(_raw=(ambient_dim, (), -1, 1, 1, (), 0))
 
     @staticmethod
@@ -657,13 +652,13 @@ class Polytope:
         Each row (u, G) gives the atom G * u / ((n-1)! * W), W being _unit:
         for a full-dimensional body the summed cross products of a facet's
         simplicial pieces rescaled from the integer-cleared coordinates, for
-        a codimension-1 body its two sides (see _hull_cleared).
+        a codimension-1 body its two sides (see _hull_cleared).  The atoms
+        are those of _cleared_atoms, over their common denominator.
         """
         if self._area is None:
-            n = self.ambient_dim
-            denom = factorial(n - 1) * self._unit
-            atoms = (tuple(Fraction(g * x, denom) for x in u) for u, g in self._rows())
-            self._area = AreaMeasure(n, tuple(sorted(atoms)))
+            D, atoms = self._cleared_atoms()
+            atoms = (tuple(Fraction(x, D) for x in a) for a in atoms)
+            self._area = AreaMeasure(self.ambient_dim, tuple(sorted(atoms)))
         return self._area
 
     # -- algebra ---------------------------------------------------------------
@@ -686,9 +681,7 @@ class Polytope:
     def scale(self, c) -> "Polytope":
         """The dilate cP."""
         c = Fraction(c)
-        if self.is_empty:
-            return self
-        return _sum_points([[tuple(c * x for x in v) for v in self.vertices]], self.ambient_dim)
+        return self.image(lambda v: tuple(c * x for x in v))
 
     def __add__(self, other: "Polytope") -> "Polytope":
         return minkowski_sum(self, other)
@@ -723,9 +716,11 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int, hom=False):
     of first occurrence; the ids i whose edges ipts[i] - ipts[0] form the
     greedy basis of all edges, and coordinates on which their minor is
     nonzero (_basis); the ids of the extreme points, sorted by their
-    coordinates; and the merged facets of the engine run, empty below
-    affine rank 2.  hom: every point is (*p, w) for p / w, in lowest terms
-    (see _plane_hom), and its edges are w_0 * p - w * p_0.
+    coordinates; and the merged facets (n, c, g) of the engine run.  At
+    affine rank 1 they are the segment's ends, (-1, -lo) and (+1, hi) of
+    weight 1 in the projected coordinate, and at rank 0 there are none.
+    hom: every point is (*p, w) for p / w in lowest terms, and each offset
+    c the pair (c, w) for c / w, as the engine gives them.
     """
     ipts = list(dict.fromkeys(ipts))
     if hom:
@@ -747,6 +742,8 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int, hom=False):
     elif r == 1:
         line = (lambda i: Fraction(*proj[i])) if hom else proj.__getitem__
         ids = [min(range(len(proj)), key=line), max(range(len(proj)), key=line)]
+        (a, *w), (b, *v) = (proj[i] for i in ids)
+        merged = [((-1,), (-a, *w) if hom else -a, 1), ((1,), (b, *v) if hom else b, 1)]
     else:
         ids, merged = _hull_engine(proj, r, [0] + chosen, hom)
     ids.sort(key=key)
@@ -757,51 +754,41 @@ def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale=None) -> Polytope
     """convex_hull of the points p / scale for integer points p and scale > 0,
     or, with scale None, of the homogeneous points (*p, w) in lowest terms.
 
-    Fractions are built for the extreme points only.  The Polytope keeps
-    its offsets over _scale, the lcm of its vertices' denominators, whatever
-    the points came over, and its facet weights over _unit: scale^(dim-1)
+    Fractions are built for the extreme points only.  In either form the
+    Polytope keeps its offsets over _scale, s, the lcm of the built
+    vertices' denominators, and its facet weights over _unit: scale^(r-1)
     for points over a common scale, else the lcm of the weights' own
     denominators, and for a codimension-1 body that unit times the factor
-    of its facet pair.
+    of its facet pair.  sum_F G * c over the engine's facets is the volume's
+    numerator at full rank and the facet pair's G at codimension 1.
     """
     hom = scale is None
     ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim, hom)
     r = len(chosen)
     if hom:
         vertices = tuple(tuple(Fraction(x, ipts[i][dim]) for x in ipts[i][:dim]) for i in ids)
-        s = lcm(*(ipts[i][dim] for i in ids))
-        # c * s is an integer, c being <n, v> at a vertex v on the facet
+    else:
+        vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
+    s = lcm(*(x.denominator for v in vertices for x in v))
+    # c * s is an integer, c being <n, v> at a vertex v on the facet
+    if hom:
         unit = lcm(*(g.denominator for _, _, g in merged))
         merged = [(n, c * (s // w), g.numerator * (unit // g.denominator))
                   for n, (c, w), g in merged]
     else:
-        vertices = tuple(tuple(Fraction(x, scale) for x in ipts[i]) for i in ids)
-        # s = scale / f, f the gcd of scale and every vertex coordinate,
-        # which is 1 after the first vertex or two
-        f = scale
-        for i in ids:
-            f = gcd(f, *ipts[i])
-            if f == 1:
-                break
-        s = scale // f
         unit = scale ** max(r - 1, 0)
-        if f > 1:
-            merged = [(n, c // f, g) for n, c, g in merged]
+        merged = [(n, c * s // scale, g) for n, c, g in merged]
+    G = sum(g * c for _, c, g in merged)
     rows, total = (), 0
     if r == dim:
         rows = tuple(x for n, _, g in merged for x in (*n, g))
-        total = sum(g * c for _, c, g in merged)
+        total = G
     elif r == dim - 1:
         # the facet pair (+/-n, G) over the unit |n[skip]| * s * unit, G the
         # projection's volume times r! * s * unit: projecting onto cols
         # scales r-volume by the basis edges' minor there, which is +/- entry
         # skip (the coordinate not in cols) of their cross product g * n, so
         # ref lies off the flat
-        if r == 1:
-            k = cols[0]
-            G = int((vertices[1][k] - vertices[0][k]) * s)
-        else:
-            G = sum(g * c for _, c, g in merged)
         skip = next(k for k in range(dim) if k not in cols)
         w = ipts[0][dim] if hom else 1
         ref = tuple(x + w * (k == skip) for k, x in enumerate(ipts[0][:dim]))
@@ -841,13 +828,10 @@ def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:
     running total after the first is cut to its extreme points before the
     next group is added.
 
-    Every point is cleared over the lcm s of all denominators, unless s is
-    huge beside each point's own: then each point x enters as the
-    homogeneous (w * x, w), w the lcm of its own denominators, and the hull
-    engine's integers have the size of the w rather than of s.  A hundred
-    points with denominators up to 10^6 give s with thousands of bits and
-    each w under eighty.  The gate is bits(s) > max(_GATE_BITS,
-    _GATE_RATIO * bits(w)) for every w: below it, the homogeneous
+    The integer form of the module docstring is chosen here: the points
+    take the per-point form when the common s is huge beside every point's
+    own w.  The gate is bits(s) > max(_GATE_BITS, _GATE_RATIO * bits(w))
+    for every w: below it, the homogeneous
     predicates' extra products and Fractions cost about as much as the
     smaller integers save, or more (at 75-412 bits of s, 0.9-1.3 times the
     common-s time; at 700 bits and more, under 0.55 times).
@@ -907,6 +891,8 @@ def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytop
     the body come back as flagged empty polytopes, so that valuations can map
     them to the zero body.
     """
+    if len(xi) != P.ambient_dim:
+        raise ValueError("dimension mismatch in split direction")
     if P.is_empty:
         e = Polytope.empty(P.ambient_dim)
         return e, e, e

@@ -13,10 +13,12 @@ clouds lie on the moment curve, where every point is extreme, and
 three tenths on a flat of lower rank; some points repeat.  Per cloud
 the digest covers the hull record (vertices, affine dimension, volume, area
 atoms and facets with their vertex ids), the support values in four fixed
-directions, the vertices and volume of the sum with a small simplex and, in
-R^4, both mixed volumes V(P, P, P, Q) and the SupportEvaluator values of
-every kind token at the four directions, with a fixed segment M and
-triangle N.
+directions, the vertices, volume and atoms of the dilate by -3/2, the hull
+records of the three pieces of the split across the middle of the support
+range along the first direction, the vertices and volume of the sum with a
+small simplex and, in R^4, both mixed volumes V(P, P, P, Q) and the
+SupportEvaluator values of every kind token at the four directions, with a
+fixed segment M and triangle N.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import random
 from fractions import Fraction
 
 from minkval.mixed import mixed_volume, mixed_volume_31
-from minkval.polytope import convex_hull, minkowski_sum
+from minkval.polytope import convex_hull, minkowski_sum, split_by_hyperplane
 from minkval.valuations import OPERATORS, SupportEvaluator, ValuationOp
 
 F = Fraction
@@ -66,15 +68,25 @@ def cloud(i: int) -> list[tuple]:
     return pts + rng.choices(pts, k=rng.randint(0, 3))
 
 
+def hull_record(P) -> list:
+    facets = tuple((f.normal, f.offset, tuple(sorted(f.vertex_ids))) for f in P.facets)
+    return [P.vertices, P.affine_dim, P.volume(), P.area_measure().atoms, facets]
+
+
 def record(i: int) -> str:
     pts = cloud(i)
     d = len(pts[0])
     P = convex_hull(pts)
-    facets = tuple((f.normal, f.offset, tuple(sorted(f.vertex_ids))) for f in P.facets)
-    out = [P.vertices, P.affine_dim, P.volume(), P.area_measure().atoms, facets]
+    out = hull_record(P)
     rng = random.Random(f"kernel-digest:dirs:{d}")
     dirs = [tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)) for _ in range(4)]
     out.append(tuple(P.support(u) for u in dirs))
+    D = P.scale(F(-3, 2))
+    out += [D.vertices, D.volume(), D.area_measure().atoms]
+    u = dirs[0]
+    mid = (P.support(u) - P.support(tuple(-x for x in u))) / 2
+    for piece in split_by_hyperplane(P, u, mid):
+        out += hull_record(piece)
     simplex = [(F(0),) * d] + [tuple(F(int(j == k), 2 + k) for j in range(d)) for k in range(d)]
     Q = convex_hull(simplex)
     S = minkowski_sum(P, Q)
