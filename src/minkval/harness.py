@@ -203,7 +203,17 @@ def _run_trials(check: str, seed: int, trials: int, rng: random.Random,
 
 def homogeneous_decomposition(op: ValuationOp, K: Polytope, dirs) -> DecompositionTable:
     """Exact degree coefficients of lam -> h(Z(lam K), w) per direction."""
-    evals = [SupportEvaluator(op, K.scale(lam)) for lam in LAMBDA_NODES]
+    return _decomposition(op, _dilates(K), dirs)
+
+
+def _dilates(K: Polytope) -> list[Polytope]:
+    """The hulls lam K at the nodes lam in LAMBDA_NODES."""
+    return [K.scale(lam) for lam in LAMBDA_NODES]
+
+
+def _decomposition(op: ValuationOp, dilates, dirs) -> DecompositionTable:
+    """homogeneous_decomposition read off the prebuilt _dilates(K)."""
+    evals = [SupportEvaluator(op, D) for D in dilates]
     table = DecompositionTable()
     for w in dirs:
         values = [ev.at(w) for ev in evals]
@@ -220,7 +230,14 @@ def homogeneous_decomposition(op: ValuationOp, K: Polytope, dirs) -> Decompositi
 def check_valuation_additivity(op: ValuationOp, P: Polytope, xi, c, dirs,
                                seed: int = 0) -> PropertyReport:
     """h(Z P, w) + h(Z(K cap L), w) = h(Z K, w) + h(Z L, w) for the split of P."""
-    K, L, mid = split_by_hyperplane(P, xi, c)
+    return _additivity_report(op, P, split_by_hyperplane(P, xi, c), xi, c, dirs, seed)
+
+
+def _additivity_report(op: ValuationOp, P: Polytope, pieces, xi, c, dirs,
+                       seed: int) -> PropertyReport:
+    """check_valuation_additivity on the prebuilt pieces (K, L, mid) of the
+    split of P by <xi, x> = c."""
+    K, L, mid = pieces
     evs = [SupportEvaluator(op, B) for B in (P, K, L, mid)]
     for w in dirs:
         lhs = evs[0].at(w) + evs[3].at(w)
@@ -243,9 +260,19 @@ def check_equivariance(op: ValuationOp, K: Polytope, g: ComplexMatrix2, dirs,
                        seed: int = 0) -> PropertyReport:
     """Contravariant: h(Z(gK), w) = h(ZK, g^{-1} w); covariant: h(Z'(gK), xi) =
     h(Z'K, g^* xi).  Requires det g = 1."""
+    return _equivariance_report(op, K, _sl_action(g, K), g, dirs, seed)
+
+
+def _sl_action(g: ComplexMatrix2, K: Polytope) -> Polytope:
+    """The hull gK, for g in SL(2, C) only."""
     if not g.is_sl():
         raise ValueError("equivariance check requires det = 1")
-    gK = group_action(g, K)
+    return group_action(g, K)
+
+
+def _equivariance_report(op: ValuationOp, K: Polytope, gK: Polytope,
+                         g: ComplexMatrix2, dirs, seed: int) -> PropertyReport:
+    """check_equivariance on the prebuilt gK = _sl_action(g, K)."""
     ev_gk = SupportEvaluator(op, gK)
     ev_k = SupportEvaluator(op, K)
     g_inv = g.inverse()
@@ -470,6 +497,8 @@ def _drive_known_values(seed: int, trials: int) -> PropertyReport:
 
 
 def _drive_additivity(seed: int, trials: int) -> PropertyReport:
+    """Split P once per trial; every op reads the same three pieces, which
+    are deterministic, through its own evaluators."""
     def trial_fn(rng, trial):
         ops = _suite_ops(rng)
         P = rand_polytope(rng, min_verts=5, max_verts=9)
@@ -478,8 +507,9 @@ def _drive_additivity(seed: int, trials: int) -> PropertyReport:
         hi = P.support(xi)
         c = lo + (hi - lo) * F(rng.randint(1, 7), 8)
         dirs = [rand_direction(rng) for _ in range(50)]
+        pieces = split_by_hyperplane(P, xi, c)
         for op in ops:
-            rep = check_valuation_additivity(op, P, xi, c, dirs, seed)
+            rep = _additivity_report(op, P, pieces, xi, c, dirs, seed)
             if not rep.passed:
                 return rep.witness
         return None
@@ -489,14 +519,17 @@ def _drive_additivity(seed: int, trials: int) -> PropertyReport:
 
 
 def _drive_equivariance(seed: int, trials: int) -> PropertyReport:
+    """Hull gK once per trial; every op reads the same gK, which is
+    deterministic, through its own evaluators."""
     def trial_fn(rng, trial):
         ops = _suite_ops(rng)
         ops.append(covariant_of(ValuationOp("pi_n", N=rand_planar_body(rng))))
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         g = rand_sl2(rng)
         dirs = [rand_direction(rng) for _ in range(8)]
+        gK = _sl_action(g, K)
         for op in ops:
-            rep = check_equivariance(op, K, g, dirs, seed)
+            rep = _equivariance_report(op, K, gK, g, dirs, seed)
             if not rep.passed:
                 return rep.witness
         return None
@@ -506,12 +539,15 @@ def _drive_equivariance(seed: int, trials: int) -> PropertyReport:
 
 
 def _drive_homogeneity(seed: int, trials: int) -> PropertyReport:
+    """Hull the five dilates of K once per trial; every op reads the same
+    dilates, which are deterministic, through its own evaluators."""
     def trial_fn(rng, trial):
         ops = _suite_ops(rng)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         dirs = [rand_direction(rng) for _ in range(3)]
+        dilates = _dilates(K)
         for op in ops:
-            degrees = homogeneous_decomposition(op, K, dirs).nonzero_degrees()
+            degrees = _decomposition(op, dilates, dirs).nonzero_degrees()
             if not degrees <= op.spec.degrees:
                 return {
                     "op": op.kind,

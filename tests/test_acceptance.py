@@ -16,6 +16,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from minkval.cplx import Cplx, group_action
 from minkval.harness import (
     CHECKS,
@@ -35,6 +37,13 @@ F = Fraction
 # sha256 of the stdout of `minkval verify --seed 42 --trials 100`; the
 # suite's output is a fixed function of (seed, trials)
 VERIFY_SEED42_SHA256 = "6920ea78210a9cbb96bc059a4f843602336292924d3804ab7f5ca39adb583a9f"
+# the same for `minkval verify --seed S --trials 1` at four more seeds
+VERIFY_ONE_TRIAL_SHA256 = {
+    40: "7993aca453f2731414fa2a135c38ca03df8f2a0d070b972f7d1e6f65d13e5b02",
+    41: "fdb5c84e96eed5210f92bf67323b5123c5e6622e63755787a7305daa09061214",
+    42: "457711887d47a70911c5fb8cf0b7f1810b798d93b3b9874044e8a3ac0d88c638",
+    43: "4cede08a6a7a3297fea34e05ebeaf9717da73ddb7b80f35708b19ce6851378e8",
+}
 
 
 def _report(num, ok, desc):
@@ -187,3 +196,9 @@ def test_full_suite_seed_42_under_ten_minutes():
     assert elapsed < 600, f"suite took {elapsed:.0f}s"
     stdout = "".join(r.to_json() + "\n" for r in reports)
     assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_SEED42_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_ONE_TRIAL_SHA256))
+def test_verify_one_trial_stdout_pinned(seed):
+    stdout = "".join(r.to_json() + "\n" for r in run_suite(seed=seed, trials=1))
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_ONE_TRIAL_SHA256[seed]

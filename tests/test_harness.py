@@ -303,3 +303,67 @@ def test_planted_fault_fails_the_check(check, monkeypatch):
     # checks one fixed instance and names no trial
     assert rep.trials == 1 and record["witness"].get("trial", 0) == 0
     assert ("trial" in record["witness"]) == (check != "known_values")
+
+
+# the drivers build each trial's shared body once, whatever the number of
+# operators: the split of P, the hull gK, or the five dilates of K
+
+SHARED = {
+    "valuation_additivity": (harness, "split_by_hyperplane", 3),
+    "equivariance": (harness, "group_action", 3),
+    "homogeneity_spectrum": (Polytope, "scale", 15),
+}
+
+
+@pytest.mark.parametrize("check", SHARED)
+def test_shared_bodies_built_once_per_trial(check, monkeypatch):
+    owner, name, want = SHARED[check]
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    assert CHECKS[check](42, 3).passed
+    assert len(calls) == want
+
+
+def test_public_checks_agree_with_the_shared_path(monkeypatch):
+    rng = random.Random(63)
+    ops = harness._suite_ops(rng)
+    ops.append(covariant_of(ValuationOp("pi_n", N=triangle2())))
+    P = rand_polytope(rng, min_verts=5, max_verts=8)
+    xi = rand_direction(rng)
+    c = (P.support(xi) - P.support(tuple(-x for x in xi))) / 2
+    g = harness.rand_sl2(rng)
+    dirs = [rand_direction(rng) for _ in range(4)]
+    pieces = harness.split_by_hyperplane(P, xi, c)
+    gK = harness._sl_action(g, P)
+    dilates = harness._dilates(P)
+
+    def both(op):
+        return (
+            (check_valuation_additivity(op, P, xi, c, dirs, 5),
+             harness._additivity_report(op, P, pieces, xi, c, dirs, 5)),
+            (check_equivariance(op, P, g, dirs, 5),
+             harness._equivariance_report(op, P, gK, g, dirs, 5)),
+            (homogeneous_decomposition(op, P, dirs), harness._decomposition(op, dilates, dirs)),
+        )
+
+    for op in ops:
+        additivity, equivariance, decomposition = both(op)
+        assert decomposition[0] == decomposition[1]
+        for public, shared in (additivity, equivariance):
+            assert public == shared and public.passed
+
+    # an evaluator that misreads P alone fails both checks: the witnesses agree too
+    class OffOnP(SupportEvaluator):
+        def at(self, w):
+            return super().at(w) + (self.K is P)
+
+    monkeypatch.setattr(harness, "SupportEvaluator", OffOnP)
+    for op in ops:
+        for public, shared in both(op)[:2]:
+            assert public == shared and public.status == "fail" and public.witness["op"] == op.kind
