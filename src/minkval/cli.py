@@ -95,17 +95,10 @@ def _sphere_grid(g: int) -> list[tuple]:
     """Primitive integer directions on the boundary of the cube [-G, G]^4."""
     if g < 1:
         raise FormatError("--sphere-grid must be at least 1")
-    seen = set()
-    out = []
-    for d in product(range(-g, g + 1), repeat=4):
-        if max(abs(x) for x in d) != g:
-            continue
-        p = primitive(d)
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    out.sort()
-    return out
+    # a boundary point is the one multiple of its primitive direction on
+    # the boundary, so no direction comes twice
+    return sorted(primitive(d) for d in product(range(-g, g + 1), repeat=4)
+                  if max(abs(x) for x in d) == g)
 
 
 def _cmd_hull(args) -> int:

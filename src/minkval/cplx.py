@@ -224,6 +224,9 @@ def det_pair(u, v) -> Cplx:
 def det_image(K: Polytope, w) -> Polytope:
     """The planar body {det(k, w) : k in K} inside C."""
     _require_primal(K, "det_image")
+    if K.ambient_dim != 4:
+        raise ValueError("det_image expects a body of ambient dimension 4")
+    w = from_complex_pair(*to_complex_pair(w))
     if K.is_empty:
         return Polytope.empty(2)
     zs = [det_pair(v, w) for v in K.vertices]

@@ -18,8 +18,6 @@ from .polytope import Polytope, _sum_points
 
 
 def _check_quadruple(bodies: Sequence[Polytope]):
-    if len(bodies) != 4:
-        raise ValueError("mixed volume takes exactly four bodies")
     for K in bodies:
         if not isinstance(K, Polytope):
             raise TypeError("mixed volume arguments must be Polytope")
@@ -56,7 +54,7 @@ def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Frac
             vol = k**4 * B.volume()
         else:
             groups = [[tuple(k * x for x in v) for v in B.vertices] for k, B in used]
-            vol = _sum_points(groups, 4).volume()
+            vol = _sum_points(groups).volume()
         acc += (-1) ** (4 - sum(ks)) * prod(map(comb, mults, ks)) * vol
     return acc / 24
 

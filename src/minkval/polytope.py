@@ -1,7 +1,7 @@
 """Exact rational convex polytopes in ambient dimension 2, 3, 4.
 
 Vertex-representation polytopes with exact Fraction coordinates.  Every hull
-and Minkowski sum enters through _sum_points(groups, dim), the one path from
+and Minkowski sum enters through _sum_points(groups), the one path from
 rational points to a Polytope: it makes the points integer, adds the groups
 pairwise in integers and hulls the integer points in _hull_cleared, which
 builds Fractions for the kept vertices only.  The hull engine is
@@ -34,9 +34,12 @@ most hulls take, every point x is cleared over the lcm s of all
 denominators, as s * x.  But that s is the lcm over every point, so it
 grows with the point count: a hundred points with denominators up to 10^6
 give s with thousands of bits, though no point's own denominators take a
-hundred.  When s is that large beside them (see _sum_points), the points
-take the per-point form: each point enters as the homogeneous (w * x, w),
-w the lcm of its own denominators, and the engine's integers keep the
+hundred.  When s is that large beside them, the points take the
+per-point form: each point enters as the homogeneous (w * x, w), w the lcm
+of its own denominators.  The one rule, applied once in _sum_points, is
+bits(s) > max(_GATE_BITS, _GATE_RATIO * bits(max w)); every function after
+it reads the form off the points, a homogeneous point having one entry
+more than the dimension.  In that form the engine's integers keep the
 size of the points: its edges are w_0 * p_i - w_i * p_0, a point (p, w)
 is beyond a piece (u, c, v) when v * <u, p> > w * c, and each piece's g
 is divided by its edges' weights once the hull is built, summed per
@@ -218,7 +221,7 @@ class _Piece:
     __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
 
 
-def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], hom=False):
+def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     """Quickhull-style hull of deduped integer points with affine rank d >= 2.
 
     Returns (vertex_ids, merged_facets): the ids of the extreme points, and
@@ -237,10 +240,12 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], hom=Fa
     piece is built by one constructor, piece, from _plane or, on homogeneous
     points, _plane_hom, bound once per run.
 
-    hom: the points are in the per-point form of the module docstring.  A
-    merged offset is then the pair (c, v) for c / v in lowest terms, and G
-    a Fraction.  Otherwise c and G are in the units of the points.
+    Points of d + 1 entries are homogeneous, in the per-point form of the
+    module docstring.  A merged offset is then the pair (c, v) for c / v in
+    lowest terms, and G a Fraction.  Otherwise c and G are in the units of
+    the points.
     """
+    hom = len(ipts[0]) > d
     k = d + 1
     # the simplex's centroid, interior2 / kw, is interior to every step; on
     # homogeneous points kw is k times the lcm of the corners' weights
@@ -616,20 +621,17 @@ class Polytope:
     def support(self, xi: Sequence) -> Fraction:
         """Exact support value max_{x in P} <xi, x>, always a Fraction.
 
-        Components other than int and Fraction, such as floats and strings
-        like "1/3", are read exactly by Fraction.  The value is taken in
-        integers: xi is cleared once to t * xi and the vertices to s * v, s
-        being _scale, and the largest <t * xi, s * v> over the vertices
-        gives the one Fraction built.  Nothing of it is stored.
+        The value is taken in integers: xi is cleared once to W = t * xi
+        (_direction) and the vertices to s * v, s being _scale, and the
+        largest <W, s * v> over the vertices gives the one Fraction built.
+        Nothing of it is stored.
         """
         if self.is_empty:
             raise ValueError("support of an empty polytope is undefined")
         if len(xi) != self.ambient_dim:
             raise ValueError("dimension mismatch in support direction")
-        xi = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]
-        t = lcm(*(x.denominator for x in xi))
-        w = [x.numerator * (t // x.denominator) for x in xi]
-        return Fraction(max(sum(map(mul, w, v)) for v in self._cleared()), t * self._scale)
+        t, W = _direction(xi)
+        return Fraction(max(sum(map(mul, W, v)) for v in self._cleared()), t * self._scale)
 
     def volume(self) -> Fraction:
         """Top-dimensional volume; zero for lower-dimensional bodies.
@@ -706,10 +708,10 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
             raise ValueError(f"point of dimension {len(p)} in ambient dimension {dim}")
     if not 2 <= dim <= 4:
         raise ValueError("ambient dimension must be between 2 and 4")
-    return _sum_points([pts], dim)
+    return _sum_points([pts])
 
 
-def _hull_ids(ipts: list[tuple[int, ...]], dim: int, hom=False):
+def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
     """Dedupe, rank and hull integer points in Z^dim, or homogeneous ones.
 
     Returns (ipts, chosen, cols, ids, merged): the distinct points in order
@@ -719,9 +721,11 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int, hom=False):
     coordinates; and the merged facets (n, c, g) of the engine run.  At
     affine rank 1 they are the segment's ends, (-1, -lo) and (+1, hi) of
     weight 1 in the projected coordinate, and at rank 0 there are none.
-    hom: every point is (*p, w) for p / w in lowest terms, and each offset
-    c the pair (c, w) for c / w, as the engine gives them.
+    Homogeneous points (*p, w), p / w in lowest terms, have dim + 1 entries,
+    and each offset c is then the pair (c, w) for c / w, as the engine gives
+    them.
     """
+    hom = len(ipts[0]) > dim
     ipts = list(dict.fromkeys(ipts))
     if hom:
         *b, w = ipts[0]
@@ -745,14 +749,15 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int, hom=False):
         (a, *w), (b, *v) = (proj[i] for i in ids)
         merged = [((-1,), (-a, *w) if hom else -a, 1), ((1,), (b, *v) if hom else b, 1)]
     else:
-        ids, merged = _hull_engine(proj, r, [0] + chosen, hom)
+        ids, merged = _hull_engine(proj, r, [0] + chosen)
     ids.sort(key=key)
     return ipts, chosen, cols, ids, merged
 
 
-def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale=None) -> Polytope:
-    """convex_hull of the points p / scale for integer points p and scale > 0,
-    or, with scale None, of the homogeneous points (*p, w) in lowest terms.
+def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale) -> Polytope:
+    """convex_hull of the points p / scale for integer points p in Z^dim and
+    scale > 0, or of the homogeneous points (*p, w) in lowest terms, which
+    have dim + 1 entries and leave scale unread.
 
     Fractions are built for the extreme points only.  In either form the
     Polytope keeps its offsets over _scale, s, the lcm of the built
@@ -762,8 +767,8 @@ def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale=None) -> Polytope
     of its facet pair.  sum_F G * c over the engine's facets is the volume's
     numerator at full rank and the facet pair's G at codimension 1.
     """
-    hom = scale is None
-    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim, hom)
+    hom = len(ipts[0]) > dim
+    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim)
     r = len(chosen)
     if hom:
         vertices = tuple(tuple(Fraction(x, ipts[i][dim]) for x in ipts[i][:dim]) for i in ids)
@@ -798,6 +803,17 @@ def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale=None) -> Polytope
     return Polytope(_raw=(dim, vertices, r, s, unit, rows, total))
 
 
+def _direction(xi: Sequence) -> tuple[int, tuple[int, ...]]:
+    """(t, W) with xi = W / t, W integer and t > 0 the lcm of the
+    components' denominators: the one clearing of a direction, for
+    Polytope.support and the support evaluators.  Components other than int
+    and Fraction, such as floats and strings like "1/3", are read exactly by
+    Fraction."""
+    xi = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]
+    t = lcm(*(x.denominator for x in xi))
+    return t, tuple(x.numerator * (t // x.denominator) for x in xi)
+
+
 def _hom_add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """The sum of homogeneous points (*p, w) and (*q, v), in lowest terms."""
     w, v = p[-1], q[-1]
@@ -820,30 +836,34 @@ def _lcm_within(values: Sequence[int], bits: int):
     return m
 
 
-def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:
-    """sum_j conv(S_j) for nonempty groups S_j of rational points in R^dim.
+def _sum_points(groups: Sequence[Sequence[Sequence]]) -> Polytope:
+    """sum_j conv(S_j) for nonempty groups S_j of rational points in R^dim,
+    dim being the length of the first point.
 
     The one way from rational points to a Polytope.  The points are made
     integer, and the groups are added in order, pairwise, in integers; each
     running total after the first is cut to its extreme points before the
     next group is added.
 
-    The integer form of the module docstring is chosen here: the points
-    take the per-point form when the common s is huge beside every point's
-    own w.  The gate is bits(s) > max(_GATE_BITS, _GATE_RATIO * bits(w))
-    for every w: below it, the homogeneous
+    The integer form of the module docstring is chosen here, and read off
+    the points everywhere after: a homogeneous point has dim + 1 entries.
+    With w each point's own denominator and s the lcm of them all, the
+    points take the per-point form when
+
+        bits(s) > max(_GATE_BITS, _GATE_RATIO * bits(max w)),
+
+    decided in one _lcm_within pass over the w: below it, the homogeneous
     predicates' extra products and Fractions cost about as much as the
     smaller integers save, or more (at 75-412 bits of s, 0.9-1.3 times the
     common-s time; at 700 bits and more, under 0.55 times).
     """
     pts = [p for S in groups for p in S]
+    dim = len(pts[0])
+    wts = [lcm(*[x.denominator for x in p]) for p in pts]
     # s is built only as far as the gate needs: past it, the points go
     # homogeneous and s is never used, and on large clouds building it
     # whole would cost more than the hull
-    s = _lcm_within([x.denominator for p in pts for x in p], _GATE_BITS)
-    if s is None:
-        wts = [lcm(*(x.denominator for x in p)) for p in pts]
-        s = _lcm_within(wts, _GATE_RATIO * max(wts).bit_length())
+    s = _lcm_within(wts, max(_GATE_BITS, _GATE_RATIO * max(wts).bit_length()))
     hom = s is None
     if hom:
         ipts = [(*(x.numerator * (w // x.denominator) for x in p), w) for p, w in zip(pts, wts)]
@@ -853,14 +873,14 @@ def _sum_points(groups: Sequence[Sequence[Sequence]], dim: int) -> Polytope:
     total = list(islice(it, len(groups[0])))
     for j, S in enumerate(groups[1:]):
         if j:
-            ipts, _, _, ids, _ = _hull_ids(total, dim, hom)
+            ipts, _, _, ids, _ = _hull_ids(total, dim)
             total = [ipts[i] for i in ids]
         S = list(islice(it, len(S)))
         if hom:
             total = [_hom_add(p, q) for p in total for q in S]
         else:
             total = [tuple(map(add, p, q)) for p in total for q in S]
-    return _hull_cleared(total, dim, None if hom else s)
+    return _hull_cleared(total, dim, s)
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:
@@ -881,7 +901,7 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
         raise ValueError("dimension mismatch in Minkowski sum")
     if P.is_empty or Q.is_empty:
         return Polytope.empty(P.ambient_dim)
-    return _sum_points([P.vertices, Q.vertices], P.ambient_dim)
+    return _sum_points([P.vertices, Q.vertices])
 
 
 def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytope, Polytope]:

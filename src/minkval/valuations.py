@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 from .cplx import (
@@ -27,9 +26,11 @@ from .cplx import (
     det_duality_inverse_point,
     det_duality_point,
     det_pair,
+    from_complex_pair,
     scale_point,
+    to_complex_pair,
 )
-from .polytope import Polytope, _sum_points
+from .polytope import Polytope, _direction, _sum_points
 
 
 def zero_body() -> Polytope:
@@ -287,7 +288,7 @@ def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
     else:
         if op.is_companion:
             groups = [[det_duality_inverse_point(p) for p in S] for S in groups]
-        total = _sum_points(groups, 4)
+        total = _sum_points(groups)
     return DualPolytope(total) if op.is_contravariant else total
 
 
@@ -310,12 +311,10 @@ class SupportEvaluator:
     def at(self, w) -> Fraction:
         if len(w) != 4:
             raise ValueError(f"direction has {len(w)} components, expected 4")
+        t, W = _direction(w)
         if self.K.is_empty:
             return Fraction(0)
-        # w = W / t, cleared with one lcm over the four denominators
-        w = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in w]
-        t = lcm(*(x.denominator for x in w))
-        return self._h(t, tuple(x.numerator * (t // x.denominator) for x in w))
+        return self._h(t, W)
 
 
 def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool = True) -> Fraction:
@@ -328,10 +327,10 @@ def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool
     duality-map route.
     """
     _check_source(K)
+    atoms = planar_atoms(M)
+    w = from_complex_pair(*to_complex_pair(w))
     if K.is_empty:
         return Fraction(0)
-    atoms = planar_atoms(M)
-    w = tuple(Fraction(x) for x in w)
     images = [det_pair(v, w) for v in K.vertices]
     total = Fraction(0)
     for nu in atoms:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -327,7 +328,43 @@ def test_sample_csv(bodies, capsys, tmp_path):
     assert open(csv2).read() == open(csv_file).read()
 
 
+def test_sample_sphere_grid_reduces_directions(bodies, capsys, tmp_path):
+    # at G = 2 the grid holds each primitive direction of [-2, 2]^4 once:
+    # (2, 2, 0, 0) and (1, 1, 0, 0) are one row, read at its unit vector
+    csv_file = str(tmp_path / "sample.csv")
+    code, _, _ = run(capsys, ["sample", "proj", "--body", bodies["cube.json"],
+                              "--sphere-grid", "2", "--csv", csv_file])
+    assert code == 0
+    rows = [[float(x) for x in line.split(",")] for line in open(csv_file).read().splitlines()[2:]]
+    dirs = [v for v in itertools.product(range(-2, 3), repeat=4) if math.gcd(*v) == 1]
+    assert len(rows) == len(dirs) == 544
+    ev = SupportEvaluator(ValuationOp("proj"), load_polytope(bodies["cube.json"]))
+    for row, v in zip(rows, dirs):
+        norm = math.sqrt(sum(x * x for x in v))
+        assert row == [x / norm for x in v] + [float(ev.at(v)) / norm]
+
+
 # -- error handling -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("payload,argv,message", [
+    ('{"ambient_dim": 2, "vertices": [5, ["0", "0"]]}', ["hull", "bad.json"],
+     "bad point 5: expected a coordinate array"),
+    ('{"ambient_dim": 2, "vertices": []}', ["hull", "bad.json"],
+     "polytope payload needs a nonempty vertex list"),
+    ('{"ambient_dim": 2, "vertices": [', ["hull", "bad.json"], "bad.json is not valid JSON"),
+    (None, ["sample", "proj", "--body", "cube.json", "--sphere-grid", "0", "--csv", "out.csv"],
+     "--sphere-grid must be at least 1"),
+    (None, ["op", "proj", "--body", "cube.json"], "op needs --out and/or --dir"),
+], ids=["point-not-array", "no-vertices", "malformed-json", "sphere-grid-0", "op-no-output"])
+def test_bad_input_exits_two(bodies, capsys, tmp_path, payload, argv, message):
+    if payload is not None:
+        (tmp_path / "bad.json").write_text(payload)
+    paths = {**bodies, "bad.json": str(tmp_path / "bad.json"), "out.csv": str(tmp_path / "out.csv")}
+    code, out, err = run(capsys, [paths.get(x, x) for x in argv])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
 
 
 def test_decimal_input_rejected(bodies, capsys):

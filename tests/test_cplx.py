@@ -25,6 +25,7 @@ from minkval.cplx import (
     dual_scalar_scale,
     group_action,
     scale_point,
+    to_complex_pair,
 )
 from minkval.linalg import dot, mat_apply
 from minkval.polytope import Polytope, convex_hull
@@ -308,3 +309,21 @@ def test_w_wstar_separation():
     for f in (lambda: dual_scalar_scale(C_I, planar), lambda: det_duality_inverse(planar)):
         with pytest.raises(ValueError):
             f()
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: C_ONE / Cplx.of(0), ZeroDivisionError, "division by complex zero"),
+    (lambda: to_complex_pair((1, 2, 3)), ValueError, "expected a point of R\\^4"),
+    (lambda: ComplexMatrix2.diagonal(C_ONE, Cplx.of(0)).inverse(), ValueError,
+     "singular complex matrix"),
+    (lambda: group_action(ComplexMatrix2.diagonal(C_ONE, Cplx.of(0)), unit_cube4()),
+     ValueError, "group_action requires invertible g"),
+    (lambda: complex_scale(C_I, convex_hull([(0, 0, 0), (1, 1, 1)])), ValueError,
+     "complex scaling needs an ambient-4 or planar body"),
+    (lambda: group_action(ComplexMatrix2.identity(), [(0, 0, 0, 0)]), TypeError,
+     "group_action expects a Polytope"),
+], ids=["divide-by-zero", "pair-of-3", "singular-inverse", "singular-action", "scale-3d",
+        "act-on-list"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from minkval import mixed, polytope
+from minkval.cplx import DualPolytope
 from minkval.linalg import det, dot
 from minkval.mixed import mixed_volume, mixed_volume_31, mixed_volume_fn
 from minkval.polytope import Polytope, _sum_points, affine_transform, convex_hull, minkowski_sum
@@ -151,9 +152,9 @@ def test_column_denominators_polarization_matches_facet_form(shared, monkeypatch
     runs = [0, 0]
     engine = polytope._hull_engine
 
-    def counted(ipts, d, simplex, hom=False):
-        runs[hom] += 1
-        return engine(ipts, d, simplex, hom)
+    def counted(ipts, d, simplex):
+        runs[len(ipts[0]) > d] += 1
+        return engine(ipts, d, simplex)
 
     monkeypatch.setattr(polytope, "_hull_engine", counted)
     rng = random.Random(f"mixed-columns:{shared}")
@@ -177,9 +178,9 @@ def test_column_denominators_polarization_matches_facet_form(shared, monkeypatch
 def test_one_body_subsets_build_no_hull(monkeypatch):
     built = []
 
-    def counted(groups, dim):
+    def counted(groups):
         built.append(len(groups))
-        return _sum_points(groups, dim)
+        return _sum_points(groups)
 
     monkeypatch.setattr(mixed, "_sum_points", counted)
     C, S = unit_cube4(), standard_simplex4()
@@ -268,3 +269,28 @@ def test_fn_absolute_coordinate_on_cube():
 def test_fn_rejects_inexact_integrand():
     with pytest.raises(ValueError):
         mixed_volume_fn(unit_cube4(), lambda xi: float(abs(xi[0])))
+
+
+CUBE3 = list(itertools.product((0, 1), repeat=3))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: mixed_volume(*[DualPolytope(unit_cube4())] * 4), TypeError,
+     "arguments must be Polytope"),
+    (lambda: mixed_volume(*[convex_hull(CUBE3)] * 4), ValueError,
+     "mixed volume requires ambient dimension 4"),
+    (lambda: mixed_volume(unit_cube4(), unit_cube4(), unit_cube4(), Polytope.empty(4)),
+     ValueError, "mixed volume of an empty body is undefined"),
+    (lambda: mixed_volume_31(unit_cube4(), DualPolytope(unit_cube4())), TypeError,
+     "arguments must be Polytope"),
+    (lambda: mixed_volume_31(unit_cube4(), convex_hull(CUBE3)), ValueError,
+     "mixed volume requires ambient dimension 4"),
+    (lambda: mixed_volume_31(Polytope.empty(4), unit_cube4()), ValueError,
+     "mixed volume of an empty body is undefined"),
+    (lambda: mixed_volume_fn(convex_hull(CUBE3), abs), ValueError,
+     "mixed_volume_fn requires ambient dimension 4"),
+], ids=["polarization-dual", "polarization-3d", "polarization-empty", "facet-form-dual",
+        "facet-form-3d", "facet-form-empty", "fn-3d"])
+def test_mixed_volume_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

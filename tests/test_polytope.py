@@ -15,8 +15,8 @@ import random
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from minkval.cplx import DualPolytope
-from minkval.linalg import det, vec_sub
+from minkval.cplx import DualPolytope, det_image
+from minkval.linalg import det, dot, mat_inverse, vec_sub
 import minkval.polytope as polytope
 from minkval.polytope import (
     Polytope,
@@ -29,6 +29,7 @@ from minkval.polytope import (
     minkowski_sum,
     split_by_hyperplane,
 )
+from minkval.valuations import SupportEvaluator, ValuationOp, dual_diff_support_via_det
 
 F = Fraction
 
@@ -372,6 +373,40 @@ def test_empty_body_checks_arguments_as_a_nonempty_one():
             convex_hull([(0,) * dim])
         with pytest.raises(ValueError):
             Polytope.empty(dim)
+
+
+def test_empty_body_checks_directions_as_a_nonempty_one():
+    # a direction that is not a rational point of W, and a parameter body
+    # that is not planar, are refused for the empty body as for any other
+    # by the support evaluator, the planar-integral route and the det
+    # image; valid arguments give the empty body its zero values
+    M = convex_hull([(-1, 0), (1, 0)])
+    E = Polytope.empty(4)
+    for body in (unit_cube(4), E):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            SupportEvaluator(ValuationOp("proj"), body).at(("x", 0, 0, 0))
+        with pytest.raises(ValueError, match="parameter body must be planar"):
+            dual_diff_support_via_det(unit_cube(3), body, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="expected a point of R\\^4"):
+            dual_diff_support_via_det(M, body, (1, 0, 0))
+        with pytest.raises(ValueError, match="expected a point of R\\^4"):
+            det_image(body, (1, 2, 3))
+    for body in (unit_cube(3), Polytope.empty(3)):
+        with pytest.raises(ValueError, match="det_image expects a body of ambient dimension 4"):
+            det_image(body, (1, 2, 3, 4))
+    assert SupportEvaluator(ValuationOp("proj"), E).at(("1/2", 0, 0, 0)) == 0
+    assert dual_diff_support_via_det(M, E, (1, 0, 0, 0)) == 0
+    assert det_image(E, (1, 2, 3, 4)) == Polytope.empty(2)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: unit_cube(4).support((1, 0, 0)), ValueError, "dimension mismatch in support direction"),
+    (lambda: dot((1, 2), (1, 2, 3)), ValueError, "dimension mismatch: 2 vs 3"),
+    (lambda: mat_inverse([[1, 2], [2, 4]]), ValueError, "singular matrix"),
+], ids=["support-length", "dot-lengths", "singular-inverse"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_split_simplex_volume_additivity():
@@ -864,9 +899,9 @@ def engine_runs(monkeypatch):
     runs = [0, 0]
     engine = polytope._hull_engine
 
-    def counted(ipts, d, simplex, hom=False):
-        runs[hom] += 1
-        return engine(ipts, d, simplex, hom)
+    def counted(ipts, d, simplex):
+        runs[len(ipts[0]) > d] += 1
+        return engine(ipts, d, simplex)
 
     monkeypatch.setattr(polytope, "_hull_engine", counted)
     return runs
@@ -1249,6 +1284,32 @@ def test_integer_forms_give_equal_records(k, monkeypatch):
             # the sum's engine run at least, in the forced form only
             assert runs[bits == 0] >= 1 and runs[bits != 0] == 0
         assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("count,bits,conditions,form", [
+    (3, 200, (True, False), 0),
+    (6, 60, (False, True), 0),
+    (12, 60, (True, True), 1),
+], ids=["floor-only", "ratio-only", "both"])
+def test_each_gate_condition_alone_keeps_the_common_form(count, bits, conditions, form,
+                                                         monkeypatch):
+    # R^4 clouds whose points each have their own denominator w, one of
+    # count distinct weights of the given bits: s passes the floor
+    # _GATE_BITS alone at three 200-bit weights and the ratio
+    # _GATE_RATIO * bits(w) alone at six 60-bit ones, and the hull runs over
+    # the common s; at twelve it passes both, and the hull runs per point
+    rng = random.Random(f"gate:{count}:{bits}")
+    weights = [rng.randrange(2 ** (bits - 1), 2 ** bits) for _ in range(count)]
+    pts = [tuple(F(rng.randint(-4 * w, 4 * w), w) for _ in range(4))
+           for w in weights for _ in range(2)]
+    wts = [lcm(*(x.denominator for x in p)) for p in pts]
+    s = lcm(*wts).bit_length()
+    assert (s > polytope._GATE_BITS,
+            s > polytope._GATE_RATIO * max(wts).bit_length()) == conditions
+    runs = engine_runs(monkeypatch)
+    P = convex_hull(pts)
+    assert P.affine_dim == 4
+    assert runs == [1 - form, form]
 
 
 # -- large clouds ------------------------------------------------------------------

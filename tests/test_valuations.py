@@ -556,3 +556,18 @@ def test_operator_table_entry(kind, spec):
             ValuationOp(kind, **{p: bodies[p] for p in params})
     table = homogeneous_decomposition(op, K, [(1, 2, -1, 3), (0, 1, 0, -2)])
     assert table.nonzero_degrees() == spec.degrees
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: apply_valuation(ValuationOp("proj"), DualPolytope(unit_cube4())), TypeError,
+     "valuations act on bodies in W, not W\\*"),
+    (lambda: apply_valuation(ValuationOp("diff"), convex_hull([(0, 0, 0), (1, 2, 3)])),
+     ValueError, "source body must live in ambient dimension 4"),
+    (lambda: dual_diff_support_via_det(simplex4(), unit_cube4(), (1, 0, 0, 0)), ValueError,
+     "parameter body must be planar"),
+    (lambda: dual_diff_support_via_det(Polytope.empty(2), unit_cube4(), (1, 0, 0, 0)),
+     ValueError, "parameter body must be nonempty"),
+], ids=["apply-dual", "apply-3d", "det-route-4d-M", "det-route-empty-M"])
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
