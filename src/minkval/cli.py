@@ -95,6 +95,9 @@ def _sphere_grid(g: int) -> list[tuple]:
     """Primitive integer directions on the boundary of the cube [-G, G]^4."""
     if g < 1:
         raise FormatError("--sphere-grid must be at least 1")
+    if g > 12:
+        # the rows grow as G^3: 110,784 at G = 12, a few seconds of evaluation
+        raise FormatError("--sphere-grid must be at most 12")
     # a boundary point is the one multiple of its primitive direction on
     # the boundary, so no direction comes twice
     return sorted(primitive(d) for d in product(range(-g, g + 1), repeat=4)

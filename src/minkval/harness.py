@@ -95,6 +95,10 @@ def rand_rational(rng: random.Random, span: int = 4, max_den: int = 16) -> Fract
     return F(rng.randint(-span * max_den, span * max_den), rng.randint(1, max_den))
 
 
+def rand_cplx(rng: random.Random) -> Cplx:
+    return Cplx(rand_rational(rng), rand_rational(rng))
+
+
 def rand_direction(rng: random.Random) -> tuple:
     while True:
         w = tuple(rand_rational(rng) for _ in range(4))
@@ -198,6 +202,11 @@ def _run_trials(check: str, seed: int, trials: int, rng: random.Random,
     return PropertyReport(check, seed, trials, "pass")
 
 
+def _instance_report(check: str, seed: int, witness: dict | None) -> PropertyReport:
+    """The one-trial report of an instance check: its witness fails it."""
+    return PropertyReport(check, seed, 1, "pass" if witness is None else "fail", witness)
+
+
 # -- instance-level checks ----------------------------------------------------------
 
 
@@ -230,20 +239,20 @@ def _decomposition(op: ValuationOp, dilates, dirs) -> DecompositionTable:
 def check_valuation_additivity(op: ValuationOp, P: Polytope, xi, c, dirs,
                                seed: int = 0) -> PropertyReport:
     """h(Z P, w) + h(Z(K cap L), w) = h(Z K, w) + h(Z L, w) for the split of P."""
-    return _additivity_report(op, P, split_by_hyperplane(P, xi, c), xi, c, dirs, seed)
+    witness = _additivity_witness(op, P, split_by_hyperplane(P, xi, c), xi, c, dirs)
+    return _instance_report("valuation_additivity", seed, witness)
 
 
-def _additivity_report(op: ValuationOp, P: Polytope, pieces, xi, c, dirs,
-                       seed: int) -> PropertyReport:
-    """check_valuation_additivity on the prebuilt pieces (K, L, mid) of the
-    split of P by <xi, x> = c."""
+def _additivity_witness(op: ValuationOp, P: Polytope, pieces, xi, c, dirs) -> dict | None:
+    """The first counterexample of check_valuation_additivity on the prebuilt
+    pieces (K, L, mid) of the split of P by <xi, x> = c, or None."""
     K, L, mid = pieces
     evs = [SupportEvaluator(op, B) for B in (P, K, L, mid)]
     for w in dirs:
         lhs = evs[0].at(w) + evs[3].at(w)
         rhs = evs[1].at(w) + evs[2].at(w)
         if lhs != rhs:
-            witness = {
+            return {
                 "op": op.kind,
                 "P": _body_witness(P),
                 "xi": _strs(xi),
@@ -252,15 +261,15 @@ def _additivity_report(op: ValuationOp, P: Polytope, pieces, xi, c, dirs,
                 "lhs": str(lhs),
                 "rhs": str(rhs),
             }
-            return PropertyReport("valuation_additivity", seed, 1, "fail", witness)
-    return PropertyReport("valuation_additivity", seed, 1, "pass")
+    return None
 
 
 def check_equivariance(op: ValuationOp, K: Polytope, g: ComplexMatrix2, dirs,
                        seed: int = 0) -> PropertyReport:
     """Contravariant: h(Z(gK), w) = h(ZK, g^{-1} w); covariant: h(Z'(gK), xi) =
     h(Z'K, g^* xi).  Requires det g = 1."""
-    return _equivariance_report(op, K, _sl_action(g, K), g, dirs, seed)
+    witness = _equivariance_witness(op, K, _sl_action(g, K), g, dirs)
+    return _instance_report("equivariance", seed, witness)
 
 
 def _sl_action(g: ComplexMatrix2, K: Polytope) -> Polytope:
@@ -270,21 +279,18 @@ def _sl_action(g: ComplexMatrix2, K: Polytope) -> Polytope:
     return group_action(g, K)
 
 
-def _equivariance_report(op: ValuationOp, K: Polytope, gK: Polytope,
-                         g: ComplexMatrix2, dirs, seed: int) -> PropertyReport:
-    """check_equivariance on the prebuilt gK = _sl_action(g, K)."""
+def _equivariance_witness(op: ValuationOp, K: Polytope, gK: Polytope,
+                          g: ComplexMatrix2, dirs) -> dict | None:
+    """The first counterexample of check_equivariance on the prebuilt
+    gK = _sl_action(g, K), or None."""
     ev_gk = SupportEvaluator(op, gK)
     ev_k = SupportEvaluator(op, K)
-    g_inv = g.inverse()
-    g_star = g.adjoint()
+    pull = g.inverse() if op.is_contravariant else g.adjoint()
     for w in dirs:
         lhs = ev_gk.at(w)
-        if op.is_contravariant:
-            rhs = ev_k.at(g_inv.apply(w))
-        else:
-            rhs = ev_k.at(g_star.apply(w))
+        rhs = ev_k.at(pull.apply(w))
         if lhs != rhs:
-            witness = {
+            return {
                 "op": op.kind,
                 "K": _body_witness(K),
                 "g": [_strs((z.re, z.im)) for z in (g.a, g.b, g.c, g.d)],
@@ -292,8 +298,7 @@ def _equivariance_report(op: ValuationOp, K: Polytope, gK: Polytope,
                 "lhs": str(lhs),
                 "rhs": str(rhs),
             }
-            return PropertyReport("equivariance", seed, 1, "fail", witness)
-    return PropertyReport("equivariance", seed, 1, "pass")
+    return None
 
 
 def shear_simplex_expected_atoms(a: Fraction, b: Fraction, gamma: Cplx) -> set:
@@ -320,6 +325,11 @@ def shear_simplex_expected_atoms(a: Fraction, b: Fraction, gamma: Cplx) -> set:
 def verify_shear_simplex_area_measure(a, b, gamma: Cplx, seed: int = 0) -> PropertyReport:
     """Build the sheared simplex and compare its area measure atom-by-atom
     against the closed-form weighted normals."""
+    return _instance_report("shear_simplex_atoms", seed, _shear_simplex_witness(a, b, gamma))
+
+
+def _shear_simplex_witness(a, b, gamma: Cplx) -> dict | None:
+    """The mismatch of verify_shear_simplex_area_measure, or None."""
     a, b = F(a), F(b)
     if a == 0 or b == 0:
         raise ValueError("simplex parameters a, b must be nonzero")
@@ -329,20 +339,18 @@ def verify_shear_simplex_area_measure(a, b, gamma: Cplx, seed: int = 0) -> Prope
         (F(0), b, F(0)),
         (gamma.re, gamma.im, F(1)),
     ])
-    got = set(P.area_measure().atoms)
+    area = P.area_measure()
+    got = set(area.atoms)
     want = shear_simplex_expected_atoms(a, b, gamma)
-    closure = P.area_measure().closure_sum()
-    ok = got == want and all(x == 0 for x in closure)
-    witness = None
-    if not ok:
-        witness = {
-            "a": str(a),
-            "b": str(b),
-            "gamma": _strs((gamma.re, gamma.im)),
-            "computed": sorted(_strs(atom) for atom in got),
-            "expected": sorted(_strs(atom) for atom in want),
-        }
-    return PropertyReport("shear_simplex_atoms", seed, 1, "pass" if ok else "fail", witness)
+    if got == want and all(x == 0 for x in area.closure_sum()):
+        return None
+    return {
+        "a": str(a),
+        "b": str(b),
+        "gamma": _strs((gamma.re, gamma.im)),
+        "computed": sorted(_strs(atom) for atom in got),
+        "expected": sorted(_strs(atom) for atom in want),
+    }
 
 
 def check_degenerate_vanishing(op: ValuationOp, stratum: str, seed: int,
@@ -367,8 +375,8 @@ def check_degenerate_vanishing(op: ValuationOp, stratum: str, seed: int,
         K = rand_e_plane_body(rng)
         ev = SupportEvaluator(op, K)
         for _ in range(10):
-            alpha = Cplx(rand_rational(rng), rand_rational(rng))
-            beta = Cplx(rand_rational(rng), rand_rational(rng))
+            alpha = rand_cplx(rng)
+            beta = rand_cplx(rng)
             lhs = ev.at((alpha.re, alpha.im, beta.re, beta.im))
             rhs = ev.at((F(0), F(0), beta.re, beta.im))
             if lhs != rhs:
@@ -509,9 +517,9 @@ def _drive_additivity(seed: int, trials: int) -> PropertyReport:
         dirs = [rand_direction(rng) for _ in range(50)]
         pieces = split_by_hyperplane(P, xi, c)
         for op in ops:
-            rep = _additivity_report(op, P, pieces, xi, c, dirs, seed)
-            if not rep.passed:
-                return rep.witness
+            witness = _additivity_witness(op, P, pieces, xi, c, dirs)
+            if witness is not None:
+                return witness
         return None
 
     rng = random.Random(f"{seed}:additivity")
@@ -529,9 +537,9 @@ def _drive_equivariance(seed: int, trials: int) -> PropertyReport:
         dirs = [rand_direction(rng) for _ in range(8)]
         gK = _sl_action(g, K)
         for op in ops:
-            rep = _equivariance_report(op, K, gK, g, dirs, seed)
-            if not rep.passed:
-                return rep.witness
+            witness = _equivariance_witness(op, K, gK, g, dirs)
+            if witness is not None:
+                return witness
         return None
 
     rng = random.Random(f"{seed}:equivariance")
@@ -584,8 +592,7 @@ def _drive_shear_simplex(seed: int, trials: int) -> PropertyReport:
             a = rand_rational(rng, span=3, max_den=5)
         while b == 0:
             b = rand_rational(rng, span=3, max_den=5)
-        gamma = Cplx(rand_rational(rng), rand_rational(rng))
-        return verify_shear_simplex_area_measure(a, b, gamma, seed).witness
+        return _shear_simplex_witness(a, b, rand_cplx(rng))
 
     rng = random.Random(f"{seed}:shear_simplex")
     return _run_trials("shear_simplex_atoms", seed, trials, rng, trial_fn)
@@ -597,12 +604,7 @@ def _drive_phi_equivariance(seed: int, trials: int) -> PropertyReport:
     def trial_fn(rng, trial):
         nonlocal alt_rejected
         while True:
-            g = ComplexMatrix2(
-                Cplx(rand_rational(rng), rand_rational(rng)),
-                Cplx(rand_rational(rng), rand_rational(rng)),
-                Cplx(rand_rational(rng), rand_rational(rng)),
-                Cplx(rand_rational(rng), rand_rational(rng)),
-            )
+            g = ComplexMatrix2(rand_cplx(rng), rand_cplx(rng), rand_cplx(rng), rand_cplx(rng))
             if not g.det().is_zero():
                 break
         u = rand_direction(rng)
@@ -740,8 +742,7 @@ def _drive_kernel_invariants(seed: int, trials: int) -> PropertyReport:
         xi = rand_direction(rng)
         c = rand_rational(rng)
         low, high, mid = split_by_hyperplane(P, xi, c)
-        vol = lambda B: B.volume() if not B.is_empty else F(0)
-        if vol(low) + vol(high) != P.volume() + vol(mid):
+        if low.volume() + high.volume() != P.volume() + mid.volume():
             failures["split_volume_valuation"] = True
         Q = rand_polytope(rng, min_verts=4, max_verts=6, full_dim=False)
         S = minkowski_sum(P, Q)
@@ -750,9 +751,9 @@ def _drive_kernel_invariants(seed: int, trials: int) -> PropertyReport:
             if S.support(w) != P.support(w) + Q.support(w):
                 failures["support_additivity"] = True
         A = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-        if det(A) != 0:
-            if affine_transform(P, A).volume() != abs(det(A)) * P.volume():
-                failures["gl_volume_covariance"] = True
+        d = det(A)
+        if d != 0 and affine_transform(P, A).volume() != abs(d) * P.volume():
+            failures["gl_volume_covariance"] = True
         if failures:
             return {**failures, "P": _body_witness(P)}
         return None

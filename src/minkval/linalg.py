@@ -28,46 +28,41 @@ def mat_apply(A: Sequence[Sequence], x: Sequence) -> tuple:
     return tuple(dot(row, x) for row in A)
 
 
-def det(A: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction Gaussian elimination (small matrices)."""
+def _gauss_jordan(A: Sequence[Sequence]) -> tuple[Fraction, Matrix | None]:
+    """(det A, A^-1) by one exact Gauss-Jordan pass on [A | I]; A^-1 is None
+    when A is singular."""
     n = len(A)
-    m = [list(map(Fraction, row)) for row in A]
-    sign = 1
-    result = Fraction(1)
+    m = [list(map(Fraction, row)) + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(A)]
+    d = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
+            d = -d
         p = m[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / p
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return sign * result
-
-
-def mat_inverse(A: Sequence[Sequence]) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises ValueError on singular input."""
-    n = len(A)
-    m = [list(map(Fraction, row)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
+        d *= p
         m[col] = [x / p for x in m[col]]
         for r in range(n):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return d, tuple(tuple(row[n:]) for row in m)
+
+
+def det(A: Sequence[Sequence]) -> Fraction:
+    """Determinant by exact elimination (small matrices)."""
+    return _gauss_jordan(A)[0]
+
+
+def mat_inverse(A: Sequence[Sequence]) -> Matrix:
+    """Exact inverse by Gauss-Jordan; raises ValueError on singular input."""
+    inv = _gauss_jordan(A)[1]
+    if inv is None:
+        raise ValueError("singular matrix")
+    return inv
 
 
 def primitive(v: Sequence[int]) -> IntVec:

@@ -919,16 +919,15 @@ def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytop
     xi = tuple(Fraction(x) for x in xi)
     c = Fraction(c)
     vals = [dot(xi, v) for v in P.vertices]
-    below = [v for v, f in zip(P.vertices, vals) if f <= c]
-    above = [v for v, f in zip(P.vertices, vals) if f >= c]
-    on = [v for v, f in zip(P.vertices, vals) if f == c]
     crossings = []
     for (u, fu), (v, fv) in combinations(zip(P.vertices, vals), 2):
         if (fu < c < fv) or (fv < c < fu):
             t = (c - fu) / (fv - fu)
             crossings.append(tuple(a + t * (b - a) for a, b in zip(u, v)))
-    dim = P.ambient_dim
-    low = convex_hull(below + crossings) if below or crossings else Polytope.empty(dim)
-    high = convex_hull(above + crossings) if above or crossings else Polytope.empty(dim)
-    mid = convex_hull(on + crossings) if on or crossings else Polytope.empty(dim)
-    return low, high, mid
+
+    def piece(side) -> Polytope:
+        # the vertices side() keeps plus the crossings, or the empty body
+        pts = [v for v, f in zip(P.vertices, vals) if side(f)] + crossings
+        return convex_hull(pts) if pts else Polytope.empty(P.ambient_dim)
+
+    return piece(lambda f: f <= c), piece(lambda f: f >= c), piece(lambda f: f == c)

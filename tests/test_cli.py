@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -342,6 +343,18 @@ def test_sample_sphere_grid_reduces_directions(bodies, capsys, tmp_path):
     for row, v in zip(rows, dirs):
         norm = math.sqrt(sum(x * x for x in v))
         assert row == [x / norm for x in v] + [float(ev.at(v)) / norm]
+
+
+@pytest.mark.parametrize("grid", ["13", "1000000000"])
+def test_sample_sphere_grid_is_capped(bodies, capsys, tmp_path, grid):
+    # the cap is checked before the (2G+1)^4 walk, so even a huge G fails fast
+    csv_file = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sample", "proj", "--body", bodies["cube.json"],
+                                  "--sphere-grid", grid, "--csv", str(csv_file)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and not csv_file.exists()
+    assert err == "error: --sphere-grid must be at most 12\n"
 
 
 # -- error handling -----------------------------------------------------------------

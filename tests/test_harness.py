@@ -344,11 +344,13 @@ def test_public_checks_agree_with_the_shared_path(monkeypatch):
     dilates = harness._dilates(P)
 
     def both(op):
+        shared_additivity = harness._additivity_witness(op, P, pieces, xi, c, dirs)
+        shared_equivariance = harness._equivariance_witness(op, P, gK, g, dirs)
         return (
             (check_valuation_additivity(op, P, xi, c, dirs, 5),
-             harness._additivity_report(op, P, pieces, xi, c, dirs, 5)),
+             harness._instance_report("valuation_additivity", 5, shared_additivity)),
             (check_equivariance(op, P, g, dirs, 5),
-             harness._equivariance_report(op, P, gK, g, dirs, 5)),
+             harness._instance_report("equivariance", 5, shared_equivariance)),
             (homogeneous_decomposition(op, P, dirs), harness._decomposition(op, dilates, dirs)),
         )
 
@@ -367,3 +369,23 @@ def test_public_checks_agree_with_the_shared_path(monkeypatch):
     for op in ops:
         for public, shared in both(op)[:2]:
             assert public == shared and public.status == "fail" and public.witness["op"] == op.kind
+
+
+def test_shear_simplex_check_agrees_with_its_witness(monkeypatch):
+    a, b, gamma = F(-3, 2), F(2, 5), Cplx(F(1, 3), F(-7, 4))
+
+    def both():
+        return (verify_shear_simplex_area_measure(a, b, gamma, 5),
+                harness._instance_report("shear_simplex_atoms", 5,
+                                         harness._shear_simplex_witness(a, b, gamma)))
+
+    public, shared = both()
+    assert public == shared and public.passed and public.witness is None
+
+    # closed-form atoms missing one atom: both fail with the same witness
+    real = harness.shear_simplex_expected_atoms
+    monkeypatch.setattr(harness, "shear_simplex_expected_atoms",
+                        lambda *args: set(sorted(real(*args))[1:]))
+    public, shared = both()
+    assert public == shared and public.status == "fail"
+    assert len(public.witness["expected"]) == 3 and len(public.witness["computed"]) == 4

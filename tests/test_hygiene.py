@@ -1,7 +1,9 @@
-"""Import hygiene of the package, checked with the stdlib ast module."""
+"""Hygiene of the package (imports, dead helpers, code-line count), checked with
+the stdlib ast and tokenize modules."""
 
 import ast
 from pathlib import Path
+import subprocess
 import sys
 
 import pytest
@@ -115,3 +117,23 @@ def test_every_top_level_definition_is_named_elsewhere():
             if counts.get(node.name, 0) - inside == 0:
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+CODE_LINES = Path(__file__).parent / "code_lines.py"
+
+
+def _code_lines(package):
+    out = subprocess.run([sys.executable, str(CODE_LINES), str(package)],
+                         capture_output=True, text=True, check=True).stdout
+    return {name: int(n) for name, n in (line.split() for line in out.splitlines())}
+
+
+def test_code_lines_counts_tokens_outside_docstrings(tmp_path):
+    counts = _code_lines(PACKAGE)
+    assert sorted(counts) == sorted([p.name for p in PACKAGE.glob("*.py")] + ["total"])
+    assert counts["total"] == sum(n for name, n in counts.items() if name != "total") > 0
+    (tmp_path / "mod.py").write_text(
+        '"""A docstring\n\nover three lines."""\n\n# a comment\n'
+        'def f(x):\n    """One line."""\n    # another comment\n    return x  # trailing\n'
+    )
+    assert _code_lines(tmp_path) == {"mod.py": 2, "total": 2}
