@@ -184,16 +184,17 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     op = _load_op(args)
     K = _load_source_body(args)
-    ev = SupportEvaluator(op, K)
+    grid = _sphere_grid(args.sphere_grid)
+    values = SupportEvaluator(op, K).at_many(grid)
     lines = [
         "# lossy decimal output (IEEE double, 17 significant digits);"
         " all other commands are exact",
         "w1,w2,w3,w4,h",
     ]
-    for d in _sphere_grid(args.sphere_grid):
+    for d, value in zip(grid, values):
         norm = math.sqrt(sum(x * x for x in d))
         try:
-            h = float(ev.at(d))
+            h = float(value)
         except OverflowError:
             raise FormatError(f"support value at {d} is outside the double range") from None
         row = [x / norm for x in d] + [h / norm]

@@ -31,6 +31,7 @@ from .valuations import (
     SupportEvaluator,
     ValuationOp,
     apply_valuation,
+    cleared_directions,
     covariant_of,
     dual_diff_support_via_det,
     zero_body,
@@ -207,6 +208,33 @@ def _instance_report(check: str, seed: int, witness: dict | None) -> PropertyRep
     return PropertyReport(check, seed, 1, "pass" if witness is None else "fail", witness)
 
 
+def _first_difference(*sides) -> tuple[int, list[Fraction]] | None:
+    """The first index i at which the sides take different values, with each
+    side's value there, or None if they agree at every index.
+
+    A side is a list of terms (c, ev, dirs), and its value at i is the sum
+    of c * h(Z K, W_i / t_i) over its terms, for the evaluator ev of Z K and
+    the i-th of the cleared directions dirs.  Each value is kept as an
+    integer pair (a, b) for a / b and compared by cross-multiplying: only
+    the values at the first difference become Fractions.
+    """
+    values = []
+    for side in sides:
+        total = None
+        for c, ev, dirs in side:
+            c = F(c)
+            D, ns = ev.integer_form(dirs)
+            p, q = c.numerator, c.denominator * D
+            term = [(p * n, q * t) for n, (t, _) in zip(ns, dirs)]
+            total = term if total is None else [
+                (a * y + x * b, b * y) for (a, b), (x, y) in zip(total, term)]
+        values.append(total)
+    for i, ((a, b), *rest) in enumerate(zip(*values)):
+        if any(x * b != a * y for x, y in rest):
+            return i, [F(x, y) for x, y in ((a, b), *rest)]
+    return None
+
+
 # -- instance-level checks ----------------------------------------------------------
 
 
@@ -222,15 +250,14 @@ def _dilates(K: Polytope) -> list[Polytope]:
 
 def _decomposition(op: ValuationOp, dilates, dirs) -> DecompositionTable:
     """homogeneous_decomposition read off the prebuilt _dilates(K)."""
-    evals = [SupportEvaluator(op, D) for D in dilates]
     table = DecompositionTable()
-    for w in dirs:
-        values = [ev.at(w) for ev in evals]
+    per_dilate = [SupportEvaluator(op, D).at_many(dirs) for D in dilates]
+    for values in zip(*per_dilate):
         coeffs = tuple(dot(row, values) for row in _VANDERMONDE_INV)
         recon = [
             sum(c * F(lam) ** k for k, c in enumerate(coeffs)) for lam in LAMBDA_NODES
         ]
-        if recon != values:
+        if recon != list(values):
             raise AssertionError("Vandermonde solve failed to reproduce samples")
         table.coefficients.append(coeffs)
     return table
@@ -239,28 +266,22 @@ def _decomposition(op: ValuationOp, dilates, dirs) -> DecompositionTable:
 def check_valuation_additivity(op: ValuationOp, P: Polytope, xi, c, dirs,
                                seed: int = 0) -> PropertyReport:
     """h(Z P, w) + h(Z(K cap L), w) = h(Z K, w) + h(Z L, w) for the split of P."""
-    witness = _additivity_witness(op, P, split_by_hyperplane(P, xi, c), xi, c, dirs)
+    witness = _additivity_witness([op], P, split_by_hyperplane(P, xi, c), xi, c, dirs)
     return _instance_report("valuation_additivity", seed, witness)
 
 
-def _additivity_witness(op: ValuationOp, P: Polytope, pieces, xi, c, dirs) -> dict | None:
-    """The first counterexample of check_valuation_additivity on the prebuilt
-    pieces (K, L, mid) of the split of P by <xi, x> = c, or None."""
-    K, L, mid = pieces
-    evs = [SupportEvaluator(op, B) for B in (P, K, L, mid)]
-    for w in dirs:
-        lhs = evs[0].at(w) + evs[3].at(w)
-        rhs = evs[1].at(w) + evs[2].at(w)
-        if lhs != rhs:
-            return {
-                "op": op.kind,
-                "P": _body_witness(P),
-                "xi": _strs(xi),
-                "c": str(c),
-                "w": _strs(w),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
+def _additivity_witness(ops, P: Polytope, pieces, xi, c, dirs) -> dict | None:
+    """The first counterexample of check_valuation_additivity over the ops,
+    in order, on the prebuilt pieces (K, L, mid) of the split of P by
+    <xi, x> = c, or None.  The directions are cleared once for all ops."""
+    cleared = cleared_directions(dirs)
+    for op in ops:
+        P_, K, L, mid = ((1, SupportEvaluator(op, B), cleared) for B in (P, *pieces))
+        diff = _first_difference([P_, mid], [K, L])
+        if diff is not None:
+            i, (lhs, rhs) = diff
+            return {"op": op.kind, "P": _body_witness(P), "xi": _strs(xi), "c": str(c),
+                    "w": _strs(dirs[i]), "lhs": str(lhs), "rhs": str(rhs)}
     return None
 
 
@@ -268,7 +289,7 @@ def check_equivariance(op: ValuationOp, K: Polytope, g: ComplexMatrix2, dirs,
                        seed: int = 0) -> PropertyReport:
     """Contravariant: h(Z(gK), w) = h(ZK, g^{-1} w); covariant: h(Z'(gK), xi) =
     h(Z'K, g^* xi).  Requires det g = 1."""
-    witness = _equivariance_witness(op, K, _sl_action(g, K), g, dirs)
+    witness = _equivariance_witness([op], K, _sl_action(g, K), g, dirs)
     return _instance_report("equivariance", seed, witness)
 
 
@@ -279,25 +300,22 @@ def _sl_action(g: ComplexMatrix2, K: Polytope) -> Polytope:
     return group_action(g, K)
 
 
-def _equivariance_witness(op: ValuationOp, K: Polytope, gK: Polytope,
-                          g: ComplexMatrix2, dirs) -> dict | None:
-    """The first counterexample of check_equivariance on the prebuilt
-    gK = _sl_action(g, K), or None."""
-    ev_gk = SupportEvaluator(op, gK)
-    ev_k = SupportEvaluator(op, K)
-    pull = g.inverse() if op.is_contravariant else g.adjoint()
-    for w in dirs:
-        lhs = ev_gk.at(w)
-        rhs = ev_k.at(pull.apply(w))
-        if lhs != rhs:
-            return {
-                "op": op.kind,
-                "K": _body_witness(K),
-                "g": [_strs((z.re, z.im)) for z in (g.a, g.b, g.c, g.d)],
-                "w": _strs(w),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            }
+def _equivariance_witness(ops, K: Polytope, gK: Polytope, g: ComplexMatrix2,
+                          dirs) -> dict | None:
+    """The first counterexample of check_equivariance over the ops, in
+    order, on the prebuilt gK = _sl_action(g, K), or None.  The directions
+    w, g^{-1} w and g^* w are cleared once for all ops."""
+    cleared = cleared_directions(dirs)
+    pulled = {contra: cleared_directions([pull.apply(w) for w in dirs])
+              for contra, pull in ((True, g.inverse()), (False, g.adjoint()))}
+    for op in ops:
+        diff = _first_difference([(1, SupportEvaluator(op, gK), cleared)],
+                                 [(1, SupportEvaluator(op, K), pulled[op.is_contravariant])])
+        if diff is not None:
+            i, (lhs, rhs) = diff
+            return {"op": op.kind, "K": _body_witness(K),
+                    "g": [_strs((z.re, z.im)) for z in (g.a, g.b, g.c, g.d)],
+                    "w": _strs(dirs[i]), "lhs": str(lhs), "rhs": str(rhs)}
     return None
 
 
@@ -368,27 +386,22 @@ def check_degenerate_vanishing(op: ValuationOp, stratum: str, seed: int,
             K = rand_complex_plane_body(rng)
             ev = SupportEvaluator(op, K)
             body = apply_valuation(op, K).body
-            dirs = [rand_direction(rng) for _ in range(10)]
-            if body != zero_body() or any(ev.at(w) != 0 for w in dirs):
+            dirs = cleared_directions([rand_direction(rng) for _ in range(10)])
+            if body != zero_body() or any(ev.integer_form(dirs)[1]):
                 return {"stratum": stratum, "K": _body_witness(K)}
             return None
         K = rand_e_plane_body(rng)
         ev = SupportEvaluator(op, K)
-        for _ in range(10):
-            alpha = rand_cplx(rng)
-            beta = rand_cplx(rng)
-            lhs = ev.at((alpha.re, alpha.im, beta.re, beta.im))
-            rhs = ev.at((F(0), F(0), beta.re, beta.im))
-            if lhs != rhs:
-                return {
-                    "stratum": stratum,
-                    "K": _body_witness(K),
-                    "alpha": _strs((alpha.re, alpha.im)),
-                    "beta": _strs((beta.re, beta.im)),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-        return None
+        pairs = [(rand_cplx(rng), rand_cplx(rng)) for _ in range(10)]
+        diff = _first_difference(
+            [(1, ev, cleared_directions([(a.re, a.im, b.re, b.im) for a, b in pairs]))],
+            [(1, ev, cleared_directions([(F(0), F(0), b.re, b.im) for _, b in pairs]))])
+        if diff is None:
+            return None
+        i, (lhs, rhs) = diff
+        alpha, beta = pairs[i]
+        return {"stratum": stratum, "K": _body_witness(K), "alpha": _strs((alpha.re, alpha.im)),
+                "beta": _strs((beta.re, beta.im)), "lhs": str(lhs), "rhs": str(rhs)}
 
     rng = random.Random(f"{seed}:degenerate:{stratum}:{op.kind}")
     return _run_trials("degenerate_vanishing", seed, trials, rng, trial_fn)
@@ -406,19 +419,21 @@ def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
     if spec is None or len(spec.params) != 1:
         raise ValueError("uniqueness check applies to the single-parameter operators")
 
-    def make_op(param):
-        return ValuationOp(kind, **{spec.params[0]: param})
+    def evaluators(K, *params):
+        return [SupportEvaluator(ValuationOp(kind, **{spec.params[0]: p}), K) for p in params]
+
+    def first_difference(evs, dirs):
+        cleared = cleared_directions(dirs)
+        return _first_difference(*([(1, ev, cleared)] for ev in evs))
 
     def trial_fn(rng, trial):
         t = (rand_rational(rng), rand_rational(rng))
         shifted = M.translate(t)
         K = rand_polytope(rng, min_verts=5, max_verts=8)
-        ev1 = SupportEvaluator(make_op(M), K)
-        ev2 = SupportEvaluator(make_op(shifted), K)
-        for _ in range(5):
-            w = rand_direction(rng)
-            if ev1.at(w) != ev2.at(w):
-                return {"kind": kind, "t": _strs(t), "w": _strs(w)}
+        dirs = [rand_direction(rng) for _ in range(5)]
+        diff = first_difference(evaluators(K, M, shifted), dirs)
+        if diff is not None:
+            return {"kind": kind, "t": _strs(t), "w": _strs(dirs[diff[0]])}
         return None
 
     rng = random.Random(f"{seed}:uniqueness:{kind}")
@@ -433,19 +448,21 @@ def check_uniqueness_translates(kind: str, M: Polytope, M2: Polytope, seed: int,
         convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
         rand_polytope(rng, min_verts=6, max_verts=8),
     ]
+    # the probe usually separates at its first direction, so it draws and
+    # evaluates one direction at a time
     for K in probes:
-        ev1 = SupportEvaluator(make_op(M), K)
-        ev2 = SupportEvaluator(make_op(M2), K)
+        evs = evaluators(K, M, M2)
         for _ in range(25):
             w = rand_direction(rng)
-            if ev1.at(w) != ev2.at(w):
+            diff = first_difference(evs, [w])
+            if diff is not None:
                 return PropertyReport(
                     "uniqueness_translates", seed, trials, "pass",
                     {
                         "separated_by": {
                             "K": _body_witness(K),
                             "w": _strs(w),
-                            "values": [str(ev1.at(w)), str(ev2.at(w))],
+                            "values": [str(v) for v in diff[1]],
                         }
                     },
                 )
@@ -515,12 +532,7 @@ def _drive_additivity(seed: int, trials: int) -> PropertyReport:
         hi = P.support(xi)
         c = lo + (hi - lo) * F(rng.randint(1, 7), 8)
         dirs = [rand_direction(rng) for _ in range(50)]
-        pieces = split_by_hyperplane(P, xi, c)
-        for op in ops:
-            witness = _additivity_witness(op, P, pieces, xi, c, dirs)
-            if witness is not None:
-                return witness
-        return None
+        return _additivity_witness(ops, P, split_by_hyperplane(P, xi, c), xi, c, dirs)
 
     rng = random.Random(f"{seed}:additivity")
     return _run_trials("valuation_additivity", seed, trials, rng, trial_fn)
@@ -535,12 +547,7 @@ def _drive_equivariance(seed: int, trials: int) -> PropertyReport:
         K = rand_polytope(rng, min_verts=5, max_verts=8)
         g = rand_sl2(rng)
         dirs = [rand_direction(rng) for _ in range(8)]
-        gK = _sl_action(g, K)
-        for op in ops:
-            witness = _equivariance_witness(op, K, gK, g, dirs)
-            if witness is not None:
-                return witness
-        return None
+        return _equivariance_witness(ops, K, _sl_action(g, K), g, dirs)
 
     rng = random.Random(f"{seed}:equivariance")
     return _run_trials("equivariance", seed, trials, rng, trial_fn)
@@ -692,22 +699,18 @@ def _drive_det32(seed: int, trials: int) -> PropertyReport:
         t = F(rng.randint(1, 5), rng.randint(1, 3))
         g = g0.scaled(t)
         gK = group_action(g, K)
-        ev_g = SupportEvaluator(op, gK)
         ev = SupportEvaluator(op, K)
-        for _ in range(5):
-            u = rand_direction(rng)
-            lhs = ev_g.at(u)
-            via_g0 = t**3 * ev.at(g0.inverse().apply(u))
-            via_g = t**4 * ev.at(g.inverse().apply(u))
-            if lhs != via_g0 or lhs != via_g:
-                return {
-                    "t": str(t),
-                    "u": _strs(u),
-                    "lhs": str(lhs),
-                    "t3_g0_inverse": str(via_g0),
-                    "t4_g_inverse": str(via_g),
-                }
-        return None
+        us = [rand_direction(rng) for _ in range(5)]
+        g0_inv, g_inv = g0.inverse(), g.inverse()
+        diff = _first_difference(
+            [(1, SupportEvaluator(op, gK), cleared_directions(us))],
+            [(t**3, ev, cleared_directions([g0_inv.apply(u) for u in us]))],
+            [(t**4, ev, cleared_directions([g_inv.apply(u) for u in us]))])
+        if diff is None:
+            return None
+        i, (lhs, via_g0, via_g) = diff
+        return {"t": str(t), "u": _strs(us[i]), "lhs": str(lhs),
+                "t3_g0_inverse": str(via_g0), "t4_g_inverse": str(via_g)}
 
     rng = random.Random(f"{seed}:det32")
     return _run_trials("det32_pattern", seed, trials, rng, trial_fn)

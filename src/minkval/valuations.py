@@ -166,80 +166,80 @@ def _combined_summands(M: Polytope, N: Polytope, K: Polytope):
 
 # -- support evaluators ------------------------------------------------------------
 #
-# Each takes the kind's parameter bodies and K and returns (t, W) -> h(Z K, W / t)
-# for an integer direction W over t > 0.  They read K only through its vertices
-# and area measure, never through the summands, and read both in the integer
-# form the body keeps: K's vertices over its _scale s (_cleared) or its atoms
-# over their own s (_cleared_atoms), and the complex scalars, the atoms of M or
-# the vertices of N, over their own q the same way.  A call acts on the
-# direction side and takes maxima in integers, and divides once.
+# Each takes the kind's parameter bodies and K and returns a function from a
+# list of cleared directions (t_i, W_i), W_i integer over t_i > 0, to their
+# values in integers: (D, [n_i]) with h(Z K, W_i / t_i) = n_i / (D t_i).  They
+# read K only through its vertices and area measure, never through the
+# summands, and read both in the integer form the body keeps: K's vertices over
+# its _scale s (_cleared) or its atoms over their own s (_cleared_atoms), and
+# the complex scalars, the atoms of M or the vertices of N, over their own q the
+# same way.  They act on the direction side: a complex scalar re + i im rotates
+# a direction, and <v, (re + i im) X> = re <v, X> + im <v, i X>, so each
+# direction takes two columns of dots and each scalar combines them.
 
 
-def _max_dot(vectors, u):
-    """max over the integer 4-vectors v of <v, u>."""
-    x1, y1, x2, y2 = u
-    return max(a * x1 + b * y1 + c * x2 + d * y2 for a, b, c, d in vectors)
+def _dots(vectors, W) -> list[int]:
+    """The column <v, W> over the integer 4-vectors v."""
+    x1, y1, x2, y2 = W
+    return [a * x1 + b * y1 + c * x2 + d * y2 for a, b, c, d in vectors]
 
 
 def _projection_support(K: Polytope):
     """h(Pi K, w) = (1/2) sum_F |<sigma_F, w>|."""
     s, atoms = K._cleared_atoms()
-
-    def h(t, W) -> Fraction:
-        x1, y1, x2, y2 = W
-        total = sum(abs(a * x1 + b * y1 + c * x2 + d * y2) for a, b, c, d in atoms)
-        return Fraction(total, 2 * s * t)
-
-    return h
+    return lambda dirs: (2 * s, [sum(map(abs, _dots(atoms, W))) for _, W in dirs])
 
 
 def _difference_support(K: Polytope):
     """h(K + (-K), w) = h(K, w) + h(K, -w) = max_v <v, w> - min_v <v, w>."""
     s, verts = K._scale, K._cleared()
-
-    def h(t, W) -> Fraction:
-        x1, y1, x2, y2 = W
-        dots = [a * x1 + b * y1 + c * x2 + d * y2 for a, b, c, d in verts]
-        return Fraction(max(dots) - min(dots), s * t)
-
-    return h
+    return lambda dirs: (s, [max(col) - min(col) for col in (_dots(verts, W) for _, W in dirs)])
 
 
 def _complex_difference_support(M: Polytope, K: Polytope):
-    """h(D_M K, xi) = sum_j h(K, conj(nu_j) xi) over the atoms nu_j of M."""
+    """h(D_M K, xi) = sum_j h(K, conj(nu_j) xi) over the atoms nu_j of M, and
+    <v, conj(re + i im) X> = re <v, X> + im <v, -i X>."""
     s, verts = K._scale, K._cleared()
     q, atoms = M._cleared_atoms()
-    conj_atoms = [Cplx(a, -b) for a, b in atoms]
 
-    def h(t, X) -> Fraction:
-        return Fraction(sum(_max_dot(verts, scale_point(c, X)) for c in conj_atoms), s * q * t)
+    def one(x1, y1, x2, y2):
+        cols = [(a * x1 + b * y1 + c * x2 + d * y2, a * y1 - b * x1 + c * y2 - d * x2)
+                for a, b, c, d in verts]
+        return sum([max([re * u + im * v for u, v in cols]) for re, im in atoms])
 
-    return h
+    return lambda dirs: (s * q, [one(*W) for _, W in dirs])
 
 
 def _complex_projection_support(N: Polytope, K: Polytope):
-    """h(Pi_N K, w) = (1/4) sum_F max_{c vertex of N} <sigma_F, c w>."""
+    """h(Pi_N K, w) = (1/4) sum_F max_{c vertex of N} <sigma_F, c w>, and
+    <sigma, (re + i im) W> = re <sigma, W> + im <sigma, i W>."""
     s, atoms = K._cleared_atoms()
-    q, scalars = N._scale, [Cplx(a, b) for a, b in N._cleared()]
+    q, scalars = N._scale, N._cleared()
 
-    def h(t, W) -> Fraction:
-        scaled = [scale_point(c, W) for c in scalars]
-        return Fraction(sum(_max_dot(scaled, atom) for atom in atoms), 4 * s * q * t)
+    def one(x1, y1, x2, y2):
+        cols = [(a * x1 + b * y1 + c * x2 + d * y2, b * x1 - a * y1 + d * x2 - c * y2)
+                for a, b, c, d in atoms]
+        return sum(map(max, zip(*[[re * u + im * v for u, v in cols] for re, im in scalars])))
 
-    return h
+    return lambda dirs: (4 * s * q, [one(*W) for _, W in dirs])
 
 
 def _dual_complex_difference_support(M: Polytope, K: Polytope):
     """h(Phi D_M K, w) = h(D_M K, Phi^T w), and Phi^T = Phi^{-1}."""
     d_m = _complex_difference_support(M, K)
-    return lambda t, W: d_m(t, det_duality_inverse_point(W))
+    return lambda dirs: d_m([(t, det_duality_inverse_point(W)) for t, W in dirs])
 
 
 def _combined_support(M: Polytope, N: Polytope, K: Polytope):
     """The degree-1 part plus the degree-3 part."""
     deg1 = _dual_complex_difference_support(M, K)
     deg3 = _complex_projection_support(N, K)
-    return lambda t, W: deg1(t, W) + deg3(t, W)
+
+    def h(dirs):
+        (D1, n1), (D3, n3) = deg1(dirs), deg3(dirs)
+        return D1 * D3, [a * D3 + b * D1 for a, b in zip(n1, n3)]
+
+    return h
 
 
 # -- the operator table ------------------------------------------------------------
@@ -252,16 +252,16 @@ class OpSpec:
     params names the planar parameter bodies ("M", "N") in the order that
     summands(*params, K) and support(*params, K) take them.  For a nonempty
     K, summands returns point groups S_j with Z K = sum_j conv(S_j), built on
-    the point side; support acts on the direction side, on a direction
-    cleared to (t, W).  The two functions are independent: each is the
-    other's oracle.
+    the point side; support acts on the direction side, on a list of
+    directions cleared to (t, W), and returns their values in integers.  The
+    two functions are independent: each is the other's oracle.
     """
 
     params: tuple[str, ...]
     contravariant: bool
     degrees: frozenset[int]
     summands: Callable[..., list[Sequence[tuple]]]
-    support: Callable[..., Callable[[int, tuple], Fraction]]
+    support: Callable[..., Callable[[list], tuple[int, list[int]]]]
 
 
 OPERATORS: dict[str, OpSpec] = {
@@ -292,12 +292,22 @@ def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
     return DualPolytope(total) if op.is_contravariant else total
 
 
+def cleared_directions(ws) -> list[tuple[int, tuple[int, ...]]]:
+    """The directions of W or W* cleared to (t, W), one _direction each."""
+    for w in ws:
+        if len(w) != 4:
+            raise ValueError(f"direction has {len(w)} components, expected 4")
+    return [_direction(w) for w in ws]
+
+
 class SupportEvaluator:
     """Evaluates h(Z K, .) directly from the defining formula.
 
     Exact at every rational direction; agrees with the support function of
     the reconstructed body (tested).  The direction argument lives in W for
-    contravariant kinds and in W* for covariant ones.
+    contravariant kinds and in W* for covariant ones.  integer_form is the
+    one evaluation, over many cleared directions at once; at_many and at are
+    its Fraction views.
     """
 
     def __init__(self, op: ValuationOp, K: Polytope):
@@ -306,15 +316,24 @@ class SupportEvaluator:
         self.K = K
         h = op.spec.support(*op.params, K)
         # h(Phi^{-1} Z K, xi) = h(Z K, Phi^{-T} xi), and Phi^{-T} = Phi
-        self._h = (lambda t, W: h(t, det_duality_point(W))) if op.is_companion else h
+        self._h = ((lambda dirs: h([(t, det_duality_point(W)) for t, W in dirs]))
+                   if op.is_companion else h)
+
+    def integer_form(self, dirs) -> tuple[int, list[int]]:
+        """(D, [n_i]) with h(Z K, W_i / t_i) = n_i / (D t_i) at the cleared
+        directions (t_i, W_i) of cleared_directions."""
+        if self.K.is_empty:
+            return 1, [0] * len(dirs)
+        return self._h(dirs)
+
+    def at_many(self, ws) -> list[Fraction]:
+        """h(Z K, w) at each direction w, in order."""
+        dirs = cleared_directions(ws)
+        D, ns = self.integer_form(dirs)
+        return [Fraction(n, D * t) for n, (t, _) in zip(ns, dirs)]
 
     def at(self, w) -> Fraction:
-        if len(w) != 4:
-            raise ValueError(f"direction has {len(w)} components, expected 4")
-        t, W = _direction(w)
-        if self.K.is_empty:
-            return Fraction(0)
-        return self._h(t, W)
+        return self.at_many([w])[0]
 
 
 def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool = True) -> Fraction:

@@ -254,12 +254,48 @@ def test_all_checks_registered():
 # tells the fault's mark in the witness
 
 
-def _plus_one_on_diff(real):
-    class Shifted(real):
-        def at(self, w):
-            return super().at(w) + (self.op.kind == "diff")
+def _plus_one(dirs, D, ns):
+    """The integer form (D, ns) of the values plus 1 at the cleared dirs."""
+    return D, [n + D * t for n, (t, _) in zip(ns, dirs)]
 
-    return Shifted
+
+def _plus_one_on(kind):
+    def fault(real):
+        class Shifted(real):
+            def integer_form(self, dirs):
+                D, ns = super().integer_form(dirs)
+                return _plus_one(dirs, D, ns) if self.op.kind == kind else (D, ns)
+
+        return Shifted
+
+    return fault
+
+
+def _reads_alpha(real):
+    # pi_n evaluated at (beta, alpha) in place of (alpha, beta): still zero
+    # at every direction on the plane2 bodies, but it sees alpha on e_plane
+    class Swapped(real):
+        def integer_form(self, dirs):
+            if self.op.kind == "pi_n":
+                dirs = [(t, (*W[2:], *W[:2])) for t, W in dirs]
+            return super().integer_form(dirs)
+
+    return Swapped
+
+
+def _reads_translation(real):
+    # adds the first coordinate of M's first vertex, which a translate of M
+    # moves, to d_m's values
+    class Translated(real):
+        def integer_form(self, dirs):
+            D, ns = super().integer_form(dirs)
+            if self.op.kind != "d_m":
+                return D, ns
+            x = F(self.op.M.vertices[0][0])
+            p, q = x.numerator, x.denominator
+            return D * q, [n * q + p * D * t for n, (t, _) in zip(ns, dirs)]
+
+    return Translated
 
 
 def _scaled_action(real):
@@ -276,8 +312,19 @@ PLANTED = {
         lambda w: w["lhs"] != w["rhs"]),
     "equivariance": ("group_action", _scaled_action, lambda w: w["lhs"] != w["rhs"]),
     # a constant, degree 0, in the difference body's support
-    "homogeneity_spectrum": ("SupportEvaluator", _plus_one_on_diff,
+    "homogeneity_spectrum": ("SupportEvaluator", _plus_one_on("diff"),
                              lambda w: w["op"] == "diff" and w["nonzero_degrees"] == [0, 1]),
+    # a constant in pi_n's support, which vanishes on a C-independent 2-plane
+    "degenerate_vanishing/plane2": ("SupportEvaluator", _plus_one_on("pi_n"),
+                                    lambda w: set(w) == {"stratum", "K", "trial"}
+                                    and w["stratum"] == "plane2"),
+    "degenerate_vanishing/e_plane": ("SupportEvaluator", _reads_alpha,
+                                     lambda w: w["stratum"] == "e_plane" and w["lhs"] != w["rhs"]
+                                     and set(w) == {"stratum", "K", "alpha", "beta", "lhs", "rhs",
+                                                    "trial"}),
+    "uniqueness_translates": ("SupportEvaluator", _reads_translation,
+                              lambda w: w["kind"] == "d_m"
+                              and set(w) == {"kind", "t", "w", "trial"}),
     "mixed_volume_oracles": ("mixed_volume_31", lambda real: lambda K, L: real(K, L) + 1,
                              lambda w: Fraction(w["facet_form"]) == Fraction(w["polarization"]) + 1),
     "known_values": ("mixed_volume", lambda real: lambda *bodies: 2 * real(*bodies),
@@ -290,9 +337,11 @@ PLANTED = {
 }
 
 
-@pytest.mark.parametrize("check", PLANTED)
-def test_planted_fault_fails_the_check(check, monkeypatch):
-    name, fault, seen = PLANTED[check]
+@pytest.mark.parametrize("case", PLANTED)
+def test_planted_fault_fails_the_check(case, monkeypatch):
+    # a case is a check name, or check/stratum for a check with more than one
+    check = case.split("/")[0]
+    name, fault, seen = PLANTED[case]
     monkeypatch.setattr(harness, name, fault(getattr(harness, name)))
     rep = CHECKS[check](42, 3)
     assert rep.status == "fail" and rep.check == check
@@ -344,8 +393,8 @@ def test_public_checks_agree_with_the_shared_path(monkeypatch):
     dilates = harness._dilates(P)
 
     def both(op):
-        shared_additivity = harness._additivity_witness(op, P, pieces, xi, c, dirs)
-        shared_equivariance = harness._equivariance_witness(op, P, gK, g, dirs)
+        shared_additivity = harness._additivity_witness([op], P, pieces, xi, c, dirs)
+        shared_equivariance = harness._equivariance_witness([op], P, gK, g, dirs)
         return (
             (check_valuation_additivity(op, P, xi, c, dirs, 5),
              harness._instance_report("valuation_additivity", 5, shared_additivity)),
@@ -362,8 +411,9 @@ def test_public_checks_agree_with_the_shared_path(monkeypatch):
 
     # an evaluator that misreads P alone fails both checks: the witnesses agree too
     class OffOnP(SupportEvaluator):
-        def at(self, w):
-            return super().at(w) + (self.K is P)
+        def integer_form(self, dirs):
+            D, ns = super().integer_form(dirs)
+            return _plus_one(dirs, D, ns) if self.K is P else (D, ns)
 
     monkeypatch.setattr(harness, "SupportEvaluator", OffOnP)
     for op in ops:

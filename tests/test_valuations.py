@@ -351,6 +351,51 @@ def test_support_reads_float_and_string_directions_exactly():
             assert type(value) is F and value == ev.at(w)
 
 
+BATCH_SOURCES = {
+    "empty": Polytope.empty(4),
+    "point": Polytope.point((F(1, 3), -2, F(5, 7), 0)),
+    "segment": Polytope.segment((0, 1, F(-1, 2), 3), (F(2, 3), 0, 1, -1)),
+    # a 2-flat and a 3-flat, neither along the axes; the 3-flat's atoms are
+    # its facet pair
+    "plane": convex_hull([(0, 0, 0, 0), (1, 2, 0, F(1, 3)), (0, 1, -1, 1), (1, 3, -1, F(4, 3)),
+                          (F(1, 2), 1, 0, F(1, 6))]),
+    "3-flat": convex_hull([(1, 0, 0, 0), (0, F(1, 2), 0, 0), (0, 0, -1, 0), (0, 0, 0, F(1, 3)),
+                           (F(1, 2), F(1, 4), 0, 0), (0, 1, 1, 0)]),
+    "simplex": convex_hull([(0, 0, 0, 0), (F(3, 2), 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                            (F(1, 3), F(1, 5), -1, 1)]),
+}
+# M a segment or a triangle, N a point (one complex scalar), a segment or a triangle
+BATCH_PARAMS = {
+    "M": [Polytope.segment((F(-1, 3), 0), (1, F(2, 5))), triangle2()],
+    "N": [Polytope.point((F(1, 2), -1)), seg_m11(), convex_hull([(0, 0), (2, F(1, 3)), (-1, 1)])],
+}
+BATCH_DIRS = [(0, 0, 0, 0), (1, 2, -1, 3), (0.5, "1/3", F(-7, 2), 2), ("-3", 1.25, 0, F(1, 9)),
+              (F(123456789, 1000003), "-1/999983", 7, 1)]
+
+
+@pytest.mark.parametrize("kind", [*OPERATORS, *(f"cov_of:{k}" for k, spec in OPERATORS.items()
+                                               if spec.contravariant)])
+def test_batched_evaluation_matches_at_and_reconstruction(kind):
+    params = OPERATORS[kind.removeprefix("cov_of:")].params
+    assert [K.affine_dim for K in BATCH_SOURCES.values()] == [-1, 0, 1, 2, 3, 4]
+    for chosen in itertools.product(*(BATCH_PARAMS[p] for p in params)):
+        op = ValuationOp(kind, **dict(zip(params, chosen)))
+        for K in BATCH_SOURCES.values():
+            ev, out = SupportEvaluator(op, K), apply_valuation(op, K)
+            values = ev.at_many(BATCH_DIRS)
+            assert all(type(v) is F for v in values) and values[0] == 0
+            assert values == [ev.at(w) for w in BATCH_DIRS]
+            assert values == [out.support(w) for w in BATCH_DIRS]
+            assert ev.at_many([]) == []
+
+
+def test_batched_evaluation_checks_each_direction():
+    ev = SupportEvaluator(ValuationOp("proj"), simplex4())
+    for bad in [(1, 2, 3)], [(1, 0, 0, 0), (1, 2, 3, 4, 5)]:
+        with pytest.raises(ValueError, match="expected 4"):
+            ev.at_many(bad)
+
+
 @pytest.mark.parametrize("op", _all_ops(), ids=lambda op: op.kind)
 def test_valuation_additivity_one_split(op):
     rng = random.Random(51)
