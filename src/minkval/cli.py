@@ -122,29 +122,25 @@ def _cmd_support(args) -> int:
     return 0
 
 
-def _cmd_mixed(args) -> int:
-    bodies = []
-    for f in args.bodies:
-        K = load_polytope(f)
-        if K.ambient_dim != 4:
-            raise FormatError(f"{f}: field ambient_dim is {K.ambient_dim}, mixed volume needs 4")
-        bodies.append(K)
-    print(mixed_volume(*bodies))
-    return 0
-
-
-def _load_source_body(args):
-    K = load_polytope(args.body)
+def _load_4d(path, needs: str):
+    """The body at path, refused unless it lives in ambient dimension 4; the
+    message names who needs 4 (needs, e.g. "operators need")."""
+    K = load_polytope(path)
     if K.ambient_dim != 4:
-        raise FormatError(f"{args.body}: field ambient_dim is {K.ambient_dim}, operators need 4")
+        raise FormatError(f"{path}: field ambient_dim is {K.ambient_dim}, {needs} 4")
     return K
+
+
+def _cmd_mixed(args) -> int:
+    print(mixed_volume(*(_load_4d(f, "mixed volume needs") for f in args.bodies)))
+    return 0
 
 
 def _cmd_op(args) -> int:
     if not args.out and not args.dir:
         raise FormatError("op needs --out and/or --dir")
     op = _load_op(args)
-    K = _load_source_body(args)
+    K = _load_4d(args.body, "operators need")
     w = parse_inline_direction(args.dir, 4) if args.dir else None
     # write --out before printing, so that a failed write leaves stdout empty
     if args.out:
@@ -160,7 +156,7 @@ def _cmd_op(args) -> int:
 
 def _cmd_decompose(args) -> int:
     op = _load_op(args)
-    K = _load_source_body(args)
+    K = _load_4d(args.body, "operators need")
     dirs = dirs_from_json(read_json(args.dirs))
     table = homogeneous_decomposition(op, K, dirs)
     payload = {
@@ -183,7 +179,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     op = _load_op(args)
-    K = _load_source_body(args)
+    K = _load_4d(args.body, "operators need")
     grid = _sphere_grid(args.sphere_grid)
     values = SupportEvaluator(op, K).at_many(grid)
     lines = [

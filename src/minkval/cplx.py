@@ -276,5 +276,4 @@ def dual_action(g: ComplexMatrix2, Q: DualPolytope) -> DualPolytope:
 def dual_scalar_scale(alpha: Cplx, Q: DualPolytope) -> DualPolytope:
     """Complex scalar action on W*: (alpha . xi)(w) = xi(alpha w)."""
     _require_dual(Q, "dual_scalar_scale")
-    conj = alpha.conjugate()
-    return DualPolytope(Q.body.image(lambda v: scale_point(conj, v)))
+    return DualPolytope(complex_scale(alpha.conjugate(), Q.body))

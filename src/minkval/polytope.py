@@ -426,13 +426,8 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
 
     # a point is extreme iff the facets through it have normals of rank d;
     # every facet through an extreme point has a piece with it as a corner
-    vertex_ids = [ids[v] for v, normals in incident.items() if _spans(normals, d)]
+    vertex_ids = [ids[v] for v, normals in incident.items() if len(_basis(normals, d)[0]) == d]
     return vertex_ids, [(n, c, g) for n, (c, g) in merged.items()]
-
-
-def _spans(normals: Iterable[tuple[int, ...]], d: int) -> bool:
-    """True when the integer vectors span R^d."""
-    return len(_basis(normals, d)[0]) == d
 
 
 def _basis(vectors: Iterable[Sequence[int]], d: int):
@@ -583,11 +578,11 @@ class Polytope:
         m, d = self._merged, self.ambient_dim
         return ((m[i:i + d], m[i + d]) for i in range(0, len(m), d + 1))
 
-    def _cleared(self) -> list[tuple[int, ...]]:
-        """The integer points s * v of the vertices, s being _scale, the lcm
-        of their denominators."""
+    def _cleared(self) -> tuple[int, list[tuple[int, ...]]]:
+        """(s, points): the vertices as the integer points s * v, s being
+        _scale, the lcm of their denominators."""
         s = self._scale
-        return [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
+        return s, [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
 
     def _cleared_atoms(self) -> tuple[int, list[tuple[int, ...]]]:
         """(D, atoms): the area measure's atoms as integer vectors over D,
@@ -606,8 +601,7 @@ class Polytope:
             else:
                 # the cleared offset c of facet n is the largest <n, s * v>,
                 # taken on its vertices
-                s = self._scale
-                ivs = self._cleared()
+                s, ivs = self._cleared()
                 out = []
                 for n, _ in self._rows():
                     dots = [sum(map(mul, n, v)) for v in ivs]
@@ -631,7 +625,8 @@ class Polytope:
         if len(xi) != self.ambient_dim:
             raise ValueError("dimension mismatch in support direction")
         t, W = _direction(xi)
-        return Fraction(max(sum(map(mul, W, v)) for v in self._cleared()), t * self._scale)
+        s, ivs = self._cleared()
+        return Fraction(max(sum(map(mul, W, v)) for v in ivs), t * s)
 
     def volume(self) -> Fraction:
         """Top-dimensional volume; zero for lower-dimensional bodies.

@@ -25,10 +25,8 @@ from .cplx import (
     DualPolytope,
     det_duality_inverse_point,
     det_duality_point,
-    det_pair,
-    from_complex_pair,
+    det_image,
     scale_point,
-    to_complex_pair,
 )
 from .polytope import Polytope, _direction, _sum_points
 
@@ -171,7 +169,7 @@ def _combined_summands(M: Polytope, N: Polytope, K: Polytope):
 # values in integers: (D, [n_i]) with h(Z K, W_i / t_i) = n_i / (D t_i).  They
 # read K only through its vertices and area measure, never through the
 # summands, and read both in the integer form the body keeps: K's vertices over
-# its _scale s (_cleared) or its atoms over their own s (_cleared_atoms), and
+# their common s (_cleared) or its atoms over their own s (_cleared_atoms), and
 # the complex scalars, the atoms of M or the vertices of N, over their own q the
 # same way.  They act on the direction side: a complex scalar re + i im rotates
 # a direction, and <v, (re + i im) X> = re <v, X> + im <v, i X>, so each
@@ -192,14 +190,14 @@ def _projection_support(K: Polytope):
 
 def _difference_support(K: Polytope):
     """h(K + (-K), w) = h(K, w) + h(K, -w) = max_v <v, w> - min_v <v, w>."""
-    s, verts = K._scale, K._cleared()
+    s, verts = K._cleared()
     return lambda dirs: (s, [max(col) - min(col) for col in (_dots(verts, W) for _, W in dirs)])
 
 
 def _complex_difference_support(M: Polytope, K: Polytope):
     """h(D_M K, xi) = sum_j h(K, conj(nu_j) xi) over the atoms nu_j of M, and
     <v, conj(re + i im) X> = re <v, X> + im <v, -i X>."""
-    s, verts = K._scale, K._cleared()
+    s, verts = K._cleared()
     q, atoms = M._cleared_atoms()
 
     def one(x1, y1, x2, y2):
@@ -214,7 +212,7 @@ def _complex_projection_support(N: Polytope, K: Polytope):
     """h(Pi_N K, w) = (1/4) sum_F max_{c vertex of N} <sigma_F, c w>, and
     <sigma, (re + i im) W> = re <sigma, W> + im <sigma, i W>."""
     s, atoms = K._cleared_atoms()
-    q, scalars = N._scale, N._cleared()
+    q, scalars = N._cleared()
 
     def one(x1, y1, x2, y2):
         cols = [(a * x1 + b * y1 + c * x2 + d * y2, b * x1 - a * y1 + d * x2 - c * y2)
@@ -339,20 +337,16 @@ class SupportEvaluator:
 def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool = True) -> Fraction:
     """The planar-integral route for the dual-twisted complex difference body.
 
-    Evaluates sum_j h(det(K, w), b_j) with the planar pairing <a, b> =
-    Re(conj(a) b), where b_j is the conjugate of the j-th atom of M under
-    the pinned convention (conjugate_atoms=True) or the raw atom under the
-    alternative.  The consistency harness pins the convention against the
-    duality-map route.
+    Evaluates sum_j h(det(K, w), b_j) on the planar body det(K, w)
+    (det_image), where b_j is the conjugate of the j-th atom of M under the
+    pinned convention (conjugate_atoms=True) or the raw atom under the
+    alternative; h(., b) is the planar pairing <a, b> = Re(conj(a) b).  The
+    consistency harness pins the convention against the duality-map route.
     """
     _check_source(K)
     atoms = planar_atoms(M)
-    w = from_complex_pair(*to_complex_pair(w))
-    if K.is_empty:
+    P = det_image(K, w)
+    if P.is_empty:
         return Fraction(0)
-    images = [det_pair(v, w) for v in K.vertices]
-    total = Fraction(0)
-    for nu in atoms:
-        b = nu.conjugate() if conjugate_atoms else nu
-        total += max(a.re * b.re + a.im * b.im for a in images)
-    return total
+    bs = (nu.conjugate() if conjugate_atoms else nu for nu in atoms)
+    return sum((P.support((b.re, b.im)) for b in bs), Fraction(0))

@@ -80,6 +80,39 @@ def test_kernel_oracle_shares_no_code():
     assert sorted(shared) == []
 
 
+def _definitions(path):
+    """The top-level functions and classes of a module, by name."""
+    tree = ast.parse(path.read_text())
+    return {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _shared(definitions, forbidden):
+    """(definition, name) for each identifier a definition names (_names_in)
+    that forbidden accepts."""
+    return sorted({(d.name, name) for d in definitions for name in _names_in(d) if forbidden(name)})
+
+
+def test_oracle_pairs_share_no_code():
+    # the harness checks each route of a pair against the other, so neither
+    # may reach the other's code: the support evaluators against the
+    # summands, the planar-integral route against the evaluators and the
+    # duality map, and the facet-form mixed volume against the polarization
+    val = _definitions(PACKAGE / "valuations.py")
+    mixed = _definitions(PACKAGE / "mixed.py")
+    evaluators = [d for name, d in val.items() if name.endswith("_support")]
+    assert len(evaluators) == 6
+    point_side = {"summands", "scale_point", "planar_atoms", "Cplx", "apply_valuation",
+                  "_sum_points", "convex_hull", "det_image"}
+    assert _shared(evaluators + [val["SupportEvaluator"]],
+                   lambda n: n.endswith("_summands") or n in point_side) == []
+    duality_side = {"SupportEvaluator", "integer_form", "apply_valuation", "det_duality_point",
+                    "det_duality_inverse_point"}
+    assert _shared([val["dual_diff_support_via_det"]],
+                   lambda n: n.endswith("_support") or n in duality_side) == []
+    assert _shared([mixed["mixed_volume_31"], mixed["mixed_volume_fn"]],
+                   {"_sum_points", "mixed_volume"}.__contains__) == []
+
+
 def _names_in(tree):
     """Every identifier the tree mentions: names, attributes, imported
     names, and string constants that are identifiers (perfbench names the

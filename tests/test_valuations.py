@@ -14,6 +14,7 @@ from minkval.cplx import (
     DualPolytope,
     complex_scale,
     det_duality_inverse,
+    det_pair,
     dual_action,
     group_action,
 )
@@ -253,6 +254,58 @@ def test_conjugation_convention_pinned():
         if dual_diff_support_via_det(M, K, w, conjugate_atoms=False) != phi_route:
             mismatch += 1
     assert mismatch > 0  # the alternative convention is genuinely different
+
+
+def _det_route_by_hand(M, K, w, conjugate_atoms):
+    """sum_j max_k <det(k, w), b_j> over the vertices k of K, written out."""
+    if K.is_empty:
+        return F(0)
+    images = [det_pair(v, w) for v in K.vertices]
+    total = F(0)
+    for nu in planar_atoms(M):
+        b = nu.conjugate() if conjugate_atoms else nu
+        total += max(a.re * b.re + a.im * b.im for a in images)
+    return total
+
+
+def _flat_body(rng, rank):
+    """A random body in W of affine dimension rank."""
+    base = [rand_rational(rng) for _ in range(4)]
+    while True:
+        gens = [[rand_rational(rng) for _ in range(4)] for _ in range(rank)]
+        coefs = [[rand_rational(rng) for _ in gens] for _ in range(rank + 3)]
+        P = convex_hull([tuple(x + sum(c * g[i] for c, g in zip(cs, gens))
+                               for i, x in enumerate(base)) for cs in coefs])
+        if P.affine_dim == rank:
+            return P
+
+
+def test_det_route_matches_the_max_over_det_images():
+    rng = random.Random(271)
+    polygon = convex_hull([(0, 0), (2, F(1, 3)), (F(-1, 2), F(5, 7)), (1, 2)])
+    Ms = [Polytope.segment((F(-1, 2), F(1, 3)), (F(3, 4), 2)), polygon, Polytope.point((1, 2))]
+    Ks = [rand_body(rng, full=True), _flat_body(rng, 2), _flat_body(rng, 3),
+          Polytope.point((1, F(-1, 2), 3, F(2, 5))), Polytope.empty(4)]
+    assert [K.affine_dim for K in Ks] == [4, 2, 3, 0, -1]
+    ws = [(1, -2, 0, 3), rand_dir(rng), ("1/2", "-3/4", "5", "0"), (2, F(1, 3), "-7/5", 0),
+          (0, 0, 0, 0)]
+    for M, K, w, conj in itertools.product(Ms, Ks, ws, (True, False)):
+        got = dual_diff_support_via_det(M, K, w, conjugate_atoms=conj)
+        assert type(got) is Fraction
+        assert got == _det_route_by_hand(M, K, w, conj)
+    assert dual_diff_support_via_det(Ms[0], Ks[0], ws[0]) != 0
+
+
+def test_det_route_argument_errors():
+    M, K = triangle2(), unit_cube4()
+    for body in (K, Polytope.empty(4)):
+        for w in ((1, 0, 0), (1, 0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="expected a point of R\\^4"):
+                dual_diff_support_via_det(M, body, w)
+        with pytest.raises(ValueError, match="parameter body must be planar"):
+            dual_diff_support_via_det(simplex4(), body, (1, 0, 0, 0))
+    with pytest.raises(TypeError, match="valuations act on bodies in W, not W\\*"):
+        dual_diff_support_via_det(M, DualPolytope(K), (1, 0, 0, 0))
 
 
 # -- combined operator --------------------------------------------------------------------

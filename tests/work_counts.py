@@ -10,6 +10,10 @@ The script wraps these functions and counts their calls:
 - polytope._plane and polytope._plane_hom, one facet piece each.  The
   engine looks both up in the module at each run, and _plane_hom calls
   _plane, so _plane counts every piece built;
+- polytope._hull_ids, one dedupe-rank-hull of integer points, and
+  polytope._sum_points, one path from rational points to a Polytope; for
+  both, the points passed in (.points_in) and the vertices kept
+  (.verts_out) as well;
 - the SupportEvaluator methods at, at_many and integer_form, whichever the
   revision has; for the two batched ones, the directions passed as well.
   at calls at_many, and at_many calls integer_form, so their counts nest.
@@ -27,7 +31,11 @@ default) are
 - K8:<kind> for kind in proj, diff, d_m, dtilde_m: apply_valuation on the
   recorded reconstruction body K8.  That is rng = random.Random(7),
   K = rand_polytope(rng, min_verts=8, max_verts=8), then
-  M = rand_planar_polygon(rng).  Building K8 is not counted.
+  M = rand_planar_polygon(rng).  Building K8 is not counted;
+- kernel: one round of the benchmark's kernel workload at seed 1, the six
+  calls on each of its 16 clouds in op order (perfbench/workloads.py,
+  read only).  Building the clouds and the round's small simplex is not
+  counted.
 """
 
 from __future__ import annotations
@@ -36,12 +44,19 @@ import json
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 from minkval import harness, polytope, valuations
 
 K8_KINDS = ("proj", "diff", "d_m", "dtilde_m")
-INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS))
-COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom")
+INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS), "kernel")
+COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_hull_ids", "_sum_points")
+# (points in, vertices out) of a call, for the functions counted with sizes
+SIZES = {
+    "_hull_ids": lambda args, out: (len(args[0]), len(out[3])),
+    "_sum_points": lambda args, out: (sum(map(len, args[0])), len(out.vertices)),
+}
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EVALUATOR = ("at", "at_many", "integer_form")
 
 
@@ -56,10 +71,19 @@ def install(counts: Counter) -> list:
     for name in COUNTED:
         original = getattr(polytope, name)
         counts[name] += 0
+        sizes = SIZES.get(name)
+        if sizes:
+            counts[f"{name}.points_in"] += 0
+            counts[f"{name}.verts_out"] += 0
 
-        def counted(*args, _original=original, _name=name, **kwargs):
+        def counted(*args, _original=original, _name=name, _sizes=sizes, **kwargs):
             counts[_name] += 1
-            return _original(*args, **kwargs)
+            out = _original(*args, **kwargs)
+            if _sizes:
+                n_in, n_out = _sizes(args, out)
+                counts[f"{_name}.points_in"] += n_in
+                counts[f"{_name}.verts_out"] += n_out
+            return out
 
         for mod in _modules():
             for key, value in list(vars(mod).items()):
@@ -97,9 +121,30 @@ def k8():
     return K, harness.rand_planar_polygon(rng)
 
 
+def kernel_round():
+    """The kernel workload, prepared at seed 1; returns the round to count."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import Kernel
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    w = Kernel()
+    w.prepare(1, None)
+    w.start_round()
+
+    def round_():
+        # collect keeps each hull for the calls after it on the same cloud
+        for i, op in enumerate(w.ops):
+            w.collect(i, op.run())
+
+    return round_
+
+
 def run(name: str):
     if name == "suite":
         return lambda: harness.run_suite(42, 3)
+    if name == "kernel":
+        return kernel_round()
     kind = name.removeprefix("K8:")
     if name == kind or kind not in K8_KINDS:
         raise SystemExit(f"unknown input {name!r}; known: {', '.join(INPUTS)}")
