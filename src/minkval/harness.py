@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 
 from .cplx import (
     C_ONE,
@@ -23,7 +25,7 @@ from .cplx import (
     group_action,
     scale_point,
 )
-from .linalg import det, dot, mat_inverse
+from .linalg import det, mat_inverse
 from .mixed import mixed_volume, mixed_volume_31
 from .polytope import Polytope, affine_transform, convex_hull, minkowski_sum, split_by_hyperplane
 from .valuations import (
@@ -43,6 +45,11 @@ LAMBDA_NODES = (1, 2, 3, 4, 5)
 _VANDERMONDE_INV = mat_inverse(
     [[F(lam) ** j for j in range(5)] for lam in LAMBDA_NODES]
 )
+# the inverse as integers A over one common denominator E, and the node
+# powers lam^j, for _decomposition's integer solve
+_VANDERMONDE_DEN = lcm(*(x.denominator for row in _VANDERMONDE_INV for x in row))
+_VANDERMONDE_NUM = [[int(x * _VANDERMONDE_DEN) for x in row] for row in _VANDERMONDE_INV]
+_NODE_POWERS = [[lam**j for j in range(5)] for lam in LAMBDA_NODES]
 
 
 @dataclass
@@ -249,17 +256,28 @@ def _dilates(K: Polytope) -> list[Polytope]:
 
 
 def _decomposition(op: ValuationOp, dilates, dirs) -> DecompositionTable:
-    """homogeneous_decomposition read off the prebuilt _dilates(K)."""
+    """homogeneous_decomposition read off the prebuilt _dilates(K), solved
+    in integers.
+
+    At node lam_k and direction W_i / t_i the value is n_ik / (D_k t_i)
+    (integer_form), which is a_ik / (L t_i) with L the lcm of the D_k and
+    a_ik = n_ik * L / D_k.  With the inverse Vandermonde matrix A / E, the
+    coefficients are N_ij / (E L t_i), N_ij = sum_k A_jk a_ik, and they
+    reproduce the samples iff sum_j N_ij lam_k^j = E a_ik at every node.
+    """
     table = DecompositionTable()
-    per_dilate = [SupportEvaluator(op, D).at_many(dirs) for D in dilates]
-    for values in zip(*per_dilate):
-        coeffs = tuple(dot(row, values) for row in _VANDERMONDE_INV)
-        recon = [
-            sum(c * F(lam) ** k for k, c in enumerate(coeffs)) for lam in LAMBDA_NODES
-        ]
-        if recon != list(values):
+    evaluators = [SupportEvaluator(op, D) for D in dilates]
+    cleared = cleared_directions(dirs)
+    forms = [ev.integer_form(cleared) for ev in evaluators]
+    L = lcm(*(D for D, _ in forms))
+    samples = zip(*([n * (L // D) for n in ns] for D, ns in forms))
+    for (t, _), a in zip(cleared, samples):
+        N = [sum(map(mul, row, a)) for row in _VANDERMONDE_NUM]
+        if any(sum(map(mul, N, powers)) != _VANDERMONDE_DEN * x
+               for powers, x in zip(_NODE_POWERS, a)):
             raise AssertionError("Vandermonde solve failed to reproduce samples")
-        table.coefficients.append(coeffs)
+        den = _VANDERMONDE_DEN * L * t
+        table.coefficients.append(tuple(F(x, den) for x in N))
     return table
 
 

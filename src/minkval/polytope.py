@@ -3,10 +3,10 @@
 Vertex-representation polytopes with exact Fraction coordinates.  Every hull
 and Minkowski sum enters through _sum_points(groups), the one path from
 rational points to a Polytope: it makes the points integer, adds the groups
-pairwise in integers and hulls the integer points in _hull_cleared, which
-builds Fractions for the kept vertices only.  The hull engine is
-Quickhull-style: each point outside the current hull waits in the outside
-list of one simplicial piece it sees, the points are inserted
+pairwise in integers (_cleared_sum) and hulls the integer points in
+_hull_cleared, which builds Fractions for the kept vertices only.  The hull
+engine is Quickhull-style: each point outside the current hull waits in the
+outside list of one simplicial piece it sees, the points are inserted
 farthest-first, and an insertion walks across ridges from the owner piece to
 the pieces the point sees and hands their outside points to the new pieces
 only.  Its sign predicates are integer-only and unrolled in Z^4.
@@ -27,7 +27,12 @@ atoms are canonical, and
 need no triangulation once the hull is built, with c over s, the lcm of the
 vertices' denominators (Polytope._scale), and G over the unit W
 (Polytope._unit, see _hull_cleared).  A segment's facets are its two ends,
-each of weight 1, so that the same sum gives its length.
+each of weight 1, so that the same sum gives its length.  The engine also
+returns its boundary chain, the live simplicial pieces and the points their
+corners index, as it holds them.  _sum_chain, the same path as _sum_points,
+hands the chain of a sum's hull to the volume polynomial of
+mixed.mixed_volume; _sum_points drops it as soon as the engine returns, and
+no Polytope keeps it.
 
 The points are integer in one of two forms.  In the common form, which
 most hulls take, every point x is cleared over the lcm s of all
@@ -126,9 +131,11 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     the Z^d one.
 
     known is the plane (*n, ...) of a piece the points are known to lie in,
-    with n padded to Z^4 as the engine keeps it.  Then only g is returned,
-    as |X_j / n_j| at the first nonzero n_j: one cofactor of X, with no gcd,
-    offset or orientation test.
+    with n padded to Z^4 as the engine keeps it.  Then only X_j / n_j at the
+    first nonzero n_j is returned: one cofactor of X, with no gcd, offset or
+    orientation test.  It is +g when the points run positively about n and
+    -g otherwise, so the engine takes its absolute value, and the volume
+    polynomial of mixed.mixed_volume reads the sign.
 
     """
     d = len(ref)
@@ -158,7 +165,7 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
             x = u1 * (v0 * w2 - v2 * w0) - u0 * (v1 * w2 - v2 * w1) - u2 * (v0 * w1 - v1 * w0)
         if x == 0:
             raise RuntimeError("degenerate facet candidate")
-        return abs(x // known[j])
+        return x // known[j]
     m01 = v0 * w1 - v1 * w0
     m02 = v0 * w2 - v2 * w0
     m03 = v0 * w3 - v3 * w0
@@ -224,10 +231,14 @@ class _Piece:
 def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     """Quickhull-style hull of deduped integer points with affine rank d >= 2.
 
-    Returns (vertex_ids, merged_facets): the ids of the extreme points, and
-    facets (normal, offset, G) with the outward primitive normal, after the
-    coplanar merge of the simplicial pieces; G is the sum over the pieces of
-    the gcd g of the piece's cross product, which is g * normal.
+    Returns (vertex_ids, merged_facets, chain): the ids of the extreme
+    points; facets (normal, offset, G) with the outward primitive normal,
+    after the coplanar merge of the simplicial pieces, G being the sum over
+    the pieces of the gcd g of the piece's cross product, which is
+    g * normal; and the boundary chain (points, pieces), the live pieces
+    (_Piece) in order of creation, whose verts index points, the input
+    points in the run's own order.  The chain is what the run already holds:
+    returning it builds nothing, and the caller decides what to keep.
 
     The points off the starting simplex are inserted once each, farthest
     from its centroid first.  A point outside the current hull waits in the
@@ -292,7 +303,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
             else:
                 P.plane = n + pad + (c,)
         else:
-            P.g = plane_of(corners, interior2, kw, plane)
+            P.g = abs(plane_of(corners, interior2, kw, plane))
             P.plane = plane
         P.verts = verts
         P.outside = P.mark = None
@@ -407,7 +418,8 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     merged: dict[tuple[int, ...], list] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
     for P in live:
-        P.nbrs = None  # as for the dead pieces: no cycles left behind
+        # as for the dead pieces: no cycles left behind, and no outside list
+        P.nbrs = P.outside = None
         n, c, g = P.plane[:d], P.plane[4], P.g
         if hom:
             # the offset (c, w) for c / w, and g over the edge weights
@@ -427,7 +439,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     # a point is extreme iff the facets through it have normals of rank d;
     # every facet through an extreme point has a piece with it as a corner
     vertex_ids = [ids[v] for v, normals in incident.items() if len(_basis(normals, d)[0]) == d]
-    return vertex_ids, [(n, c, g) for n, (c, g) in merged.items()]
+    return vertex_ids, [(n, c, g) for n, (c, g) in merged.items()], (raw, live)
 
 
 def _basis(vectors: Iterable[Sequence[int]], d: int):
@@ -709,13 +721,15 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
     """Dedupe, rank and hull integer points in Z^dim, or homogeneous ones.
 
-    Returns (ipts, chosen, cols, ids, merged): the distinct points in order
-    of first occurrence; the ids i whose edges ipts[i] - ipts[0] form the
-    greedy basis of all edges, and coordinates on which their minor is
-    nonzero (_basis); the ids of the extreme points, sorted by their
-    coordinates; and the merged facets (n, c, g) of the engine run.  At
-    affine rank 1 they are the segment's ends, (-1, -lo) and (+1, hi) of
-    weight 1 in the projected coordinate, and at rank 0 there are none.
+    Returns (ipts, chosen, cols, ids, merged, chain): the distinct points
+    in order of first occurrence; the ids i whose edges ipts[i] - ipts[0]
+    form the greedy basis of all edges, and coordinates on which their minor
+    is nonzero (_basis); the ids of the extreme points, sorted by their
+    coordinates; and the merged facets (n, c, g) and boundary chain of the
+    engine run, in the projected coordinates below full rank.  At affine
+    rank 1 the facets are the segment's ends, (-1, -lo) and (+1, hi) of
+    weight 1 in the projected coordinate, and at rank 0 there are none; at
+    both the chain is None.
     Homogeneous points (*p, w), p / w in lowest terms, have dim + 1 entries,
     and each offset c is then the pair (c, w) for c / w, as the engine gives
     them.
@@ -732,7 +746,7 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
     # the first edge is zero, so _basis skips it and its ids index ipts
     chosen, cols = _basis(edges, dim)
     r = len(chosen)
-    merged = []
+    merged, chain = [], None
     # projecting onto cols maps the body's affine hull one-to-one and keeps
     # its extreme points; at full rank cols is every coordinate
     proj = ipts if r == dim else [tuple(p[k] for k in cols) + p[dim:] for p in ipts]
@@ -744,15 +758,17 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
         (a, *w), (b, *v) = (proj[i] for i in ids)
         merged = [((-1,), (-a, *w) if hom else -a, 1), ((1,), (b, *v) if hom else b, 1)]
     else:
-        ids, merged = _hull_engine(proj, r, [0] + chosen)
+        ids, merged, chain = _hull_engine(proj, r, [0] + chosen)
     ids.sort(key=key)
-    return ipts, chosen, cols, ids, merged
+    return ipts, chosen, cols, ids, merged, chain
 
 
-def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale) -> Polytope:
-    """convex_hull of the points p / scale for integer points p in Z^dim and
-    scale > 0, or of the homogeneous points (*p, w) in lowest terms, which
-    have dim + 1 entries and leave scale unread.
+def _hull_cleared(hull, dim: int, scale) -> Polytope:
+    """The Polytope of a _hull_ids run without its boundary chain, hull =
+    (ipts, chosen, cols, ids, merged), on the points p / scale for integer
+    points p in Z^dim and scale > 0, or on the homogeneous points (*p, w) in
+    lowest terms, which have dim + 1 entries and leave scale unread.  No
+    Polytope keeps the chain.
 
     Fractions are built for the extreme points only.  In either form the
     Polytope keeps its offsets over _scale, s, the lcm of the built
@@ -762,8 +778,8 @@ def _hull_cleared(ipts: list[tuple[int, ...]], dim: int, scale) -> Polytope:
     of its facet pair.  sum_F G * c over the engine's facets is the volume's
     numerator at full rank and the facet pair's G at codimension 1.
     """
+    ipts, chosen, cols, ids, merged = hull
     hom = len(ipts[0]) > dim
-    ipts, chosen, cols, ids, merged = _hull_ids(ipts, dim)
     r = len(chosen)
     if hom:
         vertices = tuple(tuple(Fraction(x, ipts[i][dim]) for x in ipts[i][:dim]) for i in ids)
@@ -835,15 +851,42 @@ def _sum_points(groups: Sequence[Sequence[Sequence]]) -> Polytope:
     """sum_j conv(S_j) for nonempty groups S_j of rational points in R^dim,
     dim being the length of the first point.
 
-    The one way from rational points to a Polytope.  The points are made
-    integer, and the groups are added in order, pairwise, in integers; each
-    running total after the first is cut to its extreme points before the
-    next group is added.
+    The one way from rational points to a Polytope: _cleared_sum makes the
+    points integer and adds the groups, and _hull_cleared builds the hull
+    record of the total.  The slice drops the engine run's boundary chain as
+    soon as _hull_ids returns, so that it is freed before the record is
+    built.
+    """
+    total, dim, s = _cleared_sum(groups)
+    return _hull_cleared(_hull_ids(total, dim)[:5], dim, s)
+
+
+def _sum_chain(groups: Sequence[Sequence[Sequence]]):
+    """_sum_points(groups), with what its hull saw: (P, s, chain).
+
+    s is the common denominator of the points, or None in the per-point
+    form, and chain the boundary chain (points, pieces) of the engine run
+    that built P (_hull_engine), or None when P has affine rank below 2.
+    The points are cleared as s * x, or homogeneous (*(w * x), w) when s is
+    None, and below full rank projected (_hull_ids).
+    """
+    total, dim, s = _cleared_sum(groups)
+    hull = _hull_ids(total, dim)
+    return _hull_cleared(hull[:5], dim, s), s, hull[5]
+
+
+def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
+    """(total, dim, s): the points of sum_j conv(S_j) to hull, in integers,
+    their dimension dim and their common denominator s, or None.
+
+    The points are made integer, and the groups are added in order,
+    pairwise, in integers; each running total after the first is cut to its
+    extreme points before the next group is added.
 
     The integer form of the module docstring is chosen here, and read off
     the points everywhere after: a homogeneous point has dim + 1 entries.
     With w each point's own denominator and s the lcm of them all, the
-    points take the per-point form when
+    points take the per-point form, and s is None, when
 
         bits(s) > max(_GATE_BITS, _GATE_RATIO * bits(max w)),
 
@@ -868,14 +911,14 @@ def _sum_points(groups: Sequence[Sequence[Sequence]]) -> Polytope:
     total = list(islice(it, len(groups[0])))
     for j, S in enumerate(groups[1:]):
         if j:
-            ipts, _, _, ids, _ = _hull_ids(total, dim)
+            ipts, _, _, ids = _hull_ids(total, dim)[:4]
             total = [ipts[i] for i in ids]
         S = list(islice(it, len(S)))
         if hom:
             total = [_hom_add(p, q) for p in total for q in S]
         else:
             total = [tuple(map(add, p, q)) for p in total for q in S]
-    return _hull_cleared(total, dim, s)
+    return total, dim, s
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:

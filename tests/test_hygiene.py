@@ -96,7 +96,8 @@ def test_oracle_pairs_share_no_code():
     # the harness checks each route of a pair against the other, so neither
     # may reach the other's code: the support evaluators against the
     # summands, the planar-integral route against the evaluators and the
-    # duality map, and the facet-form mixed volume against the polarization
+    # duality map, and the facet-form mixed volume against the polarization,
+    # with its volume polynomial and the boundary chain that feeds it
     val = _definitions(PACKAGE / "valuations.py")
     mixed = _definitions(PACKAGE / "mixed.py")
     evaluators = [d for name, d in val.items() if name.endswith("_support")]
@@ -109,8 +110,10 @@ def test_oracle_pairs_share_no_code():
                     "det_duality_inverse_point"}
     assert _shared([val["dual_diff_support_via_det"]],
                    lambda n: n.endswith("_support") or n in duality_side) == []
+    polarization = {"_sum_points", "mixed_volume", "_volume_polynomial", "_sum_chain"}
+    assert "_volume_polynomial" in mixed and "_sum_chain" in _definitions(PACKAGE / "polytope.py")
     assert _shared([mixed["mixed_volume_31"], mixed["mixed_volume_fn"]],
-                   {"_sum_points", "mixed_volume"}.__contains__) == []
+                   polarization.__contains__) == []
 
 
 def _names_in(tree):

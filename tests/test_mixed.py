@@ -4,6 +4,7 @@ GL covariance, and the functional extension.
 
 from fractions import Fraction
 import itertools
+import math
 import random
 
 import pytest
@@ -12,7 +13,9 @@ from minkval import mixed, polytope
 from minkval.cplx import DualPolytope
 from minkval.linalg import det, dot
 from minkval.mixed import mixed_volume, mixed_volume_31, mixed_volume_fn
-from minkval.polytope import Polytope, _sum_points, affine_transform, convex_hull, minkowski_sum
+from minkval.polytope import (
+    Polytope, _sum_chain, _sum_points, affine_transform, convex_hull, minkowski_sum,
+)
 
 F = Fraction
 
@@ -146,9 +149,9 @@ def test_polarization_with_dilates_matches_facet_form(rank, max_den):
 @pytest.mark.parametrize("shared", [False, True], ids=["columns", "shared"])
 def test_column_denominators_polarization_matches_facet_form(shared, monkeypatch):
     # P's coordinates carry unrelated denominators of about 100 bits, so its
-    # hull, the sums P+Q, 2P+Q, 3P+Q of polarization and minkowski_sum(P, Q)
-    # run the hull engine on homogeneous points, each over its own
-    # denominator; over one shared denominator none of them does
+    # hull, the sum P+Q of polarization and minkowski_sum(P, Q) run the hull
+    # engine on homogeneous points, each over its own denominator; over one
+    # shared denominator none of them does
     runs = [0, 0]
     engine = polytope._hull_engine
 
@@ -171,8 +174,9 @@ def test_column_denominators_polarization_matches_facet_form(shared, monkeypatch
         for _ in range(8):
             w = tuple(rand_rational(rng) for _ in range(4))
             assert S.support(w) == P.support(w) + Q.support(w) == max(dot(w, v) for v in sums)
-    # per round: the hull of P, three polarization sums and minkowski_sum
-    assert runs[1] == (0 if shared else 3 * 5)
+    # per round: the hull of P, the one polarization sum P + Q and
+    # minkowski_sum
+    assert runs[1] == (0 if shared else 3 * 3)
 
 
 def test_one_body_subsets_build_no_hull(monkeypatch):
@@ -180,17 +184,111 @@ def test_one_body_subsets_build_no_hull(monkeypatch):
 
     def counted(groups):
         built.append(len(groups))
-        return _sum_points(groups)
+        return _sum_chain(groups)
 
-    monkeypatch.setattr(mixed, "_sum_points", counted)
+    monkeypatch.setattr(mixed, "_sum_chain", counted)
     C, S = unit_cube4(), standard_simplex4()
     assert mixed_volume(C, C, C, C) == 1 and built == []
     assert mixed_volume(C, C, C, S) == mixed_volume_31(C, S)
-    # of P, Q, 2P, P+Q, 3P, 2P+Q and 3P+Q only the sums are hulled
-    assert built == [2, 2, 2]
+    # of P, Q, 2P, P+Q, 3P, 2P+Q and 3P+Q only P+Q is hulled: 2P+Q and 3P+Q
+    # are read off its chain
+    assert built == [2]
     built.clear()
     assert mixed_volume(*[axis_segment(i) for i in range(4)]) == F(1, 24)
-    assert len(built) == 11 and min(built) == 2
+    # one hull, of the four segments' sum, for the 11 sums of polarization
+    assert built == [4]
+
+
+# -- the volume polynomial against hulling every sum ----------------------------------
+
+
+def _polarization_by_hulls(*bodies):
+    """V(K1, K2, K3, K4) by polarization with a hull for every sum: the test
+    oracle of mixed_volume's volume polynomial.  vol(sum k_j B_j) is the
+    volume of its own hull (_sum_points) for every multiplicity vector k of
+    the distinct bodies B_j, one-body vectors too."""
+    distinct = [K for i, K in enumerate(bodies) if K not in bodies[:i]]
+    mults = [bodies.count(B) for B in distinct]
+    acc = F(0)
+    for ks in list(itertools.product(*(range(m + 1) for m in mults)))[1:]:
+        groups = [[tuple(k * x for x in v) for v in B.vertices] for k, B in zip(ks, distinct) if k]
+        weight = (-1) ** (4 - sum(ks)) * math.prod(map(math.comb, mults, ks))
+        acc += weight * _sum_points(groups).volume()
+    return acc / 24
+
+
+# the slots of each multiplicity pattern, by distinct body
+PATTERNS = {"4": (0, 0, 0, 0), "3+1": (0, 0, 0, 1), "2+2": (0, 0, 1, 1),
+            "2+1+1": (0, 0, 1, 2), "1+1+1+1": (0, 1, 2, 3)}
+
+
+def own_denominator_flat(rng, rank, max_den):
+    """A body of affine dimension rank in R^4 with rank + 2 points, each an
+    integer base point plus an integer combination of rank lattice vectors
+    over the point's own denominator w <= max_den."""
+    while True:
+        base = [rng.randint(-3, 3) for _ in range(4)]
+        gens = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(rank)]
+        pts = []
+        for _ in range(rank + 2):
+            w = rng.randint(1, max_den)
+            coef = [rng.randint(-3 * w, 3 * w) for _ in range(rank)]
+            pts.append(tuple(b + F(sum(c * g[i] for c, g in zip(coef, gens)), w)
+                             for i, b in enumerate(base)))
+        P = convex_hull(pts)
+        if P.affine_dim == rank:
+            return P
+
+
+@pytest.mark.parametrize("max_den", [1, 10**6, 2**100], ids=["den1", "den1e6", "den2e100"])
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_volume_polynomial_matches_hulling_every_sum(pattern, max_den, monkeypatch):
+    # five trials give each distinct body every affine rank 0-4, in shuffled
+    # slots; low ranks make sums of rank below 4 (0 + 1, 1 + 2, 0 + 1 + 2).
+    # Points over their own denominators up to 2^100 make the sum's hull run
+    # on homogeneous points, each over its own denominator
+    hom_runs = []
+    engine = polytope._hull_engine
+
+    def counted(ipts, d, simplex):
+        hom_runs.append(len(ipts[0]) > d)
+        return engine(ipts, d, simplex)
+
+    monkeypatch.setattr(polytope, "_hull_engine", counted)
+    rng = random.Random(f"polynomial:{pattern}:{max_den}")
+    slots = PATTERNS[pattern]
+    seen_hom = False
+    for trial in range(5):
+        bodies = [own_denominator_flat(rng, (trial + i) % 5, max_den)
+                  for i in range(max(slots) + 1)]
+        quad = [bodies[i] for i in slots]
+        rng.shuffle(quad)
+        hom_runs.clear()
+        got = mixed_volume(*quad)
+        seen_hom = seen_hom or any(hom_runs)
+        assert got == _polarization_by_hulls(*quad)
+    if max_den == 1 or pattern == "4":
+        assert not seen_hom
+    elif max_den == 2**100:
+        assert seen_hom
+
+
+def test_volume_polynomial_matches_hulling_every_sum_on_fixtures():
+    C, S = unit_cube4(), standard_simplex4()
+    segs = [axis_segment(i) for i in range(4)]
+    # four 3-dimensional bodies in parallel hyperplanes: their sum has rank 3
+    rng = random.Random("polynomial:flat3")
+    flats = [convex_hull([tuple(rand_rational(rng) for _ in range(3)) + (F(k),) for _ in range(6)])
+             for k in range(4)]
+    assert all(B.affine_dim == 3 for B in flats)
+    assert _sum_points([B.vertices for B in flats]).affine_dim == 3
+    cases = [segs, [C, C, C, segs[3]], [C, C, C, S], [C, C, S, S], [C, S, segs[0], segs[1]],
+             [C, S, C.translate((F(1, 2), 0, 0, -3)), segs[2]], flats, [flats[0]] * 2 + flats[2:]]
+    for quad in cases:
+        assert mixed_volume(*quad) == _polarization_by_hulls(*quad)
+    assert mixed_volume(*segs) == F(1, 24)
+    assert mixed_volume(C, C, C, segs[3]) == F(1, 4)
+    assert mixed_volume(*flats) == 0
 
 
 # -- structural properties ---------------------------------------------------------

@@ -857,16 +857,24 @@ def test_coplanar_clouds_match_bruteforce(k, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_plane_known_form_gives_the_gcd(d):
     # the known-plane form reads the same weight g off one cofactor, for any
-    # d points on the plane, and still rejects a degenerate simplex
+    # d points on the plane, signed by the points' orientation about n: +g
+    # when det(n, p_1 - p_0, ..., p_{d-1} - p_0) > 0, and -g otherwise, so
+    # swapping two points flips it; it still rejects a degenerate simplex
     rng = random.Random(f"plane:{d}")
     pad = (0,) * (4 - d)
+
+    def signed(points, n, g):
+        return g if det([list(n)] + [vec_sub(p, points[0]) for p in points[1:]]) > 0 else -g
+
     for _ in range(100):
         face = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(d)]
         ref = tuple(rng.randint(-9, 9) for _ in range(d))
         if _orank([vec_sub(p, ref) for p in face], d) < d:
             continue
         n, c, g = _plane(face, ref, 1)
-        assert _plane(face, ref, 1, n + pad + (c,)) == g
+        assert _plane(face, ref, 1, n + pad + (c,)) == signed(face, n, g)
+        swapped = face[1::-1] + face[2:]
+        assert _plane(swapped, ref, 1, n + pad + (c,)) == -signed(face, n, g)
         # other points of the plane: integer affine combinations of the face
         other = [tuple(x + sum(a * (q[i] - x) for a, q in zip(co, face[1:]))
                        for i, x in enumerate(face[0]))
@@ -874,7 +882,7 @@ def test_plane_known_form_gives_the_gcd(d):
         if _orank([vec_sub(p, other[0]) for p in other[1:]], d) == d - 1:
             n2, c2, g2 = _plane(other, ref, 1)
             assert (n2, c2) == (n, c)
-            assert _plane(other, ref, 1, n + pad + (c,)) == g2
+            assert _plane(other, ref, 1, n + pad + (c,)) == signed(other, n, g2)
         with pytest.raises(RuntimeError):
             _plane([face[0]] * d, ref, 1, n + pad + (c,))
 
@@ -947,7 +955,8 @@ def test_plane_per_point_form_scales_only_the_weight(d):
     # the first point's weight w_0 instead of s, and weights in the ratio
     # D / s^(d-1), D = w_0^(d-1) * prod_{i>0} w_i the product of the edges'
     # weights, for the full and the known-plane forms and either corner
-    # order
+    # order; the known form keeps its sign, as the edges' weights are
+    # positive
     rng = random.Random(f"plane-points:{d}")
     for _ in range(60):
         pts = [tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(d))
@@ -973,8 +982,11 @@ def test_plane_per_point_form_scales_only_the_weight(d):
         assert c2 * s == c * hface[0][d]
         assert g2 * s ** (d - 1) == g * D(hface)
         known = n + (0,) * (4 - d) + (c,)
-        assert _plane_hom(hface, tuple(href), hk, known) == g2
-        assert _plane_hom(hface[::-1], tuple(href), hk, known) * s ** (d - 1) == g * D(hface[::-1])
+        for corners, cleared_corners in ((hface, face), (hface[::-1], face[::-1])):
+            x = _plane_hom(corners, tuple(href), hk, known)
+            assert x * s ** (d - 1) == _plane(cleared_corners, ref, 1, known) * D(corners)
+            assert abs(x) * s ** (d - 1) == g * D(corners)
+        assert _plane_hom(hface, tuple(href), hk, known) in (g2, -g2)
 
 
 def flat_cloud(rng, k, r, count, max_den):

@@ -9,10 +9,13 @@ The script wraps these functions and counts their calls:
 - polytope._hull_engine, one hull engine run;
 - polytope._plane and polytope._plane_hom, one facet piece each.  The
   engine looks both up in the module at each run, and _plane_hom calls
-  _plane, so _plane counts every piece built;
-- polytope._hull_ids, one dedupe-rank-hull of integer points, and
-  polytope._sum_points, one path from rational points to a Polytope; for
-  both, the points passed in (.points_in) and the vertices kept
+  _plane, so _plane counts every piece built, and with it every cofactor
+  that mixed_volume's volume polynomial reads (mixed binds _plane too);
+- polytope._hull_ids, one dedupe-rank-hull of integer points,
+  polytope._sum_points, one path from rational points to a Polytope, and
+  polytope._sum_chain, the same path with the hull's boundary chain, which
+  mixed_volume takes for its one hull, where the revision has it; for all
+  three, the points passed in (.points_in) and the vertices kept
   (.verts_out) as well;
 - the SupportEvaluator methods at, at_many and integer_form, whichever the
   revision has; for the two batched ones, the directions passed as well.
@@ -50,11 +53,13 @@ from minkval import harness, polytope, valuations
 
 K8_KINDS = ("proj", "diff", "d_m", "dtilde_m")
 INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS), "kernel")
-COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_hull_ids", "_sum_points")
+COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_hull_ids", "_sum_points",
+           "_sum_chain")
 # (points in, vertices out) of a call, for the functions counted with sizes
 SIZES = {
     "_hull_ids": lambda args, out: (len(args[0]), len(out[3])),
     "_sum_points": lambda args, out: (sum(map(len, args[0])), len(out.vertices)),
+    "_sum_chain": lambda args, out: (sum(map(len, args[0])), len(out[0].vertices)),
 }
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 EVALUATOR = ("at", "at_many", "integer_form")
@@ -69,7 +74,9 @@ def install(counts: Counter) -> list:
     """Wrap the counted functions; returns what uninstall needs."""
     restore = []
     for name in COUNTED:
-        original = getattr(polytope, name)
+        original = getattr(polytope, name, None)
+        if original is None:
+            continue
         counts[name] += 0
         sizes = SIZES.get(name)
         if sizes:
