@@ -123,14 +123,18 @@ def _volume_polynomial(bodies: Sequence[Polytope], lams) -> list[Fraction]:
 
     def cofactors(lam):
         # (X_j / n_j, <n, p_0>) of each piece at lam, in order; _plane reads
-        # ref only for its length in the known-plane form, and raises where
-        # X = 0, on a piece whose corners lam makes affinely dependent
+        # ref only for its length in the known-plane form.  X = 0 on a piece
+        # whose corners lam makes affinely dependent, and there _plane
+        # raises.  Most such pieces have two corners that meet, their splits
+        # differing only in bodies that lam zeroes, and those are given 0
+        # without the call
         corner = {v: tuple(sum(map(mul, lam, col)) for col in zip(*c)) for v, c in split.items()}
+        meet = 0 in lam
         for piece in pieces:
             a, *_ = ps = [corner[v] for v in piece.verts]
             n = piece.plane
             try:
-                x = _plane(ps, (0, 0, 0, 0), 1, n)
+                x = 0 if meet and len(set(ps)) < 4 else _plane(ps, (0, 0, 0, 0), 1, n)
             except RuntimeError:
                 x = 0
             yield x, n[0] * a[0] + n[1] * a[1] + n[2] * a[2] + n[3] * a[3]

@@ -2,14 +2,20 @@
 
 Vertex-representation polytopes with exact Fraction coordinates.  Every hull
 and Minkowski sum enters through _sum_points(groups), the one path from
-rational points to a Polytope: it makes the points integer, adds the groups
-pairwise in integers (_cleared_sum) and hulls the integer points in
-_hull_cleared, which builds Fractions for the kept vertices only.  The hull
-engine is Quickhull-style: each point outside the current hull waits in the
-outside list of one simplicial piece it sees, the points are inserted
-farthest-first, and an insertion walks across ridges from the owner piece to
-the pieces the point sees and hands their outside points to the new pieces
-only.  Its sign predicates are integer-only and unrolled in Z^4.
+rational points to a Polytope: it makes the points integer and hulls their
+sum (_cleared_sum), and _hull_cleared builds Fractions for the kept vertices
+only.  The hull engine is Quickhull-style: each point outside the current
+hull waits in the outside list of one simplicial piece it sees, the points
+are inserted farthest-first, and one insertion step walks across ridges from
+the owner piece to the pieces the point sees and hands their outside points
+to the new pieces only.  Its sign predicates are integer-only and unrolled
+in Z^4.  A sum of three or more groups is folded: the groups are added
+pairwise while the partial sum is below full rank, and then one engine run
+hulls the first full-rank partial sum and takes in each later group as a
+batch of offsets.  An offset e enters at a corner v of the hull only where
+v + e lies beyond a piece at v, as every vertex of the sum does (Fukuda,
+J. Symbolic Comput. 38, 2004), and the same insertion step inserts it; no
+partial sum is hulled again.
 _basis, the one integer rank routine, picks the starting simplex, projects a
 flat one-to-one and tells the vertices.  _plane is the one integer cross
 product, unrolled in Z^4 and fed zero-padded points in Z^2 and Z^3; it gives
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, islice
 from math import factorial, gcd, lcm, prod
 from operator import add, mul
@@ -228,33 +235,49 @@ class _Piece:
     __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
 
 
-def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
-    """Quickhull-style hull of deduped integer points with affine rank d >= 2.
+def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], later=()):
+    """Quickhull-style hull of deduped integer points with affine rank d >= 2,
+    folded with the offset batches of later.
 
     Returns (vertex_ids, merged_facets, chain): the ids of the extreme
     points; facets (normal, offset, G) with the outward primitive normal,
     after the coplanar merge of the simplicial pieces, G being the sum over
     the pieces of the gcd g of the piece's cross product, which is
     g * normal; and the boundary chain (points, pieces), the live pieces
-    (_Piece) in order of creation, whose verts index points, the input
-    points in the run's own order.  The chain is what the run already holds:
+    (_Piece) in order of creation, whose verts index points, the points in
+    the run's own order.  The chain is what the run already holds:
     returning it builds nothing, and the caller decides what to keep.
 
-    The points off the starting simplex are inserted once each, farthest
-    from its centroid first.  A point outside the current hull waits in the
-    outside list of the first piece it sees.  Inserting it walks across
-    ridges from that owner to every piece it sees, cones the horizon to it,
-    and hands the outside points of the deleted pieces to the new pieces
-    only: a point beyond a deleted piece and outside the new hull is beyond
-    a new piece (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point
-    that sees no piece is inside for good and is never tested again.  Every
-    piece is built by one constructor, piece, from _plane or, on homogeneous
-    points, _plane_hom, bound once per run.
+    One insertion step, insert, adds a point outside the current hull: it
+    walks across ridges from the piece the point waits on, its owner, to
+    every piece it sees, cones the horizon to it, and hands the outside
+    points of the deleted pieces to the new pieces only: a point beyond a
+    deleted piece and outside the new hull is beyond a new piece (Barber,
+    Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point that sees no piece
+    is inside for good and is never tested again.  Two stages of the run
+    call it, each on a batch of points that wait on a piece they see and
+    are inserted farthest from the starting simplex's centroid first.
 
-    Points of d + 1 entries are homogeneous, in the per-point form of the
-    module docstring.  A merged offset is then the pair (c, v) for c / v in
-    lowest terms, and G a Fraction.  Otherwise c and G are in the units of
-    the points.
+    Stage 1 inserts the points off the starting simplex; each point waits
+    on the first piece it sees.  Stage 2 folds in the batches of later, in
+    order: a batch E is a list of offsets, in the form of the points, that
+    holds 0, and turns the hull H into H + conv(E).  A vertex of that sum is
+    v + e for a vertex v of H and an offset e that maximise one direction u
+    (Fukuda, J. Symbolic Comput. 38, 2004); unless e = 0, <u, e> > 0, and u
+    is a nonnegative sum of the normals of the facets at v, so v + e lies
+    beyond a piece with corner v.  As v lies on the plane (n, c) of each
+    piece it is a corner of, v + e is beyond it when <n, e> > 0, in either
+    integer form.  So each candidate v + e, v a corner of the live pieces,
+    waits on the first piece at v that it is beyond, in order of creation,
+    and one beyond none of them is no vertex of the sum and is dropped.
+    Stage 2 appends the points it inserts to ipts, and vertex_ids index
+    the grown list.
+
+    Every piece is built by one constructor, piece, from _plane or, on
+    homogeneous points, _plane_hom, bound once per run.  Points of d + 1
+    entries are homogeneous, in the per-point form of the module docstring.
+    A merged offset is then the pair (c, v) for c / v in lowest terms, and
+    G a Fraction.  Otherwise c and G are in the units of the points.
     """
     hom = len(ipts[0]) > d
     k = d + 1
@@ -265,22 +288,24 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
         interior2 = tuple(sum(ipts[i][j] * (lw // ipts[i][d]) for i in simplex) for j in range(d))
         kw = k * lw
 
-        def dist(i):
+        def dist(p):
             # |p / w - interior2 / kw|^2 times kw^2, floored: the floor can
             # only tie distances less than 1 / kw^2 apart, and any order
             # gives the same hull
-            *p, w = ipts[i]
+            *p, w = p
             return sum((kw * x - w * m) ** 2 for x, m in zip(p, interior2)) // w**2
+        plus = _hom_add
     else:
         interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
         kw = k
-        dist = lambda i: sum((k * x - m) ** 2 for x, m in zip(ipts[i], interior2))
+        dist = lambda p: sum((k * x - m) ** 2 for x, m in zip(p, interior2))
+        plus = lambda p, e: tuple(map(add, p, e))
     # label the points in order of insertion: the simplex, then the rest by
     # decreasing squared distance from the centroid, ties by id; so a new
     # point's label exceeds that of every corner on the hull
     skip = set(simplex)
     rest = [i for i in range(len(ipts)) if i not in skip]
-    rest.sort(key=dist, reverse=True)
+    rest.sort(key=[dist(p) for p in ipts].__getitem__, reverse=True)
     ids = simplex + rest
     raw = [ipts[i] for i in ids]
     # the visibility tests run in Z^4, on points and normals padded by zeros
@@ -345,18 +370,11 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
     if hom:
         assign = assign_hom
 
-    start = [piece(tuple(j for j in range(k) if j != i)) for i in range(k)]
-    for i, P in enumerate(start):
-        P.nbrs = [start[j] for j in range(d, -1, -1) if j != i]
-    # live pieces in order of creation, so that the merge below is repeatable
-    live = dict.fromkeys(start)
-    for q in range(k, len(ids)):
-        assign(q, start)
-
-    for q in range(k, len(ids)):
+    def insert(q):
+        # the insertion step, for a point q that waits on a piece, its owner
         V = owner[q]
         if V is None:
-            continue
+            return
         owner[q] = None
         if hom:
             x0, x1, x2, x3, w = pts[q]
@@ -414,6 +432,42 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int]):
                         assign(r, new)
             # no cycles left behind, so the dead pieces are freed at once
             V.nbrs = V.outside = None
+
+    start = [piece(tuple(j for j in range(k) if j != i)) for i in range(k)]
+    for i, P in enumerate(start):
+        P.nbrs = [start[j] for j in range(d, -1, -1) if j != i]
+    # live pieces in order of creation, so that the merge below is repeatable
+    live = dict.fromkeys(start)
+    for q in range(k, len(ids)):
+        assign(q, start)
+    for q in range(k, len(ids)):
+        insert(q)
+
+    for batch in later:
+        E = [x for x in dict.fromkeys(batch) if any(x[:d])]
+        offs = [x[:d] + pad for x in E]
+        # the first piece at each corner v that v + E[j] is beyond
+        found = {}
+        for P in live:
+            a, b, e, f = P.plane[:4]
+            for j, (x0, x1, x2, x3) in enumerate(offs):
+                if a * x0 + b * x1 + e * x2 + f * x3 > 0:
+                    for v in P.verts:
+                        found.setdefault((v, j), P)
+        fresh = {}
+        for (v, j), P in found.items():
+            fresh.setdefault(plus(raw[v], E[j]), P)
+        first = len(raw)
+        for q, p in enumerate(sorted(fresh, key=dist, reverse=True), first):
+            ids.append(len(ipts))
+            ipts.append(p)
+            raw.append(p)
+            if pts is not raw:
+                pts.append(p[:d] + pad + p[d:])
+            owner.append(None)
+            assign(q, (fresh[p],))
+        for q in range(first, len(raw)):
+            insert(q)
 
     merged: dict[tuple[int, ...], list] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
@@ -718,15 +772,18 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return _sum_points([pts])
 
 
-def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
-    """Dedupe, rank and hull integer points in Z^dim, or homogeneous ones.
+def _hull_ids(ipts: list[tuple[int, ...]], dim: int, later=()):
+    """Dedupe, rank and hull integer points in Z^dim, or homogeneous ones,
+    and at full rank fold the offset batches of later into the same engine
+    run (_hull_engine, stage 2); below full rank later is not read.
 
     Returns (ipts, chosen, cols, ids, merged, chain): the distinct points
-    in order of first occurrence; the ids i whose edges ipts[i] - ipts[0]
-    form the greedy basis of all edges, and coordinates on which their minor
-    is nonzero (_basis); the ids of the extreme points, sorted by their
-    coordinates; and the merged facets (n, c, g) and boundary chain of the
-    engine run, in the projected coordinates below full rank.  At affine
+    in order of first occurrence, then the points stage 2 inserted; the ids
+    i whose edges ipts[i] - ipts[0] form the greedy basis of all edges, and
+    coordinates on which their minor is nonzero (_basis); the ids of the
+    extreme points, sorted by their coordinates; and the merged facets
+    (n, c, g) and boundary chain of the engine run, in the projected
+    coordinates below full rank.  At affine
     rank 1 the facets are the segment's ends, (-1, -lo) and (+1, hi) of
     weight 1 in the projected coordinate, and at rank 0 there are none; at
     both the chain is None.
@@ -758,7 +815,7 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int):
         (a, *w), (b, *v) = (proj[i] for i in ids)
         merged = [((-1,), (-a, *w) if hom else -a, 1), ((1,), (b, *v) if hom else b, 1)]
     else:
-        ids, merged, chain = _hull_engine(proj, r, [0] + chosen)
+        ids, merged, chain = _hull_engine(proj, r, [0] + chosen, later if r == dim else ())
     ids.sort(key=key)
     return ipts, chosen, cols, ids, merged, chain
 
@@ -852,13 +909,13 @@ def _sum_points(groups: Sequence[Sequence[Sequence]]) -> Polytope:
     dim being the length of the first point.
 
     The one way from rational points to a Polytope: _cleared_sum makes the
-    points integer and adds the groups, and _hull_cleared builds the hull
-    record of the total.  The slice drops the engine run's boundary chain as
-    soon as _hull_ids returns, so that it is freed before the record is
-    built.
+    points integer and hulls their sum, and _hull_cleared builds the hull
+    record.  The slice drops the engine run's boundary chain before the
+    record is built, so that it is freed at once.
     """
-    total, dim, s = _cleared_sum(groups)
-    return _hull_cleared(_hull_ids(total, dim)[:5], dim, s)
+    hull, dim, s = _cleared_sum(groups)
+    hull = hull[:5]
+    return _hull_cleared(hull, dim, s)
 
 
 def _sum_chain(groups: Sequence[Sequence[Sequence]]):
@@ -867,21 +924,29 @@ def _sum_chain(groups: Sequence[Sequence[Sequence]]):
     s is the common denominator of the points, or None in the per-point
     form, and chain the boundary chain (points, pieces) of the engine run
     that built P (_hull_engine), or None when P has affine rank below 2.
-    The points are cleared as s * x, or homogeneous (*(w * x), w) when s is
-    None, and below full rank projected (_hull_ids).
+    The points are sums of one point of each group, cleared as s * x, or
+    homogeneous (*(w * x), w) when s is None, and below full rank projected
+    (_hull_ids).
     """
-    total, dim, s = _cleared_sum(groups)
-    hull = _hull_ids(total, dim)
+    hull, dim, s = _cleared_sum(groups)
     return _hull_cleared(hull[:5], dim, s), s, hull[5]
 
 
 def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
-    """(total, dim, s): the points of sum_j conv(S_j) to hull, in integers,
-    their dimension dim and their common denominator s, or None.
+    """(hull, dim, s): the _hull_ids record of sum_j conv(S_j) in integers,
+    the dimension dim of the points and their common denominator s, or
+    None.
 
-    The points are made integer, and the groups are added in order,
-    pairwise, in integers; each running total after the first is cut to its
-    extreme points before the next group is added.
+    A sum of one or two groups is hulled once, on the sums p + q.  A longer
+    one is folded, and every candidate point is a point of the whole sum:
+    the first group is shifted by the first point q_j0 of each later group
+    S_j, and S_j enters as its offsets q - q_j0, the zero offset first.  The
+    groups are added in order, pairwise, while the candidates are below
+    full rank: each running total is cut to its extreme points before the
+    next group is added.  Once the candidates span R^dim and groups remain,
+    one engine run hulls them and folds the remaining groups' offsets into
+    its hull (_hull_engine, stage 2), so that no partial sum is hulled
+    again.
 
     The integer form of the module docstring is chosen here, and read off
     the points everywhere after: a homogeneous point has dim + 1 entries.
@@ -902,23 +967,28 @@ def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
     # homogeneous and s is never used, and on large clouds building it
     # whole would cost more than the hull
     s = _lcm_within(wts, max(_GATE_BITS, _GATE_RATIO * max(wts).bit_length()))
-    hom = s is None
-    if hom:
+    if s is None:
         ipts = [(*(x.numerator * (w // x.denominator) for x in p), w) for p, w in zip(pts, wts)]
+        plus = _hom_add
     else:
         ipts = [tuple(x.numerator * (s // x.denominator) for x in p) for p in pts]
+        plus = lambda p, q: tuple(map(add, p, q))
     it = iter(ipts)
-    total = list(islice(it, len(groups[0])))
-    for j, S in enumerate(groups[1:]):
-        if j:
-            ipts, _, _, ids = _hull_ids(total, dim)[:4]
-            total = [ipts[i] for i in ids]
-        S = list(islice(it, len(S)))
-        if hom:
-            total = [_hom_add(p, q) for p in total for q in S]
-        else:
-            total = [tuple(map(add, p, q)) for p in total for q in S]
-    return total, dim, s
+    first, *rest = [list(islice(it, len(S))) for S in groups]
+    if len(rest) < 2:
+        total = [plus(p, q) for p in first for q in rest[0]] if rest else first
+        return _hull_ids(total, dim), dim, s
+    # -q keeps a homogeneous point's weight
+    offsets = [[plus(q, (*(-x for x in S[0][:dim]), *S[0][dim:])) for q in S] for S in rest]
+    shift = reduce(plus, [S[0] for S in rest])
+    total = [plus(p, shift) for p in first]
+    for j, E in enumerate(offsets, 1):
+        total = [plus(p, e) for p in total for e in E]
+        hull = _hull_ids(total, dim, offsets[j:])
+        if j == len(offsets) or len(hull[1]) == dim:
+            return hull, dim, s
+        ipts, _, _, ids = hull[:4]
+        total = [ipts[i] for i in ids]
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:

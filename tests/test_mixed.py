@@ -155,9 +155,9 @@ def test_column_denominators_polarization_matches_facet_form(shared, monkeypatch
     runs = [0, 0]
     engine = polytope._hull_engine
 
-    def counted(ipts, d, simplex):
+    def counted(ipts, d, *rest):
         runs[len(ipts[0]) > d] += 1
-        return engine(ipts, d, simplex)
+        return engine(ipts, d, *rest)
 
     monkeypatch.setattr(polytope, "_hull_engine", counted)
     rng = random.Random(f"mixed-columns:{shared}")
@@ -250,9 +250,9 @@ def test_volume_polynomial_matches_hulling_every_sum(pattern, max_den, monkeypat
     hom_runs = []
     engine = polytope._hull_engine
 
-    def counted(ipts, d, simplex):
+    def counted(ipts, d, *rest):
         hom_runs.append(len(ipts[0]) > d)
-        return engine(ipts, d, simplex)
+        return engine(ipts, d, *rest)
 
     monkeypatch.setattr(polytope, "_hull_engine", counted)
     rng = random.Random(f"polynomial:{pattern}:{max_den}")

@@ -906,9 +906,9 @@ def engine_runs(monkeypatch):
     runs = [0, 0]
     engine = polytope._hull_engine
 
-    def counted(ipts, d, simplex):
+    def counted(ipts, d, *rest):
         runs[len(ipts[0]) > d] += 1
-        return engine(ipts, d, simplex)
+        return engine(ipts, d, *rest)
 
     monkeypatch.setattr(polytope, "_hull_engine", counted)
     return runs
@@ -1199,6 +1199,102 @@ def test_hyp_scale_4d_matches_bruteforce(pts):
     assert P.scale(0).vertices == ((F(0),) * 4,)
     for c in (F(-3, 2), F(5, 7), 2):
         assert P.scale(c).vertices == tuple(_ohull_vertices([tuple(c * x for x in p) for p in pts]))
+
+
+# -- many groups: the fold against one hull of every sum ---------------------------
+#
+# A sum of three or more groups hulls its first partial sums pairwise while
+# they are below full rank, then folds the other groups into one engine run
+# (_cleared_sum).  The oracle hulls every sum of one point per group in one
+# run, with no fold.
+
+
+def fold_groups(rng, k, rank_at, den):
+    """Seeded groups of points of R^k, each point over its own denominator
+    w: w = 1, w <= 16, or w in [2^100, 2^101] for den = 2^100, where the
+    points' unrelated weights put the sum in the per-point form.
+
+    rank_at says where the running sum reaches full rank: "first", two
+    triangles first, so the fold's first check finds it; "segments", one
+    segment a group, one more rank each; "last", every group but the last
+    in a hyperplane x_k = const; "never", every group so, and the sum is a
+    flat.  3-12 groups of 1-4 points, and at most 400 sums (100 at
+    den = 2^100, whose integers run to thousands of bits).
+    """
+    def point(last=None):
+        w = 1 if den == 1 else rng.randint(1, 16) if den == 16 else rng.randint(den, 2 * den)
+        p = tuple(F(rng.randint(-3 * w, 3 * w), w) for _ in range(k))
+        return p if last is None else p[:-1] + (last,)
+
+    count = rng.randint(max(3, k), 7) if rank_at == "segments" else rng.randint(3, 12)
+    sizes = [2] * count if rank_at == "segments" else [rng.randint(1, 4) for _ in range(count)]
+    if rank_at == "first":
+        sizes[:2] = [3, 3]
+    while math.prod(sizes) > (100 if den == 2**100 else 400):
+        i = rng.randrange(2 if rank_at in ("first", "segments") else 0, count)
+        sizes[i] = max(1, sizes[i] - 1)
+    if rank_at == "last":
+        sizes[-1] = max(sizes[-1], 2)
+    groups = []
+    for j, size in enumerate(sizes):
+        flat = rank_at == "never" or (rank_at == "last" and j < count - 1)
+        last = point()[0] if flat else None
+        groups.append([point(last) for _ in range(size)])
+    return groups
+
+
+def fold_record(P):
+    """What the fold must reproduce: rank, scale, vertices, facets with
+    their vertex ids, volume and atoms, and the facet rows as the integer
+    atoms over their lcm (the rows' unit follows the points' denominators,
+    which the sums and the groups need not share)."""
+    D, atoms = P._cleared_atoms()
+    return P.affine_dim, P._scale, hull_record(P), D, sorted(atoms)
+
+
+@pytest.mark.parametrize("den", [1, 16, 2**100], ids=["den1", "den16", "den2e100"])
+@pytest.mark.parametrize("rank_at", ["first", "segments", "last", "never"])
+def test_fold_of_many_groups_matches_one_hull_of_every_sum(rank_at, den, monkeypatch):
+    runs = engine_runs(monkeypatch)
+    rng = random.Random(f"fold:{rank_at}:{den}")
+    hom = 0
+    for k in (2, 3, 4):
+        for _ in range(3):
+            groups = fold_groups(rng, k, rank_at, den)
+            sums = set(groups[0])
+            for S in groups[1:]:
+                sums = {tuple(a + b for a, b in zip(x, p)) for x in sums for p in S}
+            runs[:] = [0, 0]
+            P = polytope._sum_points(groups)
+            folded = sum(runs)
+            hom += runs[1]
+            assert fold_record(P) == fold_record(convex_hull(sums))
+            assert (P.affine_dim == k) == (rank_at != "never")
+            if rank_at == "first":
+                # the first check finds full rank: one engine run folds all
+                assert folded == 1
+    assert (hom > 0) == (den == 2**100)
+
+
+def test_fold_inserts_some_candidates_and_drops_others():
+    # one run on a full-rank cloud, then one batch of offsets [0, e]: each
+    # corner v of the live pieces gives one candidate v + e, all distinct.
+    # Some are beyond a piece at v and are inserted, appended to the points;
+    # the others are dropped.  The hull is that of the cloud and its
+    # translate by e
+    for k in (2, 3, 4):
+        rng = random.Random(f"fold-branches:{k}")
+        pts = [tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(12)]
+        e = tuple(rng.randint(1, 3) * (-1) ** i for i in range(k))
+        base = polytope._hull_ids(list(pts), k)
+        assert len(base[1]) == k
+        corners = {v for P in base[5][1] for v in P.verts}
+        got = polytope._hull_ids(list(pts), k, [[(0,) * k, e]])
+        inserted = len(got[0]) - len(base[0])
+        assert 0 < inserted < len(corners)
+        want = polytope._hull_ids(pts + [tuple(map(sum, zip(p, e))) for p in pts], k)
+        assert sorted(got[0][i] for i in got[3]) == sorted(want[0][i] for i in want[3])
+        assert sorted(got[4]) == sorted(want[4])
 
 
 # -- both integer forms ------------------------------------------------------------

@@ -512,6 +512,35 @@ def test_reconstruction_certified_rational_body(kind):
     certify_reconstruction(ValuationOp(kind, **{p: bodies[p] for p in params}), K)
 
 
+def test_k8_projection_body_folds_in_three_engine_runs(monkeypatch):
+    # the recorded reconstruction body K8 (tests/work_counts.py) has 18
+    # atoms, so its projection body sums 18 segments.  The fold hulls the
+    # partial sums of ranks 2 and 3 to cut them, then folds the other 14
+    # segments into the one engine run that hulls the first rank-4 sum; the
+    # pairwise fold made 17 runs.  The body keeps its 1,562 vertices, and its
+    # support is the evaluator's
+    import minkval.polytope as polytope
+    from minkval import harness
+
+    runs = []
+    engine = polytope._hull_engine
+
+    def counted(ipts, d, *rest):
+        runs.append(d)
+        return engine(ipts, d, *rest)
+
+    K = harness.rand_polytope(random.Random(7), min_verts=8, max_verts=8)
+    monkeypatch.setattr(polytope, "_hull_engine", counted)
+    op = ValuationOp("proj")
+    R = apply_valuation(op, K).body
+    assert len(K.area_measure()) == 18 and len(R.vertices) == 1562
+    assert runs == [2, 3, 4]
+    ev, rng = SupportEvaluator(op, K), random.Random("k8-proj")
+    for _ in range(10):
+        w = rand_dir(rng)
+        assert R.support(w) == ev.at(w)
+
+
 def _cmul(c, w):
     """The complex scalar c = (re, im) times each complex coordinate of w."""
     r, i = c

@@ -38,7 +38,11 @@ default) are
 - kernel: one round of the benchmark's kernel workload at seed 1, the six
   calls on each of its 16 clouds in op order (perfbench/workloads.py,
   read only).  Building the clouds and the round's small simplex is not
-  counted.
+  counted;
+- recon: one round of the benchmark's recon workload at seed 1, its 43
+  minkval op calls with --out in op order, the body files and outputs in a
+  temporary directory; recon:<op> runs the one op of that round named
+  <op>, such as recon:S1:proj.  Writing the body files is not counted.
 """
 
 from __future__ import annotations
@@ -46,13 +50,14 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 from minkval import harness, polytope, valuations
 
 K8_KINDS = ("proj", "diff", "d_m", "dtilde_m")
-INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS), "kernel")
+INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS), "kernel", "recon")
 COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_hull_ids", "_sum_points",
            "_sum_chain")
 # (points in, vertices out) of a call, for the functions counted with sizes
@@ -128,14 +133,19 @@ def k8():
     return K, harness.rand_planar_polygon(rng)
 
 
-def kernel_round():
-    """The kernel workload, prepared at seed 1; returns the round to count."""
+def workload(name: str):
+    """The class of one benchmark workload, read from perfbench."""
     sys.path.insert(0, str(PERFBENCH))
     try:
-        from workloads import Kernel
+        import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    w = Kernel()
+    return getattr(workloads, name)
+
+
+def kernel_round():
+    """The kernel workload, prepared at seed 1; returns the round to count."""
+    w = workload("Kernel")()
     w.prepare(1, None)
     w.start_round()
 
@@ -147,11 +157,36 @@ def kernel_round():
     return round_
 
 
+def recon_round(only: str | None):
+    """The recon workload, prepared at seed 1 in a temporary directory;
+    returns the round, or its one op named only, to count."""
+    w = workload("Recon")()
+    tmp = tempfile.TemporaryDirectory()
+    w.prepare(1, Path(tmp.name))
+    ops = [op for op in w.ops if only in (None, op.name)]
+    if not ops:
+        tmp.cleanup()
+        raise SystemExit(f"unknown recon op {only!r}; known: {', '.join(op.name for op in w.ops)}")
+
+    def round_():
+        try:
+            for op in ops:
+                rc, _ = op.run()
+                if rc != 0:
+                    raise SystemExit(f"recon op {op.name} exited {rc}")
+        finally:
+            tmp.cleanup()
+
+    return round_
+
+
 def run(name: str):
     if name == "suite":
         return lambda: harness.run_suite(42, 3)
     if name == "kernel":
         return kernel_round()
+    if name == "recon" or name.startswith("recon:"):
+        return recon_round(name.partition(":")[2] or None)
     kind = name.removeprefix("K8:")
     if name == kind or kind not in K8_KINDS:
         raise SystemExit(f"unknown input {name!r}; known: {', '.join(INPUTS)}")
