@@ -324,7 +324,7 @@ def _equivariance_witness(ops, K: Polytope, gK: Polytope, g: ComplexMatrix2,
     order, on the prebuilt gK = _sl_action(g, K), or None.  The directions
     w, g^{-1} w and g^* w are cleared once for all ops."""
     cleared = cleared_directions(dirs)
-    pulled = {contra: cleared_directions([pull.apply(w) for w in dirs])
+    pulled = {contra: _pulled(pull, cleared)
               for contra, pull in ((True, g.inverse()), (False, g.adjoint()))}
     for op in ops:
         diff = _first_difference([(1, SupportEvaluator(op, gK), cleared)],
@@ -335,6 +335,17 @@ def _equivariance_witness(ops, K: Polytope, gK: Polytope, g: ComplexMatrix2,
                     "g": [_strs((z.re, z.im)) for z in (g.a, g.b, g.c, g.d)],
                     "w": _strs(dirs[i]), "lhs": str(lhs), "rhs": str(rhs)}
     return None
+
+
+def _pulled(g: ComplexMatrix2, cleared) -> list[tuple[int, tuple[int, ...]]]:
+    """The directions g W / t of the cleared directions (t, W), cleared in
+    integers: g's real matrix is M / d for an integer matrix M, cleared once,
+    and each direction becomes (d * t, M W), which the evaluators' integer
+    forms take unreduced."""
+    rows = g.real_matrix()
+    d = lcm(*(x.denominator for row in rows for x in row))
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    return [(d * t, tuple(sum(map(mul, row, W)) for row in rows)) for t, W in cleared]
 
 
 def shear_simplex_expected_atoms(a: Fraction, b: Fraction, gamma: Cplx) -> set:
@@ -719,11 +730,11 @@ def _drive_det32(seed: int, trials: int) -> PropertyReport:
         gK = group_action(g, K)
         ev = SupportEvaluator(op, K)
         us = [rand_direction(rng) for _ in range(5)]
-        g0_inv, g_inv = g0.inverse(), g.inverse()
+        cleared = cleared_directions(us)
         diff = _first_difference(
-            [(1, SupportEvaluator(op, gK), cleared_directions(us))],
-            [(t**3, ev, cleared_directions([g0_inv.apply(u) for u in us]))],
-            [(t**4, ev, cleared_directions([g_inv.apply(u) for u in us]))])
+            [(1, SupportEvaluator(op, gK), cleared)],
+            [(t**3, ev, _pulled(g0.inverse(), cleared))],
+            [(t**4, ev, _pulled(g.inverse(), cleared))])
         if diff is None:
             return None
         i, (lhs, via_g0, via_g) = diff

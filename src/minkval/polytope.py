@@ -11,10 +11,12 @@ the owner piece to the pieces the point sees and hands their outside points
 to the new pieces only.  Its sign predicates are integer-only and unrolled
 in Z^4.  A sum of three or more groups is folded: the groups are added
 pairwise while the partial sum is below full rank, and then one engine run
-hulls the first full-rank partial sum and takes in each later group as a
-batch of offsets.  An offset e enters at a corner v of the hull only where
-v + e lies beyond a piece at v, as every vertex of the sum does (Fukuda,
-J. Symbolic Comput. 38, 2004), and the same insertion step inserts it; no
+starts from a simplex of the first full-rank partial sum and grows it to
+the whole sum by a linear-optimisation oracle.  For a piece with normal n,
+the oracle adds up each group's lexicographic maximiser of (<n, x>, x), a
+vertex of the sum (Fukuda, J. Symbolic Comput. 38, 2004); the piece is
+final when that vertex lies on it, and otherwise the same insertion step
+inserts the vertex.  So only vertices of the sum are inserted, and no
 partial sum is hulled again.
 _basis, the one integer rank routine, picks the starting simplex, projects a
 flat one-to-one and tells the vertices.  _plane is the one integer cross
@@ -67,6 +69,7 @@ are first-class: operations degrade per contract rather than erroring.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -112,11 +115,7 @@ class AreaMeasure:
     atoms: tuple[Coords, ...]
 
     def closure_sum(self) -> Coords:
-        total = [Fraction(0)] * self.ambient_dim
-        for a in self.atoms:
-            for i, x in enumerate(a):
-                total[i] += x
-        return tuple(total)
+        return tuple(sum((a[i] for a in self.atoms), Fraction(0)) for i in range(self.ambient_dim))
 
     def __iter__(self):
         return iter(self.atoms)
@@ -235,9 +234,9 @@ class _Piece:
     __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
 
 
-def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], later=()):
+def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups=()):
     """Quickhull-style hull of deduped integer points with affine rank d >= 2,
-    folded with the offset batches of later.
+    or, given point groups S_j in groups, of sum_j conv(S_j).
 
     Returns (vertex_ids, merged_facets, chain): the ids of the extreme
     points; facets (normal, offset, G) with the outward primitive normal,
@@ -248,30 +247,32 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], later=
     the run's own order.  The chain is what the run already holds:
     returning it builds nothing, and the caller decides what to keep.
 
-    One insertion step, insert, adds a point outside the current hull: it
-    walks across ridges from the piece the point waits on, its owner, to
-    every piece it sees, cones the horizon to it, and hands the outside
-    points of the deleted pieces to the new pieces only: a point beyond a
-    deleted piece and outside the new hull is beyond a new piece (Barber,
-    Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point that sees no piece
-    is inside for good and is never tested again.  Two stages of the run
-    call it, each on a batch of points that wait on a piece they see and
-    are inserted farthest from the starting simplex's centroid first.
+    One insertion step, insert, adds a point outside the current hull and
+    returns the pieces it made: it walks across ridges from the piece the
+    point waits on, its owner, to every piece it sees, cones the horizon to
+    it, and hands the outside points of the deleted pieces to the new pieces
+    only: a point beyond a deleted piece and outside the new hull is beyond
+    a new piece (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point
+    that sees no piece is inside for good and is never tested again.
 
-    Stage 1 inserts the points off the starting simplex; each point waits
-    on the first piece it sees.  Stage 2 folds in the batches of later, in
-    order: a batch E is a list of offsets, in the form of the points, that
-    holds 0, and turns the hull H into H + conv(E).  A vertex of that sum is
-    v + e for a vertex v of H and an offset e that maximise one direction u
-    (Fukuda, J. Symbolic Comput. 38, 2004); unless e = 0, <u, e> > 0, and u
-    is a nonnegative sum of the normals of the facets at v, so v + e lies
-    beyond a piece with corner v.  As v lies on the plane (n, c) of each
-    piece it is a corner of, v + e is beyond it when <n, e> > 0, in either
-    integer form.  So each candidate v + e, v a corner of the live pieces,
-    waits on the first piece at v that it is beyond, in order of creation,
-    and one beyond none of them is no vertex of the sum and is dropped.
-    Stage 2 appends the points it inserts to ipts, and vertex_ids index
-    the grown list.
+    Two drivers call it.  Without groups, the outside-list driver inserts
+    the points off the starting simplex, farthest from its centroid first;
+    each point waits on the first piece it sees.  With groups, which are in
+    the form of the points and have every point of ipts in their sum, the
+    points give only the starting simplex, and the oracle driver grows it
+    to the hull of the sum.  It walks the live pieces in order of creation,
+    each new piece queued as it is made, and queries the oracle on each
+    piece (n, c) still live: the sum p of each group's lexicographic
+    maximiser of (<n, x>, x), which is the sum's own maximiser and a vertex
+    of it (Fukuda, J. Symbolic Comput. 38, 2004; Emiris, Fisikopoulos,
+    Konaxis and Penaranda, IJCGA 23, 2013).  If <n, p> = c, or
+    <n, p> / w = c / v on homogeneous points, the piece is final, and so is
+    every piece on its plane.  Otherwise p lies beyond the piece, which
+    owns it, and it is inserted and appended to ipts; vertex_ids index the
+    grown list.  A query inserts a vertex, which is then on the hull for
+    good, or proves a facet's plane final, so the run makes at most V + F
+    of them; when the queue is empty every live piece lies on a supporting
+    plane of the sum, and the hull is the sum.
 
     Every piece is built by one constructor, piece, from _plane or, on
     homogeneous points, _plane_hom, bound once per run.  Points of d + 1
@@ -287,25 +288,21 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], later=
         lw = lcm(*(ipts[i][d] for i in simplex))
         interior2 = tuple(sum(ipts[i][j] * (lw // ipts[i][d]) for i in simplex) for j in range(d))
         kw = k * lw
-
-        def dist(p):
-            # |p / w - interior2 / kw|^2 times kw^2, floored: the floor can
-            # only tie distances less than 1 / kw^2 apart, and any order
-            # gives the same hull
-            *p, w = p
-            return sum((kw * x - w * m) ** 2 for x, m in zip(p, interior2)) // w**2
-        plus = _hom_add
+        # |p / w - interior2 / kw|^2 times kw^2, floored: the floor can only
+        # tie distances less than 1 / kw^2 apart, and any order gives the
+        # same hull
+        dist = lambda p: sum((kw * x - p[d] * m) ** 2 for x, m in zip(p, interior2)) // p[d] ** 2
     else:
         interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
         kw = k
         dist = lambda p: sum((k * x - m) ** 2 for x, m in zip(p, interior2))
-        plus = lambda p, e: tuple(map(add, p, e))
     # label the points in order of insertion: the simplex, then the rest by
     # decreasing squared distance from the centroid, ties by id; so a new
-    # point's label exceeds that of every corner on the hull
+    # point's label exceeds that of every corner on the hull.  With groups,
+    # the oracle driver inserts the points, and only the simplex is labelled
     skip = set(simplex)
-    rest = [i for i in range(len(ipts)) if i not in skip]
-    rest.sort(key=[dist(p) for p in ipts].__getitem__, reverse=True)
+    rest = [] if groups else [i for i in range(len(ipts)) if i not in skip]
+    rest.sort(key=lambda i: dist(ipts[i]), reverse=True)
     ids = simplex + rest
     raw = [ipts[i] for i in ids]
     # the visibility tests run in Z^4, on points and normals padded by zeros
@@ -432,6 +429,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], later=
                         assign(r, new)
             # no cycles left behind, so the dead pieces are freed at once
             V.nbrs = V.outside = None
+        return new
 
     start = [piece(tuple(j for j in range(k) if j != i)) for i in range(k)]
     for i, P in enumerate(start):
@@ -443,31 +441,43 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], later=
     for q in range(k, len(ids)):
         insert(q)
 
-    for batch in later:
-        E = [x for x in dict.fromkeys(batch) if any(x[:d])]
-        offs = [x[:d] + pad for x in E]
-        # the first piece at each corner v that v + E[j] is beyond
-        found = {}
-        for P in live:
-            a, b, e, f = P.plane[:4]
-            for j, (x0, x1, x2, x3) in enumerate(offs):
-                if a * x0 + b * x1 + e * x2 + f * x3 > 0:
-                    for v in P.verts:
-                        found.setdefault((v, j), P)
-        fresh = {}
-        for (v, j), P in found.items():
-            fresh.setdefault(plus(raw[v], E[j]), P)
-        first = len(raw)
-        for q, p in enumerate(sorted(fresh, key=dist, reverse=True), first):
+    if groups:
+        # the oracle driver.  Each group is padded to Z^4 and sorted in
+        # decreasing order, so that its first point of largest <n, x> is its
+        # lexicographic maximiser of (<n, x>, x)
+        key = (lambda p: [Fraction(x, p[4]) for x in p[:4]]) if hom else None
+        groups = [sorted((p[:d] + pad + p[d:] for p in S), key=key, reverse=True) for S in groups]
+        # the planes proved final: a piece made on one of them is final too
+        final = set()
+        queue = deque(live)
+        while queue:
+            P = queue.popleft()
+            if P.nbrs is None or P.plane in final:
+                continue
+            # h(n) = sum_j max_{S_j} <n, x>, over each point's weight w on
+            # homogeneous points, against the offset c, or c / v
+            if hom:
+                a, b, e, f, c, v = P.plane
+                c = Fraction(c, v)
+                dots = [[Fraction(a * x0 + b * x1 + e * x2 + f * x3, w) for x0, x1, x2, x3, w in S]
+                        for S in groups]
+            else:
+                a, b, e, f, c = P.plane
+                dots = [[a * x0 + b * x1 + e * x2 + f * x3 for x0, x1, x2, x3 in S] for S in groups]
+            tops = [max(D) for D in dots]
+            if sum(tops) == c:
+                final.add(P.plane)
+                continue
+            # the oracle's vertex, beyond P: P owns it, and it is inserted
+            top = [S[D.index(t)] for S, D, t in zip(groups, dots, tops)]
+            p = reduce(_hom_add, top) if hom else tuple(map(sum, zip(*top)))
             ids.append(len(ipts))
-            ipts.append(p)
-            raw.append(p)
+            ipts.append(p[:d] + p[4:])
+            raw.append(ipts[-1])
             if pts is not raw:
-                pts.append(p[:d] + pad + p[d:])
-            owner.append(None)
-            assign(q, (fresh[p],))
-        for q in range(first, len(raw)):
-            insert(q)
+                pts.append(p)
+            owner.append(P)
+            queue.extend(insert(len(raw) - 1))
 
     merged: dict[tuple[int, ...], list] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
@@ -772,21 +782,21 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return _sum_points([pts])
 
 
-def _hull_ids(ipts: list[tuple[int, ...]], dim: int, later=()):
+def _hull_ids(ipts: list[tuple[int, ...]], dim: int, groups=()):
     """Dedupe, rank and hull integer points in Z^dim, or homogeneous ones,
-    and at full rank fold the offset batches of later into the same engine
-    run (_hull_engine, stage 2); below full rank later is not read.
+    or at full rank, given point groups whose sum holds every point, hull
+    that sum from a simplex of the points (_hull_engine, the oracle
+    driver); below full rank groups is not read.
 
     Returns (ipts, chosen, cols, ids, merged, chain): the distinct points
-    in order of first occurrence, then the points stage 2 inserted; the ids
-    i whose edges ipts[i] - ipts[0] form the greedy basis of all edges, and
-    coordinates on which their minor is nonzero (_basis); the ids of the
-    extreme points, sorted by their coordinates; and the merged facets
-    (n, c, g) and boundary chain of the engine run, in the projected
-    coordinates below full rank.  At affine
-    rank 1 the facets are the segment's ends, (-1, -lo) and (+1, hi) of
-    weight 1 in the projected coordinate, and at rank 0 there are none; at
-    both the chain is None.
+    in order of first occurrence, then the vertices the oracle inserted;
+    the ids i whose edges ipts[i] - ipts[0] form the greedy basis of all
+    edges, and coordinates on which their minor is nonzero (_basis); the
+    ids of the extreme points, sorted by their coordinates; and the merged
+    facets (n, c, g) and boundary chain of the engine run, in the projected
+    coordinates below full rank.  At affine rank 1 the facets are the
+    segment's ends, (-1, -lo) and (+1, hi) of weight 1 in the projected
+    coordinate, and at rank 0 there are none; at both the chain is None.
     Homogeneous points (*p, w), p / w in lowest terms, have dim + 1 entries,
     and each offset c is then the pair (c, w) for c / w, as the engine gives
     them.
@@ -815,7 +825,7 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int, later=()):
         (a, *w), (b, *v) = (proj[i] for i in ids)
         merged = [((-1,), (-a, *w) if hom else -a, 1), ((1,), (b, *v) if hom else b, 1)]
     else:
-        ids, merged, chain = _hull_engine(proj, r, [0] + chosen, later if r == dim else ())
+        ids, merged, chain = _hull_engine(proj, r, [0] + chosen, groups if r == dim else ())
     ids.sort(key=key)
     return ipts, chosen, cols, ids, merged, chain
 
@@ -938,15 +948,16 @@ def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
     None.
 
     A sum of one or two groups is hulled once, on the sums p + q.  A longer
-    one is folded, and every candidate point is a point of the whole sum:
-    the first group is shifted by the first point q_j0 of each later group
-    S_j, and S_j enters as its offsets q - q_j0, the zero offset first.  The
-    groups are added in order, pairwise, while the candidates are below
-    full rank: each running total is cut to its extreme points before the
-    next group is added.  Once the candidates span R^dim and groups remain,
-    one engine run hulls them and folds the remaining groups' offsets into
-    its hull (_hull_engine, stage 2), so that no partial sum is hulled
-    again.
+    one is folded, and every point is a point of the whole sum: the first
+    group is shifted by the first point q_j0 of each later group S_j, and
+    S_j enters as its offsets q - q_j0, the zero offset first.  The groups
+    are added in order, pairwise, while the partial sum is below full rank:
+    each running total is cut to its extreme points before the next group
+    is added.  Once the partial sum spans R^dim and groups remain, one
+    engine run starts from a simplex of it and grows it to the whole sum by
+    the linear-optimisation oracle over the shifted first group and every
+    group's offsets (_hull_engine, the oracle driver).  It inserts only
+    vertices of the sum, and no partial sum is hulled again.
 
     The integer form of the module docstring is chosen here, and read off
     the points everywhere after: a homogeneous point has dim + 1 entries.
@@ -981,10 +992,10 @@ def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
     # -q keeps a homogeneous point's weight
     offsets = [[plus(q, (*(-x for x in S[0][:dim]), *S[0][dim:])) for q in S] for S in rest]
     shift = reduce(plus, [S[0] for S in rest])
-    total = [plus(p, shift) for p in first]
+    total = first = [plus(p, shift) for p in first]
     for j, E in enumerate(offsets, 1):
         total = [plus(p, e) for p in total for e in E]
-        hull = _hull_ids(total, dim, offsets[j:])
+        hull = _hull_ids(total, dim, [first, *offsets])
         if j == len(offsets) or len(hull[1]) == dim:
             return hull, dim, s
         ipts, _, _, ids = hull[:4]

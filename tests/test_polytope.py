@@ -1276,25 +1276,59 @@ def test_fold_of_many_groups_matches_one_hull_of_every_sum(rank_at, den, monkeyp
     assert (hom > 0) == (den == 2**100)
 
 
-def test_fold_inserts_some_candidates_and_drops_others():
-    # one run on a full-rank cloud, then one batch of offsets [0, e]: each
-    # corner v of the live pieces gives one candidate v + e, all distinct.
-    # Some are beyond a piece at v and are inserted, appended to the points;
-    # the others are dropped.  The hull is that of the cloud and its
-    # translate by e
+def test_oracle_driver_proves_pieces_final_and_inserts_vertices():
+    # one run on a full-rank cloud whose oracle groups are the cloud and
+    # [0, e], so that it hulls the cloud and its translate by e.  The first
+    # k points lie on x_0 = -9 and the others above it, so the starting
+    # simplex is points 0, ..., k, and its piece on corners 0, ..., k - 1
+    # lies on x_0 = -9.  As e_0 > 0 that plane supports the sum: the piece's
+    # query proves it final, and it lives to the end.  Every other vertex of
+    # the sum is the oracle's point beyond some piece, appended to the points
+    # and inserted; the cloud's other points are never inserted
     for k in (2, 3, 4):
         rng = random.Random(f"fold-branches:{k}")
-        pts = [tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(12)]
+        pts = [(-9 if i < k else rng.randint(-8, 9), *(rng.randint(-9, 9) for _ in range(k - 1)))
+               for i in range(k + 12)]
         e = tuple(rng.randint(1, 3) * (-1) ** i for i in range(k))
-        base = polytope._hull_ids(list(pts), k)
-        assert len(base[1]) == k
-        corners = {v for P in base[5][1] for v in P.verts}
-        got = polytope._hull_ids(list(pts), k, [[(0,) * k, e]])
-        inserted = len(got[0]) - len(base[0])
-        assert 0 < inserted < len(corners)
-        want = polytope._hull_ids(pts + [tuple(map(sum, zip(p, e))) for p in pts], k)
+        got = polytope._hull_ids(list(pts), k, [pts, [(0,) * k, e]])
+        assert got[1] == list(range(1, k + 1))
+        pieces = got[5][1]
+        assert tuple(range(k)) in [P.verts for P in pieces]
+        sums = pts + [tuple(map(sum, zip(p, e))) for p in pts]
+        # every live piece was proved final, or lies on a plane that was
+        assert all(max(dot(P.plane[:k], x) for x in sums) == P.plane[4] for P in pieces)
+        inserted = range(len(set(pts)), len(got[0]))
+        assert inserted and set(inserted) <= set(got[3])
+        want = polytope._hull_ids(sums, k)
         assert sorted(got[0][i] for i in got[3]) == sorted(want[0][i] for i in want[3])
         assert sorted(got[4]) == sorted(want[4])
+
+
+@pytest.mark.parametrize("den", [1, 2**100], ids=["den1", "den2e100"])
+def test_oracle_inserts_only_vertices_of_the_sum(den, monkeypatch):
+    # every point the oracle driver appends to a run's points is among the
+    # run's vertex_ids, so it inserts at most as many points as the sum has
+    # vertices; in both integer forms
+    engine = polytope._hull_engine
+    seen = []
+
+    def recorded(ipts, d, simplex, groups=()):
+        first = len(ipts)
+        ids, merged, chain = engine(ipts, d, simplex, groups)
+        seen.append((range(first, len(ipts)), ids, len(ipts[0]) > d))
+        return ids, merged, chain
+
+    monkeypatch.setattr(polytope, "_hull_engine", recorded)
+    rng = random.Random(f"oracle-vertices:{den}")
+    inserted = 0
+    for k in (2, 3, 4):
+        for _ in range(3):
+            seen.clear()
+            polytope._sum_points(fold_groups(rng, k, "first", den))
+            for new, ids, hom in seen:
+                assert set(new) <= set(ids) and hom == (den == 2**100)
+                inserted += len(new)
+    assert inserted > 0
 
 
 # -- both integer forms ------------------------------------------------------------

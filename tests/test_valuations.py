@@ -515,10 +515,10 @@ def test_reconstruction_certified_rational_body(kind):
 def test_k8_projection_body_folds_in_three_engine_runs(monkeypatch):
     # the recorded reconstruction body K8 (tests/work_counts.py) has 18
     # atoms, so its projection body sums 18 segments.  The fold hulls the
-    # partial sums of ranks 2 and 3 to cut them, then folds the other 14
-    # segments into the one engine run that hulls the first rank-4 sum; the
-    # pairwise fold made 17 runs.  The body keeps its 1,562 vertices, and its
-    # support is the evaluator's
+    # partial sums of ranks 2 and 3 to cut them, then one engine run grows
+    # a simplex of the first rank-4 partial sum to the whole sum by the
+    # oracle driver; the pairwise fold made 17 runs.  The body keeps its
+    # 1,562 vertices, and its support is the evaluator's
     import minkval.polytope as polytope
     from minkval import harness
 
@@ -539,6 +539,16 @@ def test_k8_projection_body_folds_in_three_engine_runs(monkeypatch):
     for _ in range(10):
         w = rand_dir(rng)
         assert R.support(w) == ev.at(w)
+
+
+def test_k8_projection_body_certified():
+    # the first large input of certify_reconstruction: the projection body
+    # of the recorded body K8, 1,562 vertices, is proved to be the
+    # evaluator's body facet by facet and vertex by vertex
+    from minkval import harness
+
+    K = harness.rand_polytope(random.Random(7), min_verts=8, max_verts=8)
+    certify_reconstruction(ValuationOp("proj"), K)
 
 
 def _cmul(c, w):

@@ -31,10 +31,13 @@ counted function that was not called counts 0.  The inputs (all of them by
 default) are
 
 - suite: run_suite(42, 3);
-- K8:<kind> for kind in proj, diff, d_m, dtilde_m: apply_valuation on the
-  recorded reconstruction body K8.  That is rng = random.Random(7),
+- K8:<kind> for kind in proj, diff, d_m, dtilde_m, pi_n: apply_valuation
+  on the recorded reconstruction body K8.  That is rng = random.Random(7),
   K = rand_polytope(rng, min_verts=8, max_verts=8), then
-  M = rand_planar_polygon(rng).  Building K8 is not counted;
+  M = rand_planar_polygon(rng) and N = rand_planar_polygon(rng), the
+  parameter bodies of d_m, dtilde_m and pi_n.  K8:pi_n, a 14,276-vertex
+  output, is the largest input: about 5 s on a 2-core host, and about a
+  minute on revisions before the oracle driver.  Building K8 is not counted;
 - kernel: one round of the benchmark's kernel workload at seed 1, the six
   calls on each of its 16 clouds in op order (perfbench/workloads.py,
   read only).  Building the clouds and the round's small simplex is not
@@ -56,7 +59,7 @@ from pathlib import Path
 
 from minkval import harness, polytope, valuations
 
-K8_KINDS = ("proj", "diff", "d_m", "dtilde_m")
+K8_KINDS = ("proj", "diff", "d_m", "dtilde_m", "pi_n")
 INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS), "kernel", "recon")
 COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_hull_ids", "_sum_points",
            "_sum_chain")
@@ -130,7 +133,7 @@ def uninstall(restore: list):
 def k8():
     rng = random.Random(7)
     K = harness.rand_polytope(rng, min_verts=8, max_verts=8)
-    return K, harness.rand_planar_polygon(rng)
+    return K, harness.rand_planar_polygon(rng), harness.rand_planar_polygon(rng)
 
 
 def workload(name: str):
@@ -190,8 +193,8 @@ def run(name: str):
     kind = name.removeprefix("K8:")
     if name == kind or kind not in K8_KINDS:
         raise SystemExit(f"unknown input {name!r}; known: {', '.join(INPUTS)}")
-    K, M = k8()
-    params = {"M": M} if "M" in valuations.OPERATORS[kind].params else {}
+    K, M, N = k8()
+    params = {p: {"M": M, "N": N}[p] for p in valuations.OPERATORS[kind].params}
     op = valuations.ValuationOp(kind, **params)
     return lambda: valuations.apply_valuation(op, K)
 
