@@ -170,6 +170,8 @@ def mixed_volume_fn(K: Polytope, phi: Callable[[tuple], Fraction]) -> Fraction:
     Every integrand value must be a Fraction; anything else raises
     ValueError, so nothing rounds.
     """
+    if not isinstance(K, Polytope):
+        raise TypeError(f"mixed_volume_fn expects a Polytope, not {type(K).__name__}")
     if K.ambient_dim != 4:
         raise ValueError("mixed_volume_fn requires ambient dimension 4")
     total = Fraction(0)

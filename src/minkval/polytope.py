@@ -4,19 +4,21 @@ Vertex-representation polytopes with exact Fraction coordinates.  Every hull
 and Minkowski sum enters through _sum_points(groups), the one path from
 rational points to a Polytope: it makes the points integer and hulls their
 sum (_cleared_sum), and _hull_cleared builds Fractions for the kept vertices
-only.  The hull engine is Quickhull-style: each point outside the current
-hull waits in the outside list of one simplicial piece it sees, the points
-are inserted farthest-first, and one insertion step walks across ridges from
-the owner piece to the pieces the point sees and hands their outside points
-to the new pieces only.  Its sign predicates are integer-only and unrolled
-in Z^4.  A sum of three or more groups is folded: the groups are added
-pairwise while the partial sum is below full rank, and then one engine run
-starts from a simplex of the first full-rank partial sum and grows it to
-the whole sum by a linear-optimisation oracle.  For a piece with normal n,
-the oracle adds up each group's lexicographic maximiser of (<n, x>, x), a
-vertex of the sum (Fukuda, J. Symbolic Comput. 38, 2004); the piece is
-final when that vertex lies on it, and otherwise the same insertion step
-inserts the vertex.  So only vertices of the sum are inserted, and no
+only.  The hull engine is Quickhull-style (Barber, Dobkin and Huhdanpaa,
+ACM TOMS 22, 1996): one loop walks the live simplicial pieces and asks for
+a point beyond each, and one insertion step walks across ridges from that
+piece to the pieces the point sees and hands their outside points to the
+new pieces only.  On a point set, each point outside the hull waits in the
+outside list of one piece it sees, and the point asked for is the farthest
+one of the piece's own list.  Its sign predicates are integer-only and
+unrolled in Z^4.  A sum of three or more groups is folded: the groups are
+added pairwise while the partial sum is below full rank, and then one
+engine run starts from a simplex of the first full-rank partial sum and
+grows it to the whole sum by a linear-optimisation oracle.  For a piece
+with normal n, the oracle adds up each group's lexicographic maximiser of
+(<n, x>, x), a vertex of the sum (Fukuda, J. Symbolic Comput. 38, 2004);
+the piece is final when that vertex lies on it, and otherwise the vertex
+is the point asked for.  So only vertices of the sum are inserted, and no
 partial sum is hulled again.
 _basis, the one integer rank routine, picks the starting simplex, projects a
 flat one-to-one and tells the vertices.  _plane is the one integer cross
@@ -226,9 +228,10 @@ class _Piece:
     (*n, c, w) with c / w the rational offset in lowest terms.  verts are the
     sorted labels of the corners; nbrs[j] is the piece across ridge j, the
     j-th of combinations(verts, d - 1), which omits corner d - 1 - j.
-    outside lists the points that see this piece first, or is None while
-    there are none, and mark is the last point the piece was tested against
-    (see the walk).
+    outside lists the points that wait on this piece, by their index in
+    the engine's ipts: each was found strictly beyond it, and it was the
+    first such piece of its step.  It is None while there are none, and
+    mark is the last point the piece was tested against (see the walk).
     """
 
     __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
@@ -244,35 +247,35 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     the pieces of the gcd g of the piece's cross product, which is
     g * normal; and the boundary chain (points, pieces), the live pieces
     (_Piece) in order of creation, whose verts index points, the points in
-    the run's own order.  The chain is what the run already holds:
+    order of insertion.  The chain is what the run already holds:
     returning it builds nothing, and the caller decides what to keep.
 
-    One insertion step, insert, adds a point outside the current hull and
-    returns the pieces it made: it walks across ridges from the piece the
-    point waits on, its owner, to every piece it sees, cones the horizon to
-    it, and hands the outside points of the deleted pieces to the new pieces
-    only: a point beyond a deleted piece and outside the new hull is beyond
-    a new piece (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996).  A point
-    that sees no piece is inside for good and is never tested again.
+    One loop grows the starting simplex to the hull.  It walks the live
+    pieces in order of creation, each new piece queued as it is made, and
+    asks for one point beyond each piece it pops that is still live.
+    Without groups, every other point waits in the outside list of the
+    first starting piece it sees, and the point is the farthest one of the
+    piece's own list (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996); a
+    piece whose list is empty is done.  With groups, which are in the form
+    of the points and have every point of ipts in their sum, the points
+    give only the starting simplex, and the point is the oracle's: the sum
+    p of each group's lexicographic maximiser of (<n, x>, x) for the
+    piece's normal n, which is the sum's own maximiser and a vertex of it
+    (Fukuda, J. Symbolic Comput. 38, 2004; Emiris, Fisikopoulos, Konaxis
+    and Penaranda, IJCGA 23, 2013).  If <n, p> = c, or <n, p> / w = c / v on
+    homogeneous points, the piece is final, and so is every piece on its
+    plane; otherwise p is appended to ipts, and vertex_ids index the grown
+    list.  A query inserts a vertex, which is then on the hull for good,
+    or proves a facet's plane final, so the oracle makes at most V + F of
+    them.  When the queue is empty, no live piece has a point beyond it.
 
-    Two drivers call it.  Without groups, the outside-list driver inserts
-    the points off the starting simplex, farthest from its centroid first;
-    each point waits on the first piece it sees.  With groups, which are in
-    the form of the points and have every point of ipts in their sum, the
-    points give only the starting simplex, and the oracle driver grows it
-    to the hull of the sum.  It walks the live pieces in order of creation,
-    each new piece queued as it is made, and queries the oracle on each
-    piece (n, c) still live: the sum p of each group's lexicographic
-    maximiser of (<n, x>, x), which is the sum's own maximiser and a vertex
-    of it (Fukuda, J. Symbolic Comput. 38, 2004; Emiris, Fisikopoulos,
-    Konaxis and Penaranda, IJCGA 23, 2013).  If <n, p> = c, or
-    <n, p> / w = c / v on homogeneous points, the piece is final, and so is
-    every piece on its plane.  Otherwise p lies beyond the piece, which
-    owns it, and it is inserted and appended to ipts; vertex_ids index the
-    grown list.  A query inserts a vertex, which is then on the hull for
-    good, or proves a facet's plane final, so the run makes at most V + F
-    of them; when the queue is empty every live piece lies on a supporting
-    plane of the sum, and the hull is the sum.
+    One insertion step, insert, adds the point beyond the piece popped and
+    returns the pieces it made: it walks across ridges from that piece to
+    every piece the point sees, cones the horizon to it, and hands the
+    outside points of the deleted pieces to the new pieces only: a point
+    beyond a deleted piece and outside the new hull is beyond a new piece.
+    A point that sees no piece is inside for good and is never tested
+    again.
 
     Every piece is built by one constructor, piece, from _plane or, on
     homogeneous points, _plane_hom, bound once per run.  Points of d + 1
@@ -288,27 +291,18 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         lw = lcm(*(ipts[i][d] for i in simplex))
         interior2 = tuple(sum(ipts[i][j] * (lw // ipts[i][d]) for i in simplex) for j in range(d))
         kw = k * lw
-        # |p / w - interior2 / kw|^2 times kw^2, floored: the floor can only
-        # tie distances less than 1 / kw^2 apart, and any order gives the
-        # same hull
-        dist = lambda p: sum((kw * x - p[d] * m) ** 2 for x, m in zip(p, interior2)) // p[d] ** 2
     else:
         interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
         kw = k
-        dist = lambda p: sum((k * x - m) ** 2 for x, m in zip(p, interior2))
-    # label the points in order of insertion: the simplex, then the rest by
-    # decreasing squared distance from the centroid, ties by id; so a new
-    # point's label exceeds that of every corner on the hull.  With groups,
-    # the oracle driver inserts the points, and only the simplex is labelled
-    skip = set(simplex)
-    rest = [] if groups else [i for i in range(len(ipts)) if i not in skip]
-    rest.sort(key=lambda i: dist(ipts[i]), reverse=True)
-    ids = simplex + rest
-    raw = [ipts[i] for i in ids]
     # the visibility tests run in Z^4, on points and normals padded by zeros
     # ahead of a homogeneous point's weight
     pad = (0,) * (4 - d)
-    pts = [p[:d] + pad + p[d:] for p in raw] if pad else raw
+    pts = [p[:d] + pad + p[d:] for p in ipts] if pad else ipts
+    # the points are labelled in order of insertion, the simplex first, so
+    # that a new point's label exceeds that of every corner on the hull;
+    # raw holds them by label and ids their indices in ipts
+    ids = list(simplex)
+    raw = [ipts[i] for i in ids]
     plane_of = _plane_hom if hom else _plane
 
     def piece(verts, plane=None):
@@ -331,59 +325,57 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         P.outside = P.mark = None
         return P
 
-    owner: list = [None] * len(ids)
-
-    def assign(q, pieces):
-        # q joins the outside list of the first of the pieces it is
+    def assign(r, pieces):
+        # r joins the outside list of the first of the pieces it is
         # strictly beyond, or is inside them all
-        x0, x1, x2, x3 = pts[q]
+        x0, x1, x2, x3 = pts[r]
         for P in pieces:
             a, b, e, f, c = P.plane
             if a * x0 + b * x1 + e * x2 + f * x3 > c:
-                owner[q] = P
                 if P.outside is None:
-                    P.outside = [q]
+                    P.outside = [r]
                 else:
-                    P.outside.append(q)
+                    P.outside.append(r)
                 return
-        owner[q] = None
 
-    def assign_hom(q, pieces):
+    def assign_hom(r, pieces):
         # the same on homogeneous points and planes
-        x0, x1, x2, x3, w = pts[q]
+        x0, x1, x2, x3, w = pts[r]
         for P in pieces:
             a, b, e, f, c, v = P.plane
             if v * (a * x0 + b * x1 + e * x2 + f * x3) > w * c:
-                owner[q] = P
                 if P.outside is None:
-                    P.outside = [q]
+                    P.outside = [r]
                 else:
-                    P.outside.append(q)
+                    P.outside.append(r)
                 return
-        owner[q] = None
 
     # two closures, rather than a branch in one, keep the common path's
     # inner loop as lean as it was
     if hom:
         assign = assign_hom
 
-    def insert(q):
-        # the insertion step, for a point q that waits on a piece, its owner
-        V = owner[q]
-        if V is None:
-            return
-        owner[q] = None
+    def heights(n, S):
+        # <n, x> over the padded points x of S, over each point's weight w
+        # on homogeneous points
+        a, b, e, f = n
         if hom:
-            x0, x1, x2, x3, w = pts[q]
+            return [Fraction(a * x0 + b * x1 + e * x2 + f * x3, w) for x0, x1, x2, x3, w in S]
+        return [a * x0 + b * x1 + e * x2 + f * x3 for x0, x1, x2, x3 in S]
+
+    def insert(q, V):
+        # the insertion step, for the point labelled q, beyond the piece V
+        if hom:
+            x0, x1, x2, x3, w = pts[ids[q]]
         else:
-            x0, x1, x2, x3 = pts[q]
-        # walk the pieces q sees, a ball around its owner, marking each piece
-        # tested with q (seen) or ~q (not seen).  Each ridge to a piece not
-        # seen is on the horizon and gets the new piece ridge + (q,), whose
-        # ridge 0 is that ridge and ridge i + 1 that ridge's i-th sub-ridge
-        # plus q; two new pieces meet across each sub-ridge of the horizon.
-        # When q lies on the plane of the piece not seen, in flat, the new
-        # piece lies on it too and takes that plane.
+            x0, x1, x2, x3 = pts[ids[q]]
+        # walk the pieces q sees, a ball around V, marking each piece tested
+        # with q (seen) or ~q (not seen).  Each ridge to a piece not seen is
+        # on the horizon and gets the new piece ridge + (q,), whose ridge 0
+        # is that ridge and ridge i + 1 that ridge's i-th sub-ridge plus q;
+        # two new pieces meet across each sub-ridge of the horizon.  When q
+        # lies on the plane of the piece not seen, in flat, the new piece
+        # lies on it too and takes that plane.
         V.mark = q
         visible = [V]
         new = []
@@ -425,8 +417,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         for V in visible:
             if V.outside is not None:
                 for r in V.outside:
-                    if r != q:
-                        assign(r, new)
+                    assign(r, new)
             # no cycles left behind, so the dead pieces are freed at once
             V.nbrs = V.outside = None
         return new
@@ -436,48 +427,52 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         P.nbrs = [start[j] for j in range(d, -1, -1) if j != i]
     # live pieces in order of creation, so that the merge below is repeatable
     live = dict.fromkeys(start)
-    for q in range(k, len(ids)):
-        assign(q, start)
-    for q in range(k, len(ids)):
-        insert(q)
-
     if groups:
-        # the oracle driver.  Each group is padded to Z^4 and sorted in
-        # decreasing order, so that its first point of largest <n, x> is its
-        # lexicographic maximiser of (<n, x>, x)
+        # each group is padded to Z^4 and sorted in decreasing order, so that
+        # its first point of largest <n, x> is its lexicographic maximiser of
+        # (<n, x>, x)
         key = (lambda p: [Fraction(x, p[4]) for x in p[:4]]) if hom else None
         groups = [sorted((p[:d] + pad + p[d:] for p in S), key=key, reverse=True) for S in groups]
         # the planes proved final: a piece made on one of them is final too
         final = set()
-        queue = deque(live)
-        while queue:
-            P = queue.popleft()
-            if P.nbrs is None or P.plane in final:
+    else:
+        skip = set(simplex)
+        for r in range(len(ipts)):
+            if r not in skip:
+                assign(r, start)
+    queue = deque(start)
+    while queue:
+        P = queue.popleft()
+        if P.nbrs is None:
+            continue
+        n = P.plane[:4]
+        if groups:
+            if P.plane in final:
                 continue
-            # h(n) = sum_j max_{S_j} <n, x>, over each point's weight w on
-            # homogeneous points, against the offset c, or c / v
-            if hom:
-                a, b, e, f, c, v = P.plane
-                c = Fraction(c, v)
-                dots = [[Fraction(a * x0 + b * x1 + e * x2 + f * x3, w) for x0, x1, x2, x3, w in S]
-                        for S in groups]
-            else:
-                a, b, e, f, c = P.plane
-                dots = [[a * x0 + b * x1 + e * x2 + f * x3 for x0, x1, x2, x3 in S] for S in groups]
+            # h(n) = sum_j max_{S_j} <n, x> against the offset c, or c / v
+            dots = [heights(n, S) for S in groups]
             tops = [max(D) for D in dots]
-            if sum(tops) == c:
+            if sum(tops) == (Fraction(*P.plane[4:]) if hom else P.plane[4]):
                 final.add(P.plane)
                 continue
-            # the oracle's vertex, beyond P: P owns it, and it is inserted
+            # the oracle's vertex, beyond P
             top = [S[D.index(t)] for S, D, t in zip(groups, dots, tops)]
             p = reduce(_hom_add, top) if hom else tuple(map(sum, zip(*top)))
-            ids.append(len(ipts))
             ipts.append(p[:d] + p[4:])
-            raw.append(ipts[-1])
-            if pts is not raw:
+            if pts is not ipts:
                 pts.append(p)
-            owner.append(P)
-            queue.extend(insert(len(raw) - 1))
+            i = len(ipts) - 1
+        elif P.outside is None:
+            continue
+        else:
+            # the farthest point of the piece's own outside list: <n, x> - c
+            # is |n| times a point's distance from the plane; ties go to the
+            # first
+            h = heights(n, [pts[r] for r in P.outside])
+            i = P.outside.pop(h.index(max(h)))
+        ids.append(i)
+        raw.append(ipts[i])
+        queue.extend(insert(len(raw) - 1, P))
 
     merged: dict[tuple[int, ...], list] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
@@ -785,8 +780,8 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 def _hull_ids(ipts: list[tuple[int, ...]], dim: int, groups=()):
     """Dedupe, rank and hull integer points in Z^dim, or homogeneous ones,
     or at full rank, given point groups whose sum holds every point, hull
-    that sum from a simplex of the points (_hull_engine, the oracle
-    driver); below full rank groups is not read.
+    that sum from a simplex of the points (_hull_engine, by the oracle);
+    below full rank groups is not read.
 
     Returns (ipts, chosen, cols, ids, merged, chain): the distinct points
     in order of first occurrence, then the vertices the oracle inserted;
@@ -956,8 +951,8 @@ def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
     is added.  Once the partial sum spans R^dim and groups remain, one
     engine run starts from a simplex of it and grows it to the whole sum by
     the linear-optimisation oracle over the shifted first group and every
-    group's offsets (_hull_engine, the oracle driver).  It inserts only
-    vertices of the sum, and no partial sum is hulled again.
+    group's offsets (_hull_engine).  It inserts only vertices of the sum,
+    and no partial sum is hulled again.
 
     The integer form of the module docstring is chosen here, and read off
     the points everywhere after: a homogeneous point has dim + 1 entries.

@@ -75,6 +75,8 @@ class ValuationOp:
             body = getattr(self, name)
             if needed != (body is not None):
                 raise ValueError(f"kind {self.kind!r} {'requires' if needed else 'forbids'} {name}")
+            if body is not None and not isinstance(body, Polytope):
+                raise TypeError(f"parameter {name} must be a Polytope, not {type(body).__name__}")
             if body is not None and (body.ambient_dim != 2 or body.is_empty):
                 raise ValueError(f"parameter {name} must be a nonempty planar body")
 

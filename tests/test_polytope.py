@@ -1471,9 +1471,14 @@ def _oface_rank(pts, a, c):
 def large_cloud(seed):
     """40-150 points of R^4, most of them interior, on facets or repeated:
     a box lattice grid under a unimodular shear, or all sums of three small
-    lattice point sets; every third cloud is scaled by 2/3."""
+    lattice point sets; every third cloud is scaled by 2/3.  The seed
+    "per-point" gives a grid whose points other than the box's corners are
+    moved within their face of the box, each by a / q for integers a and
+    one q in [2^40, 2^41] per point: the points' denominators are
+    unrelated, and the hull takes the per-point form."""
     rng = random.Random(f"large-cloud:{seed}")
-    if seed % 2 == 0:
+    per_point = seed == "per-point"
+    if per_point or seed % 2 == 0:
         while True:
             sides = [rng.randint(1, 3) for _ in range(4)]
             if 40 <= (sides[0] + 1) * (sides[1] + 1) * (sides[2] + 1) * (sides[3] + 1) <= 130:
@@ -1481,6 +1486,15 @@ def large_cloud(seed):
         shear = [[int(i == j) if j <= i else rng.randint(-1, 1) for j in range(4)]
                  for i in range(4)]
         grid = itertools.product(*(range(s + 1) for s in sides))
+        if per_point:
+            # a coordinate strictly inside its side moves by less than 1/2
+            # and stays inside; one on the box's boundary stays
+            moved = []
+            for p in grid:
+                q = rng.randint(2**40, 2**41)
+                moved.append(tuple(x + F(rng.randint(1 - q // 2, q // 2 - 1), q) if 0 < x < s
+                                   else F(x) for x, s in zip(p, sides)))
+            grid = moved
         pts = [tuple(sum(r * x for r, x in zip(row, p)) for row in shear) for p in grid]
     else:
         # a lattice segment with its midpoint, and one more point, per set
@@ -1490,14 +1504,17 @@ def large_cloud(seed):
             sets.append([(0,) * 4, v, tuple(2 * x for x in v), w])
         pts = [tuple(map(sum, zip(a, b, c))) for a, b, c in itertools.product(*sets)]
     pts += rng.choices(pts, k=10)
-    scale = F(2, 3) if seed % 3 == 0 else 1
+    scale = F(2, 3) if not per_point and seed % 3 == 0 else 1
     return [tuple(scale * F(x) for x in p) for p in pts]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_hull_large_clouds_certified(seed):
+@pytest.mark.parametrize("seed", [*range(6), "per-point"])
+def test_hull_large_clouds_certified(seed, monkeypatch):
     # large enough for points to be handed between outside lists many times;
-    # the brute-force oracles above stop at nine points
+    # the brute-force oracles above stop at nine points.  The seeded clouds
+    # run over a common s, and the per-point one on homogeneous points, so
+    # both forms of the farthest point of an outside list are certified
+    runs = engine_runs(monkeypatch)
     pts = large_cloud(seed)
     P = convex_hull(pts)
     distinct = set(pts)
@@ -1508,6 +1525,7 @@ def test_hull_large_clouds_certified(seed):
     for _ in range(5):
         rng.shuffle(pts)
         assert hull_record(convex_hull(pts)) == hull_record(P)
+    assert runs == ([0, 6] if seed == "per-point" else [6, 0])
 
     # every input lies beneath every facet, each facet's hyperplane meets the
     # inputs in a 3-face, and the vertices on it are the facet's vertex ids
@@ -1522,6 +1540,29 @@ def test_hull_large_clouds_certified(seed):
     for _ in range(64):
         u = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
         assert P.support(u) == max(_odot(u, p) for p in pts)
+
+
+def test_large_clouds_build_pinned_piece_count(monkeypatch):
+    # the work of the six seeded hulls, in facet pieces built (_plane calls,
+    # which _plane_hom makes too).  Inserting the farthest point of each
+    # piece's own outside list builds 834, and 97 on the per-point cloud;
+    # inserting every point in one order, farthest from the starting
+    # simplex's centroid first, built 1,732 and 331
+    built = 0
+    plane = polytope._plane
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return plane(*args)
+
+    monkeypatch.setattr(polytope, "_plane", counted)
+    for seed in range(6):
+        convex_hull(large_cloud(seed))
+    assert built == 834
+    built = 0
+    convex_hull(large_cloud("per-point"))
+    assert built == 97
 
 
 # -- pinned kernel output ------------------------------------------------------------

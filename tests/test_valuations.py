@@ -19,6 +19,7 @@ from minkval.cplx import (
     group_action,
 )
 from minkval.harness import homogeneous_decomposition
+from minkval.mixed import mixed_volume_fn
 from minkval.polytope import Polytope, convex_hull, minkowski_sum, split_by_hyperplane
 from minkval.valuations import (
     OPERATORS,
@@ -708,3 +709,14 @@ def test_operator_table_entry(kind, spec):
 def test_argument_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_dual_bodies_raise_type_error():
+    # a body of W* where a Polytope is expected is a TypeError, as for the
+    # source body of apply_valuation, not an AttributeError from its fields
+    with pytest.raises(TypeError, match="parameter M must be a Polytope, not DualPolytope"):
+        ValuationOp("d_m", M=DualPolytope(triangle2()))
+    with pytest.raises(TypeError, match="parameter N must be a Polytope, not DualPolytope"):
+        ValuationOp("pi_n", N=DualPolytope(seg_m11()))
+    with pytest.raises(TypeError, match="mixed_volume_fn expects a Polytope, not DualPolytope"):
+        mixed_volume_fn(DualPolytope(unit_cube4()), unit_cube4().support)
