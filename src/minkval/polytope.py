@@ -21,13 +21,18 @@ the piece is final when that vertex lies on it, and otherwise the vertex
 is the point asked for.  So only vertices of the sum are inserted, and no
 partial sum is hulled again.
 _basis, the one integer rank routine, picks the starting simplex, projects a
-flat one-to-one and tells the vertices.  _plane is the one integer cross
-product, unrolled in Z^4 and fed zero-padded points in Z^2 and Z^3; it gives
-every facet piece and the normal of a codimension-1 flat.  Each simplicial facet
+flat one-to-one and tells the vertices; on summand groups only the simplex's
+corners need it.  _plane is the integer cross product, unrolled in Z^4 and
+fed zero-padded points in Z^2 and Z^3.  It gives the starting simplex's
+pieces, every piece of a run in Z^2 or Z^3 or on homogeneous points, the
+normal of a codimension-1 flat and the cofactors of mixed's volume
+polynomial.  A run in Z^4 over a common denominator, the most common one,
+builds every later piece in place in its insertion step, by _plane's
+arithmetic written out there, with no call.  Each simplicial facet
 piece is kept as its primitive outward normal u, offset c and the gcd g of
 its cross product, which is g * u.  A new piece whose point lies on the plane
 of the horizon piece it borders lies on that plane too: it takes (u, c) from
-there, and _plane's known-plane form reads g off one cofactor of the cross
+there, and the known-plane form reads g off one cofactor of the cross
 product.  Coplanar pieces are merged by u into facets
 (u, c, G) with G the sum of their g, so facet identity and area-measure
 atoms are canonical, and
@@ -131,12 +136,14 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
 
     Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
     and g the gcd of the simplex's cross product X, which is therefore
-    +/- g * n.  This is the kernel's one integer cross product, unrolled in
-    Z^4 over the six 2x2 minors of the last two edges.  For d < 4 the points
-    and ref are padded with zeros and the edges completed by the unit edges
-    e_d, ..., e_3, whose minors vanish off the first d coordinates: the Z^4
-    cross product is then zero after entry d, and its first d entries are
-    the Z^d one.
+    +/- g * n.  This is the kernel's integer cross product, unrolled in
+    Z^4 over the six 2x2 minors of the last two edges.  The hull engine's
+    insertion step writes the same arithmetic out for the later pieces of
+    a run in Z^4 over a common denominator, and this function is their
+    reference.  For d < 4 the points and ref are padded with zeros and the
+    edges completed by the unit edges e_d, ..., e_3, whose minors vanish
+    off the first d coordinates: the Z^4 cross product is then zero after
+    entry d, and its first d entries are the Z^d one.
 
     known is the plane (*n, ...) of a piece the points are known to lie in,
     with n padded to Z^4 as the engine keeps it.  Then only X_j / n_j at the
@@ -277,9 +284,14 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     A point that sees no piece is inside for good and is never tested
     again.
 
-    Every piece is built by one constructor, piece, from _plane or, on
-    homogeneous points, _plane_hom, bound once per run.  Points of d + 1
-    entries are homogeneous, in the per-point form of the module docstring.
+    The starting simplex's pieces are built by one constructor, piece,
+    from _plane or, on homogeneous points, _plane_hom, bound once per run,
+    and so is every piece of a run in Z^2, Z^3 or on homogeneous points.
+    In Z^4 over a common denominator, insert builds each new piece in place,
+    by _plane's arithmetic on the edges from the new point; the form and d
+    pick the path once per run.  Every piece is a _Piece, looked up in the
+    module.  Points of d + 1 entries are homogeneous, in the per-point form
+    of the module docstring.
     A merged offset is then the pair (c, v) for c / v in lowest terms, and
     G a Fraction.  Otherwise c and G are in the units of the points.
     """
@@ -304,6 +316,9 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     ids = list(simplex)
     raw = [ipts[i] for i in ids]
     plane_of = _plane_hom if hom else _plane
+    # insert builds the new pieces of a run in Z^4 over a common denominator
+    # itself; every other piece comes from piece
+    z4 = d == 4 and not hom
 
     def piece(verts, plane=None):
         P = _Piece()
@@ -369,6 +384,10 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
             x0, x1, x2, x3, w = pts[ids[q]]
         else:
             x0, x1, x2, x3 = pts[ids[q]]
+            if z4:
+                # the interior point against q: a new piece's normal points
+                # away from it
+                e0, e1, e2, e3 = (i - kw * x for i, x in zip(interior2, (x0, x1, x2, x3)))
         # walk the pieces q sees, a ball around V, marking each piece tested
         # with q (seen) or ~q (not seen).  Each ridge to a piece not seen is
         # on the horizon and gets the new piece ridge + (q,), whose ridge 0
@@ -401,7 +420,60 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
                     N.mark = ~q
                     if t == 0:
                         flat.add(N)
-                P = piece(ridge + (q,), N.plane if N in flat else None)
+                if z4:
+                    # piece(ridge + (q,)) built in place by _plane's arithmetic,
+                    # on the edges from q to the ridge's corners
+                    P = _Piece()
+                    P.verts = ridge + (q,)
+                    P.outside = P.mark = None
+                    r0, r1, r2 = ridge
+                    u0, u1, u2, u3 = raw[r0]
+                    v0, v1, v2, v3 = raw[r1]
+                    w0, w1, w2, w3 = raw[r2]
+                    u0 -= x0; u1 -= x1; u2 -= x2; u3 -= x3
+                    v0 -= x0; v1 -= x1; v2 -= x2; v3 -= x3
+                    w0 -= x0; w1 -= x1; w2 -= x2; w3 -= x3
+                    if N in flat:
+                        # the known-plane form: one cofactor of the cross product
+                        n = P.plane = N.plane
+                        if n[0]:
+                            y = (u1 * (v2 * w3 - v3 * w2) - u2 * (v1 * w3 - v3 * w1)
+                                 + u3 * (v1 * w2 - v2 * w1)) // n[0]
+                        elif n[1]:
+                            y = (u2 * (v0 * w3 - v3 * w0) - u0 * (v2 * w3 - v3 * w2)
+                                 - u3 * (v0 * w2 - v2 * w0)) // n[1]
+                        elif n[2]:
+                            y = (u0 * (v1 * w3 - v3 * w1) - u1 * (v0 * w3 - v3 * w0)
+                                 + u3 * (v0 * w1 - v1 * w0)) // n[2]
+                        else:
+                            y = (u1 * (v0 * w2 - v2 * w0) - u0 * (v1 * w2 - v2 * w1)
+                                 - u2 * (v0 * w1 - v1 * w0)) // n[3]
+                        if y == 0:
+                            raise RuntimeError("degenerate facet candidate")
+                        P.g = abs(y)
+                    else:
+                        m01 = v0 * w1 - v1 * w0
+                        m02 = v0 * w2 - v2 * w0
+                        m03 = v0 * w3 - v3 * w0
+                        m12 = v1 * w2 - v2 * w1
+                        m13 = v1 * w3 - v3 * w1
+                        m23 = v2 * w3 - v3 * w2
+                        y0 = u1 * m23 - u2 * m13 + u3 * m12
+                        y1 = u2 * m03 - u0 * m23 - u3 * m02
+                        y2 = u0 * m13 - u1 * m03 + u3 * m01
+                        y3 = u1 * m02 - u0 * m12 - u2 * m01
+                        # the interior point is beneath the plane; a zero cross
+                        # product puts it on the plane too
+                        side = y0 * e0 + y1 * e1 + y2 * e2 + y3 * e3
+                        if side == 0:
+                            raise RuntimeError("degenerate facet candidate")
+                        P.g = g = gcd(y0, y1, y2, y3)
+                        if side > 0:
+                            g = -g
+                        y0 //= g; y1 //= g; y2 //= g; y3 //= g
+                        P.plane = (y0, y1, y2, y3, y0 * x0 + y1 * x1 + y2 * x2 + y3 * x3)
+                else:
+                    P = piece(ridge + (q,), N.plane if N in flat else None)
                 P.nbrs = nbrs = [N] + [None] * (d - 1)
                 N.nbrs[N.nbrs.index(V)] = P
                 for j, sub in enumerate(combinations(ridge, d - 2), 1):
@@ -450,7 +522,12 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
             if P.plane in final:
                 continue
             # h(n) = sum_j max_{S_j} <n, x> against the offset c, or c / v
-            dots = [heights(n, S) for S in groups]
+            if hom:
+                dots = [heights(n, S) for S in groups]
+            else:
+                a, b, e, f = n
+                dots = [[a * x0 + b * x1 + e * x2 + f * x3 for x0, x1, x2, x3 in S]
+                        for S in groups]
             tops = [max(D) for D in dots]
             if sum(tops) == (Fraction(*P.plane[4:]) if hom else P.plane[4]):
                 final.add(P.plane)
@@ -474,6 +551,11 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         raw.append(ipts[i])
         queue.extend(insert(len(raw) - 1, P))
 
+    # a point is extreme iff the facets through it have normals of rank d;
+    # every facet through an extreme point has a piece with it as a corner.
+    # On summand groups only the simplex's corners are tested: every point
+    # after them is the oracle's, a vertex of the sum
+    tested = k if groups else len(raw)
     merged: dict[tuple[int, ...], list] = {}
     incident: dict[int, set[tuple[int, ...]]] = {}
     for P in live:
@@ -493,11 +575,10 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         else:
             acc[1] += g
         for v in P.verts:
-            incident.setdefault(v, set()).add(n)
-
-    # a point is extreme iff the facets through it have normals of rank d;
-    # every facet through an extreme point has a piece with it as a corner
+            if v < tested:
+                incident.setdefault(v, set()).add(n)
     vertex_ids = [ids[v] for v, normals in incident.items() if len(_basis(normals, d)[0]) == d]
+    vertex_ids += ids[tested:]
     return vertex_ids, [(n, c, g) for n, (c, g) in merged.items()], (raw, live)
 
 

@@ -834,13 +834,14 @@ def test_coplanar_clouds_match_bruteforce(k, monkeypatch):
     # many points on each facet plane, so that a new piece often lies in the
     # plane of the horizon piece it borders and takes that plane; the result
     # must match the oracles and not depend on the input order
-    known = []
+    made = []
+    make = polytope._Piece
 
-    def counted(points, ref, kk, plane=None, *rest):
-        known.append(plane is not None)
-        return _plane(points, ref, kk, plane, *rest)
+    def recorded():
+        made.append(make())
+        return made[-1]
 
-    monkeypatch.setattr(polytope, "_plane", counted)
+    monkeypatch.setattr(polytope, "_Piece", recorded)
     rng = random.Random(f"coplanar:{k}")
     shapes = ["grid", "segments", "faces"] + (["flat2", "flat3"] if k == 4 else [])
     for shape in shapes:
@@ -851,7 +852,11 @@ def test_coplanar_clouds_match_bruteforce(k, monkeypatch):
             for _ in range(5):
                 rng.shuffle(pts)
                 assert hull_record(convex_hull(pts)) == hull_record(P)
-    assert sum(known) >= 10
+    # a piece that took its horizon neighbour's plane holds that very tuple,
+    # and every other piece a tuple of its own: count those of the runs of
+    # rank k, whichever path built them
+    full = [P for P in made if len(P.verts) == k]
+    assert len(full) - len({id(P.plane) for P in full}) >= 10
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -1306,27 +1311,42 @@ def test_oracle_driver_proves_pieces_final_and_inserts_vertices():
 
 @pytest.mark.parametrize("den", [1, 2**100], ids=["den1", "den2e100"])
 def test_oracle_inserts_only_vertices_of_the_sum(den, monkeypatch):
-    # every point the oracle driver appends to a run's points is among the
-    # run's vertex_ids, so it inserts at most as many points as the sum has
-    # vertices; in both integer forms
+    # every point the oracle driver appends to a run's points is a vertex of
+    # the sum as convex_hull finds it on the point path, over every sum of
+    # one point per group, where every vertex takes the rank test; so it
+    # inserts at most as many points as the sum has vertices.  In both
+    # integer forms: a point over the common denominator s is s * x, and a
+    # homogeneous one (w * x, w)
     engine = polytope._hull_engine
     seen = []
 
     def recorded(ipts, d, simplex, groups=()):
         first = len(ipts)
-        ids, merged, chain = engine(ipts, d, simplex, groups)
-        seen.append((range(first, len(ipts)), ids, len(ipts[0]) > d))
-        return ids, merged, chain
+        out = engine(ipts, d, simplex, groups)
+        seen.append((ipts[first:], len(ipts[0]) > d))
+        return out
 
     monkeypatch.setattr(polytope, "_hull_engine", recorded)
     rng = random.Random(f"oracle-vertices:{den}")
     inserted = 0
     for k in (2, 3, 4):
-        for _ in range(3):
+        # summed segments give facets parallel to whole groups, where both
+        # ends of a group tie in <n, x>
+        for rank_at in ["first"] * 3 + ["segments"] * 2:
+            groups = fold_groups(rng, k, rank_at, den)
             seen.clear()
-            polytope._sum_points(fold_groups(rng, k, "first", den))
-            for new, ids, hom in seen:
-                assert set(new) <= set(ids) and hom == (den == 2**100)
+            polytope._sum_points(groups)
+            runs = list(seen)
+            sums = set(groups[0])
+            for S in groups[1:]:
+                sums = {tuple(a + b for a, b in zip(x, p)) for x in sums for p in S}
+            vertices = set(convex_hull(sums).vertices)
+            s = lcm(*(x.denominator for S in groups for p in S for x in p))
+            for new, hom in runs:
+                assert hom == (den == 2**100)
+                got = {tuple(F(x, p[k]) for x in p[:k]) if hom else tuple(F(x, s) for x in p)
+                       for p in new}
+                assert len(got) == len(new) and got <= vertices
                 inserted += len(new)
     assert inserted > 0
 
@@ -1543,26 +1563,60 @@ def test_hull_large_clouds_certified(seed, monkeypatch):
 
 
 def test_large_clouds_build_pinned_piece_count(monkeypatch):
-    # the work of the six seeded hulls, in facet pieces built (_plane calls,
-    # which _plane_hom makes too).  Inserting the farthest point of each
-    # piece's own outside list builds 834, and 97 on the per-point cloud;
-    # inserting every point in one order, farthest from the starting
-    # simplex's centroid first, built 1,732 and 331
+    # the work of the six seeded hulls, in facet pieces built (_Piece
+    # constructions, which the engine looks up in the module for every
+    # piece, whichever path computes its plane).  Inserting the farthest
+    # point of each piece's own outside list builds 834, and 97 on the
+    # per-point cloud; inserting every point in one order, farthest from
+    # the starting simplex's centroid first, built 1,732 and 331
     built = 0
-    plane = polytope._plane
+    make = polytope._Piece
 
-    def counted(*args):
+    def counted():
         nonlocal built
         built += 1
-        return plane(*args)
+        return make()
 
-    monkeypatch.setattr(polytope, "_plane", counted)
+    monkeypatch.setattr(polytope, "_Piece", counted)
     for seed in range(6):
         convex_hull(large_cloud(seed))
     assert built == 834
     built = 0
     convex_hull(large_cloud("per-point"))
     assert built == 97
+
+
+def test_pieces_built_in_place_match_plane(monkeypatch):
+    # the pieces that insert builds in place, on Z^4 points over a common
+    # denominator, against _plane on their corners: the same primitive
+    # outward normal, offset and gcd g, both for a piece with a plane of its
+    # own and for one that took its horizon neighbour's plane (the
+    # known-plane form).  The live pieces of the six seeded large clouds,
+    # of an oracle run on a sum of four groups, and of a cloud with 300-bit
+    # coordinates; the reference point is the centroid of all the run's
+    # points, not the engine's
+    runs = []
+    engine = polytope._hull_engine
+
+    def recorded(ipts, d, simplex, groups=()):
+        runs.append(bool(groups))
+        return engine(ipts, d, simplex, groups)
+
+    monkeypatch.setattr(polytope, "_hull_engine", recorded)
+    rng = random.Random("in-place")
+    chains = [polytope._sum_chain([large_cloud(seed)])[2] for seed in range(6)]
+    chains.append(polytope._sum_chain([rand_points(rng, 4, 3) for _ in range(4)])[2])
+    big = [tuple(rng.randint(-2**300, 2**300) for _ in range(4)) for _ in range(40)]
+    chains.append(polytope._hull_ids(big, 4)[5])
+    assert runs == [False] * 6 + [True, False]
+    known = 0
+    for points, pieces in chains:
+        ref = tuple(map(sum, zip(*points)))
+        for P in pieces:
+            n, c, g = _plane([points[v] for v in P.verts], ref, len(points))
+            assert (P.plane, P.g) == (n + (c,), g)
+        known += len(pieces) - len({id(P.plane) for P in pieces})
+    assert known > 0
 
 
 # -- pinned kernel output ------------------------------------------------------------

@@ -7,10 +7,15 @@ The script wraps these functions and counts their calls:
 
 - polytope._direction, the one clearing of a direction;
 - polytope._hull_engine, one hull engine run;
-- polytope._plane and polytope._plane_hom, one facet piece each.  The
-  engine looks both up in the module at each run, and _plane_hom calls
-  _plane, so _plane counts every piece built, and with it every cofactor
-  that mixed_volume's volume polynomial reads (mixed binds _plane too);
+- polytope._plane and polytope._plane_hom, one cross product or
+  cofactor each.  _plane_hom calls _plane, so _plane counts every piece
+  that the engine's piece constructor builds, and every cofactor that
+  mixed_volume's volume polynomial reads (mixed binds _plane too); where
+  the revision builds the pieces of 4-dimensional runs over a common
+  denominator in place, it does not count those;
+- polytope._Piece, one facet piece each: the engine looks the class up in
+  the module for every piece it builds, on whichever path, so its count
+  is the pieces built on every revision that has it;
 - polytope._hull_ids, one dedupe-rank-hull of integer points,
   polytope._sum_points, one path from rational points to a Polytope, and
   polytope._sum_chain, the same path with the hull's boundary chain, which
@@ -61,8 +66,8 @@ from minkval import harness, polytope, valuations
 
 K8_KINDS = ("proj", "diff", "d_m", "dtilde_m", "pi_n")
 INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS), "kernel", "recon")
-COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_hull_ids", "_sum_points",
-           "_sum_chain")
+COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_Piece", "_hull_ids",
+           "_sum_points", "_sum_chain")
 # (points in, vertices out) of a call, for the functions counted with sizes
 SIZES = {
     "_hull_ids": lambda args, out: (len(args[0]), len(out[3])),
