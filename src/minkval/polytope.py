@@ -24,16 +24,18 @@ _basis, the one integer rank routine, picks the starting simplex, projects a
 flat one-to-one and tells the vertices; on summand groups only the simplex's
 corners need it.  _plane is the integer cross product, unrolled in Z^4 and
 fed zero-padded points in Z^2 and Z^3.  It gives the starting simplex's
-pieces, every piece of a run in Z^2 or Z^3 or on homogeneous points, the
-normal of a codimension-1 flat and the cofactors of mixed's volume
-polynomial.  A run in Z^4 over a common denominator, the most common one,
-builds every later piece in place in its insertion step, by _plane's
-arithmetic written out there, with no call.  Each simplicial facet
-piece is kept as its primitive outward normal u, offset c and the gcd g of
-its cross product, which is g * u.  A new piece whose point lies on the plane
-of the horizon piece it borders lies on that plane too: it takes (u, c) from
-there, and the known-plane form reads g off one cofactor of the cross
-product.  Coplanar pieces are merged by u into facets
+pieces, the normal of a codimension-1 flat and the cofactors of mixed's
+volume polynomial.  Every later piece of a run, in every dimension and
+both integer forms, takes its plane from the pencil through its ridge, as
+in gift wrapping (Chand and Kapur, J. ACM 17, 1970): the ridge joins a
+piece V that the new point q sees to a piece N that it does not, and with
+t_X the height of q over X's plane, t_V * H_N - t_N * H_V is the plane
+through the ridge and q, outward as t_V > 0 >= t_N.  When t_N = 0, q lies
+on N's plane and the new piece takes that plane.  Each simplicial facet
+piece is kept as its primitive outward normal u and offset c; the gcd g
+of its cross product, which is g * u, is read by the merge only, which
+takes it off one cofactor of the cross product (_plane's known-plane
+form) for the live pieces.  Coplanar pieces are merged by u into facets
 (u, c, G) with G the sum of their g, so facet identity and area-measure
 atoms are canonical, and
 
@@ -137,20 +139,21 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
     and g the gcd of the simplex's cross product X, which is therefore
     +/- g * n.  This is the kernel's integer cross product, unrolled in
-    Z^4 over the six 2x2 minors of the last two edges.  The hull engine's
-    insertion step writes the same arithmetic out for the later pieces of
-    a run in Z^4 over a common denominator, and this function is their
-    reference.  For d < 4 the points and ref are padded with zeros and the
-    edges completed by the unit edges e_d, ..., e_3, whose minors vanish
-    off the first d coordinates: the Z^4 cross product is then zero after
-    entry d, and its first d entries are the Z^d one.
+    Z^4 over the six 2x2 minors of the last two edges.  The hull engine
+    takes it for the starting simplex's pieces and, in the known-plane
+    form, for the weight g of each live piece at the merge; the planes of
+    its later pieces come from the pencil through their ridge, and this
+    function is their reference.  For d < 4 the points and ref are padded
+    with zeros and the edges completed by the unit edges e_d, ..., e_3,
+    whose minors vanish off the first d coordinates: the Z^4 cross product
+    is then zero after entry d, and its first d entries are the Z^d one.
 
     known is the plane (*n, ...) of a piece the points are known to lie in,
     with n padded to Z^4 as the engine keeps it.  Then only X_j / n_j at the
     first nonzero n_j is returned: one cofactor of X, with no gcd, offset or
     orientation test.  It is +g when the points run positively about n and
-    -g otherwise, so the engine takes its absolute value, and the volume
-    polynomial of mixed.mixed_volume reads the sign.
+    -g otherwise, so the engine's merge takes its absolute value, and the
+    volume polynomial of mixed.mixed_volume reads the sign.
 
     """
     d = len(ref)
@@ -230,18 +233,25 @@ def _plane_hom(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, 
 class _Piece:
     """One simplicial piece of the boundary during a _hull_engine run.
 
-    plane is (*n, c), with n padded by zeros to Z^4, and g the gcd of the
-    cross product, as _plane gives them; on homogeneous points it is
-    (*n, c, w) with c / w the rational offset in lowest terms.  verts are the
-    sorted labels of the corners; nbrs[j] is the piece across ridge j, the
-    j-th of combinations(verts, d - 1), which omits corner d - 1 - j.
-    outside lists the points that wait on this piece, by their index in
-    the engine's ipts: each was found strictly beyond it, and it was the
-    first such piece of its step.  It is None while there are none, and
-    mark is the last point the piece was tested against (see the walk).
+    plane is (*n, c), with n the primitive outward normal padded by zeros
+    to Z^4 and c = <n, x> on the plane; on homogeneous points it is
+    (*n, c, w) with c / w the rational offset in lowest terms.  The
+    starting simplex's pieces take it from _plane or _plane_hom; every later
+    piece from the pencil through its ridge, in insert, or as the very tuple
+    of its horizon neighbour when the new point lies on that plane.  g, the
+    gcd of the cross product of the corners, which is g * n, is None until
+    the merge computes it for the live pieces.  verts are the sorted labels
+    of the corners; nbrs[j] is the piece across ridge j, the j-th of
+    combinations(verts, d - 1), which omits corner d - 1 - j.  outside lists
+    the points that wait on this piece, by their index in the engine's
+    ipts: each was found strictly beyond it, and it was the first such
+    piece of its step.  It is None while there are none.  mark is the last
+    point the piece was tested against, and t that point's height over the
+    plane, <n, x> - c, or v * <n, p> - w * c for a homogeneous point (p, w)
+    and plane (n, c, v) (see the walk).
     """
 
-    __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark")
+    __slots__ = ("plane", "verts", "g", "nbrs", "outside", "mark", "t")
 
 
 def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups=()):
@@ -284,12 +294,15 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     A point that sees no piece is inside for good and is never tested
     again.
 
-    The starting simplex's pieces are built by one constructor, piece,
-    from _plane or, on homogeneous points, _plane_hom, bound once per run,
-    and so is every piece of a run in Z^2, Z^3 or on homogeneous points.
-    In Z^4 over a common denominator, insert builds each new piece in place,
-    by _plane's arithmetic on the edges from the new point; the form and d
-    pick the path once per run.  Every piece is a _Piece, looked up in the
+    The starting simplex's pieces are built by piece, from _plane or, on
+    homogeneous points, _plane_hom, bound once per run.  insert gives every
+    later piece, in every dimension and both forms, the plane of the pencil
+    through its ridge that passes through the new point (Chand and Kapur,
+    J. ACM 17, 1970), from the two planes that meet at the ridge and the
+    point's heights over them, which the walk has already taken; it needs
+    no orientation test and meets no degenerate piece.  The merge computes
+    the weight g of each live piece from one known-plane cofactor of
+    _plane or _plane_hom.  Every piece is a _Piece, looked up in the
     module.  Points of d + 1 entries are homogeneous, in the per-point form
     of the module docstring.
     A merged offset is then the pair (c, v) for c / v in lowest terms, and
@@ -316,28 +329,22 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     ids = list(simplex)
     raw = [ipts[i] for i in ids]
     plane_of = _plane_hom if hom else _plane
-    # insert builds the new pieces of a run in Z^4 over a common denominator
-    # itself; every other piece comes from piece
-    z4 = d == 4 and not hom
 
-    def piece(verts, plane=None):
+    def piece(verts):
+        # a piece of the starting simplex; insert builds every later one
         P = _Piece()
         corners = [raw[v] for v in verts]
-        if plane is None:
-            n, c, P.g = plane_of(corners, interior2, kw)
-            if hom:
-                # the offset c / w in lowest terms, so that equal planes are
-                # equal tuples
-                w = corners[0][d]
-                h = gcd(c, w)
-                P.plane = n + pad + (c // h, w // h)
-            else:
-                P.plane = n + pad + (c,)
+        n, c, _ = plane_of(corners, interior2, kw)
+        if hom:
+            # the offset c / w in lowest terms, so that equal planes are
+            # equal tuples
+            w = corners[0][d]
+            h = gcd(c, w)
+            P.plane = n + pad + (c // h, w // h)
         else:
-            P.g = abs(plane_of(corners, interior2, kw, plane))
-            P.plane = plane
+            P.plane = n + pad + (c,)
         P.verts = verts
-        P.outside = P.mark = None
+        P.outside = P.mark = P.g = None
         return P
 
     def assign(r, pieces):
@@ -379,101 +386,81 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         return [a * x0 + b * x1 + e * x2 + f * x3 for x0, x1, x2, x3 in S]
 
     def insert(q, V):
-        # the insertion step, for the point labelled q, beyond the piece V
+        # the insertion step, for the point labelled q, beyond the piece V;
+        # t is q's height over a piece's plane, times v * w on homogeneous
+        # points
         if hom:
             x0, x1, x2, x3, w = pts[ids[q]]
+            a, b, e, f, c, v = V.plane
+            V.t = v * (a * x0 + b * x1 + e * x2 + f * x3) - w * c
         else:
             x0, x1, x2, x3 = pts[ids[q]]
-            if z4:
-                # the interior point against q: a new piece's normal points
-                # away from it
-                e0, e1, e2, e3 = (i - kw * x for i, x in zip(interior2, (x0, x1, x2, x3)))
+            a, b, e, f, c = V.plane
+            V.t = a * x0 + b * x1 + e * x2 + f * x3 - c
         # walk the pieces q sees, a ball around V, marking each piece tested
-        # with q (seen) or ~q (not seen).  Each ridge to a piece not seen is
-        # on the horizon and gets the new piece ridge + (q,), whose ridge 0
-        # is that ridge and ridge i + 1 that ridge's i-th sub-ridge plus q;
-        # two new pieces meet across each sub-ridge of the horizon.  When q
-        # lies on the plane of the piece not seen, in flat, the new piece
-        # lies on it too and takes that plane.
+        # with q (seen) or ~q (not seen) and keeping its height.  Each ridge
+        # from a piece V seen to a piece N not seen is on the horizon and
+        # gets the new piece ridge + (q,), whose ridge 0 is that ridge and
+        # ridge i + 1 that ridge's i-th sub-ridge plus q; two new pieces meet
+        # across each sub-ridge of the horizon.  Its plane is the member
+        # t_V * H_N - t_N * H_V of the pencil of planes through the ridge
+        # that passes through q (Chand and Kapur, J. ACM 17, 1970), which
+        # points outward as t_V > 0 > t_N; when t_N = 0 it is N's plane.
         V.mark = q
         visible = [V]
         new = []
         cone = {}
-        flat = set()
         for V in visible:
             del live[V]
             for ridge, N in zip(combinations(V.verts, d - 1), V.nbrs):
                 m = N.mark
                 if m == q:
                     continue
-                if m != ~q:
+                if m == ~q:
+                    t = N.t
+                else:
                     if hom:
                         a, b, e, f, c, v = N.plane
                         t = v * (a * x0 + b * x1 + e * x2 + f * x3) - w * c
                     else:
                         a, b, e, f, c = N.plane
                         t = a * x0 + b * x1 + e * x2 + f * x3 - c
+                    N.t = t
                     if t > 0:
                         N.mark = q
                         visible.append(N)
                         continue
                     N.mark = ~q
-                    if t == 0:
-                        flat.add(N)
-                if z4:
-                    # piece(ridge + (q,)) built in place by _plane's arithmetic,
-                    # on the edges from q to the ridge's corners
-                    P = _Piece()
-                    P.verts = ridge + (q,)
-                    P.outside = P.mark = None
-                    r0, r1, r2 = ridge
-                    u0, u1, u2, u3 = raw[r0]
-                    v0, v1, v2, v3 = raw[r1]
-                    w0, w1, w2, w3 = raw[r2]
-                    u0 -= x0; u1 -= x1; u2 -= x2; u3 -= x3
-                    v0 -= x0; v1 -= x1; v2 -= x2; v3 -= x3
-                    w0 -= x0; w1 -= x1; w2 -= x2; w3 -= x3
-                    if N in flat:
-                        # the known-plane form: one cofactor of the cross product
-                        n = P.plane = N.plane
-                        if n[0]:
-                            y = (u1 * (v2 * w3 - v3 * w2) - u2 * (v1 * w3 - v3 * w1)
-                                 + u3 * (v1 * w2 - v2 * w1)) // n[0]
-                        elif n[1]:
-                            y = (u2 * (v0 * w3 - v3 * w0) - u0 * (v2 * w3 - v3 * w2)
-                                 - u3 * (v0 * w2 - v2 * w0)) // n[1]
-                        elif n[2]:
-                            y = (u0 * (v1 * w3 - v3 * w1) - u1 * (v0 * w3 - v3 * w0)
-                                 + u3 * (v0 * w1 - v1 * w0)) // n[2]
-                        else:
-                            y = (u1 * (v0 * w2 - v2 * w0) - u0 * (v1 * w2 - v2 * w1)
-                                 - u2 * (v0 * w1 - v1 * w0)) // n[3]
-                        if y == 0:
-                            raise RuntimeError("degenerate facet candidate")
-                        P.g = abs(y)
-                    else:
-                        m01 = v0 * w1 - v1 * w0
-                        m02 = v0 * w2 - v2 * w0
-                        m03 = v0 * w3 - v3 * w0
-                        m12 = v1 * w2 - v2 * w1
-                        m13 = v1 * w3 - v3 * w1
-                        m23 = v2 * w3 - v3 * w2
-                        y0 = u1 * m23 - u2 * m13 + u3 * m12
-                        y1 = u2 * m03 - u0 * m23 - u3 * m02
-                        y2 = u0 * m13 - u1 * m03 + u3 * m01
-                        y3 = u1 * m02 - u0 * m12 - u2 * m01
-                        # the interior point is beneath the plane; a zero cross
-                        # product puts it on the plane too
-                        side = y0 * e0 + y1 * e1 + y2 * e2 + y3 * e3
-                        if side == 0:
-                            raise RuntimeError("degenerate facet candidate")
-                        P.g = g = gcd(y0, y1, y2, y3)
-                        if side > 0:
-                            g = -g
-                        y0 //= g; y1 //= g; y2 //= g; y3 //= g
-                        P.plane = (y0, y1, y2, y3, y0 * x0 + y1 * x1 + y2 * x2 + y3 * x3)
+                P = _Piece()
+                P.verts = ridge + (q,)
+                P.outside = P.mark = P.g = None
+                if t == 0:
+                    P.plane = N.plane
+                elif hom:
+                    # the offset's numerator over the normal's gcd, in lowest
+                    # terms
+                    a, b, e, f, c, v = N.plane
+                    A, B, E, F, C, W = V.plane
+                    s, r = V.t * v, t * W
+                    y0 = s * a - r * A
+                    y1 = s * b - r * B
+                    y2 = s * e - r * E
+                    y3 = s * f - r * F
+                    g = gcd(y0, y1, y2, y3)
+                    c = V.t * c - t * C
+                    h = gcd(c, g)
+                    P.plane = (y0 // g, y1 // g, y2 // g, y3 // g, c // h, g // h)
                 else:
-                    P = piece(ridge + (q,), N.plane if N in flat else None)
+                    a, b, e, f, _ = N.plane
+                    A, B, E, F, _ = V.plane
+                    s = V.t
+                    y0 = s * a - t * A
+                    y1 = s * b - t * B
+                    y2 = s * e - t * E
+                    y3 = s * f - t * F
+                    g = gcd(y0, y1, y2, y3)
+                    y0 //= g; y1 //= g; y2 //= g; y3 //= g
+                    P.plane = (y0, y1, y2, y3, y0 * x0 + y1 * x1 + y2 * x2 + y3 * x3)
                 P.nbrs = nbrs = [N] + [None] * (d - 1)
                 N.nbrs[N.nbrs.index(V)] = P
                 for j, sub in enumerate(combinations(ridge, d - 2), 1):
@@ -561,11 +548,15 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     for P in live:
         # as for the dead pieces: no cycles left behind, and no outside list
         P.nbrs = P.outside = None
-        n, c, g = P.plane[:d], P.plane[4], P.g
+        # g, the one number of the cross product that only the merge reads,
+        # from one known-plane cofactor
+        corners = [raw[v] for v in P.verts]
+        P.g = g = abs(plane_of(corners, interior2, kw, P.plane))
+        n, c = P.plane[:d], P.plane[4]
         if hom:
             # the offset (c, w) for c / w, and g over the edge weights
             c = P.plane[4:]
-            w = [raw[v][d] for v in P.verts]
+            w = [p[d] for p in corners]
             g = Fraction(g, w[0] ** (d - 2) * prod(w))
         acc = merged.get(n)
         if acc is None:

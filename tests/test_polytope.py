@@ -1587,35 +1587,73 @@ def test_large_clouds_build_pinned_piece_count(monkeypatch):
 
 
 def test_pieces_built_in_place_match_plane(monkeypatch):
-    # the pieces that insert builds in place, on Z^4 points over a common
-    # denominator, against _plane on their corners: the same primitive
-    # outward normal, offset and gcd g, both for a piece with a plane of its
-    # own and for one that took its horizon neighbour's plane (the
-    # known-plane form).  The live pieces of the six seeded large clouds,
-    # of an oracle run on a sum of four groups, and of a cloud with 300-bit
-    # coordinates; the reference point is the centroid of all the run's
-    # points, not the engine's
+    # every live piece of an engine run against _plane on its corners, or
+    # _plane_hom on homogeneous points, with the centroid of all the run's
+    # points as the reference, not the engine's.  The starting simplex's
+    # pieces come from _plane, and every later piece takes its plane from
+    # the pencil through its ridge or, counted in known, takes the very
+    # plane tuple of its horizon neighbour.  Each must hold the same
+    # primitive outward normal and offset, (n, c, w) in lowest terms on
+    # homogeneous points, and the g that the merge computed; and each
+    # merged facet's G must be the sum of its pieces' g, over the edges'
+    # weights on homogeneous points.  The runs: the six seeded large
+    # clouds and the per-point one in Z^4; clouds in R^2 and R^3, and
+    # clouds on a 2-flat and a 3-flat of R^4, hulled in their projection;
+    # a sum that stays on a hyperplane; oracle runs on sums of four groups
+    # in R^2, R^3 (per-point, at 2^100) and R^4, and of eight in R^4; and a
+    # cloud with 300-bit coordinates
     runs = []
     engine = polytope._hull_engine
 
     def recorded(ipts, d, simplex, groups=()):
-        runs.append(bool(groups))
+        runs.append((d, len(ipts[0]) > d, bool(groups)))
         return engine(ipts, d, simplex, groups)
 
     monkeypatch.setattr(polytope, "_hull_engine", recorded)
     rng = random.Random("in-place")
-    chains = [polytope._sum_chain([large_cloud(seed)])[2] for seed in range(6)]
-    chains.append(polytope._sum_chain([rand_points(rng, 4, 3) for _ in range(4)])[2])
-    big = [tuple(rng.randint(-2**300, 2**300) for _ in range(4)) for _ in range(40)]
-    chains.append(polytope._hull_ids(big, 4)[5])
-    assert runs == [False] * 6 + [True, False]
+    inputs = [[large_cloud(seed)] for seed in [*range(6), "per-point"]]
+    inputs += [[rand_points(rng, 2, 12)], [rand_points(rng, 3, 15)]]
+    inputs += [[coplanar_cloud(rng, 4, shape)] for shape in ("flat2", "flat3")]
+    inputs.append(fold_groups(rng, 4, "never", 16))
+    inputs += [[rand_points(rng, k, 3) for _ in range(4)] for k in (2, 4)]
+    inputs.append(fold_groups(rng, 3, "first", 2**100))
+    inputs.append([rand_points(rng, 4, 2 + j % 2) for j in range(8)])
+    inputs.append([[tuple(rng.randint(-2**300, 2**300) for _ in range(4)) for _ in range(40)]])
     known = 0
-    for points, pieces in chains:
-        ref = tuple(map(sum, zip(*points)))
+    last = []
+    for groups in inputs:
+        hull = polytope._cleared_sum(groups)[0]
+        merged, (points, pieces) = hull[4], hull[5]
+        d = len(next(iter(pieces)).verts)
+        hom = len(points[0]) > d
+        pad = (0,) * (4 - d)
+        if hom:
+            L = lcm(*(p[d] for p in points))
+            ref = tuple(sum(p[j] * (L // p[d]) for p in points) for j in range(d))
+            k = L * len(points)
+        else:
+            ref, k = tuple(map(sum, zip(*points))), len(points)
+        G = {}
         for P in pieces:
-            n, c, g = _plane([points[v] for v in P.verts], ref, len(points))
-            assert (P.plane, P.g) == (n + (c,), g)
+            corners = [points[v] for v in P.verts]
+            if hom:
+                n, c, g = _plane_hom(corners, ref, k)
+                w = corners[0][d]
+                assert P.plane == n + pad + (c // gcd(c, w), w // gcd(c, w))
+                assert P.g == g
+                g = F(g, w ** (d - 2) * math.prod(p[d] for p in corners))
+            else:
+                n, c, g = _plane(corners, ref, k)
+                assert (P.plane, P.g) == (n + pad + (c,), g)
+            G[n] = G.get(n, 0) + g
+        assert G == {n: g for n, _, g in merged}
         known += len(pieces) - len({id(P.plane) for P in pieces})
+        last.append(runs[-1])
+    # (d, homogeneous, oracle) of the run that built each input's hull
+    assert last == [(4, False, False)] * 6 + [
+        (4, True, False), (2, False, False), (3, False, False), (2, False, False),
+        (3, False, False), (3, False, False), (2, False, True), (4, False, True),
+        (3, True, True), (4, False, True), (4, False, False)]
     assert known > 0
 
 

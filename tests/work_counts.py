@@ -9,10 +9,12 @@ The script wraps these functions and counts their calls:
 - polytope._hull_engine, one hull engine run;
 - polytope._plane and polytope._plane_hom, one cross product or
   cofactor each.  _plane_hom calls _plane, so _plane counts every piece
-  that the engine's piece constructor builds, and every cofactor that
-  mixed_volume's volume polynomial reads (mixed binds _plane too); where
-  the revision builds the pieces of 4-dimensional runs over a common
-  denominator in place, it does not count those;
+  that the engine's piece constructor builds, every cofactor that
+  mixed_volume's volume polynomial reads (mixed binds _plane too), and,
+  where the revision computes a piece's weight g at the merge, one
+  known-plane cofactor per live piece of every engine run; pieces that a
+  revision builds without a call (in place, or from the pencil through
+  their ridge) it does not count;
 - polytope._Piece, one facet piece each: the engine looks the class up in
   the module for every piece it builds, on whichever path, so its count
   is the pieces built on every revision that has it;
