@@ -27,7 +27,7 @@ from math import comb, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
-from .polytope import Polytope, _plane, _sum_chain
+from .polytope import Polytope, _plane, _require_polytope, _sum_chain
 
 
 def _check_quadruple(bodies: Sequence[Polytope]):
@@ -122,9 +122,8 @@ def _volume_polynomial(bodies: Sequence[Polytope], lams) -> list[Fraction]:
             raise RuntimeError("hull corner is no sum of its bodies' vertices")
 
     def cofactors(lam):
-        # (X_j / n_j, <n, p_0>) of each piece at lam, in order; _plane reads
-        # ref only for its length in the known-plane form.  X = 0 on a piece
-        # whose corners lam makes affinely dependent, and there _plane
+        # (X_j / n_j, <n, p_0>) of each piece at lam, in order.  X = 0 on a
+        # piece whose corners lam makes affinely dependent, and there _plane
         # raises.  Most such pieces have two corners that meet, their splits
         # differing only in bodies that lam zeroes, and those are given 0
         # without the call
@@ -134,7 +133,7 @@ def _volume_polynomial(bodies: Sequence[Polytope], lams) -> list[Fraction]:
             a, *_ = ps = [corner[v] for v in piece.verts]
             n = piece.plane
             try:
-                x = 0 if meet and len(set(ps)) < 4 else _plane(ps, (0, 0, 0, 0), 1, n)
+                x = 0 if meet and len(set(ps)) < 4 else _plane(ps, 4, n)
             except RuntimeError:
                 x = 0
             yield x, n[0] * a[0] + n[1] * a[1] + n[2] * a[2] + n[3] * a[3]
@@ -170,8 +169,7 @@ def mixed_volume_fn(K: Polytope, phi: Callable[[tuple], Fraction]) -> Fraction:
     Every integrand value must be a Fraction; anything else raises
     ValueError, so nothing rounds.
     """
-    if not isinstance(K, Polytope):
-        raise TypeError(f"mixed_volume_fn expects a Polytope, not {type(K).__name__}")
+    _require_polytope("mixed_volume_fn", K)
     if K.ambient_dim != 4:
         raise ValueError("mixed_volume_fn requires ambient dimension 4")
     total = Fraction(0)

@@ -23,14 +23,17 @@ partial sum is hulled again.
 _basis, the one integer rank routine, picks the starting simplex, projects a
 flat one-to-one and tells the vertices; on summand groups only the simplex's
 corners need it.  _plane is the integer cross product, unrolled in Z^4 and
-fed zero-padded points in Z^2 and Z^3.  It gives the starting simplex's
-pieces, the normal of a codimension-1 flat and the cofactors of mixed's
-volume polynomial.  Every later piece of a run, in every dimension and
-both integer forms, takes its plane from the pencil through its ridge, as
-in gift wrapping (Chand and Kapur, J. ACM 17, 1970): the ridge joins a
-piece V that the new point q sees to a piece N that it does not, and with
-t_X the height of q over X's plane, t_V * H_N - t_N * H_V is the plane
-through the ridge and q, outward as t_V > 0 >= t_N.  When t_N = 0, q lies
+fed zero-padded points in Z^2 and Z^3; it reads the integer form off the
+points and gives an unoriented normal.  It gives the starting simplex's
+pieces, which the engine orients away from the corner each one omits, the
+normal of a codimension-1 flat, which needs no orientation as its facet
+pair holds both, and the cofactors of mixed's volume polynomial.  Every
+later piece of a run, in every dimension and both integer forms, takes
+its plane from the pencil through its ridge, as in gift wrapping (Chand
+and Kapur, J. ACM 17, 1970): the ridge joins a piece V that the new point
+q sees to a piece N that it does not, and with t_X the height of q over
+X's plane, t_V * H_N - t_N * H_V is the plane through the ridge and q,
+outward as t_V > 0 >= t_N.  When t_N = 0, q lies
 on N's plane and the new piece takes that plane.  Each simplicial facet
 piece is kept as its primitive outward normal u and offset c; the gcd g
 of its cross product, which is g * u, is read by the merge only, which
@@ -62,7 +65,8 @@ of its own denominators.  The one rule, applied once in _sum_points, is
 bits(s) > max(_GATE_BITS, _GATE_RATIO * bits(max w)); every function after
 it reads the form off the points, a homogeneous point having one entry
 more than the dimension.  In that form the engine's integers keep the
-size of the points: its edges are w_0 * p_i - w_i * p_0, a point (p, w)
+size of the points: its edges are w_0 * p_i - w_i * p_0 (_edges, which
+_plane and _basis both read), a point (p, w)
 is beyond a piece (u, c, v) when v * <u, p> > w * c, and each piece's g
 is divided by its edges' weights once the hull is built, summed per
 merged facet as a Fraction.  Either way s is the lcm of the built
@@ -87,7 +91,7 @@ from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
-from .linalg import dot, mat_apply, vec_sub
+from .linalg import dot, mat_apply
 
 Coords = tuple[Fraction, ...]
 
@@ -133,36 +137,52 @@ class AreaMeasure:
         return len(self.atoms)
 
 
-def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None):
-    """Hyperplane through d points of Z^d, oriented away from the point ref / k.
+def _edges(points: Sequence[Sequence[int]], d: int):
+    """The edges of points in Z^d from the first, as a generator: p_i - p_0,
+    or, on homogeneous points (*p, w) of d + 1 entries, the per-point form of
+    the module docstring, w_0 * p_i - w_i * p_0, which is w_0 * w_i times
+    the rational edge.  The first edge is zero."""
+    b = points[0]
+    if len(b) == d:
+        return (tuple([x - y for x, y in zip(p, b)]) for p in points)
+    *b, w = b
+    return (tuple([w * x - p[d] * y for x, y in zip(p, b)]) for p in points)
 
-    Returns (n, c, g): n is the primitive outward normal, c = <n, points[0]>
+
+def _plane(points: Sequence[tuple[int, ...]], d: int, known=None):
+    """Hyperplane through d points of Z^d, or homogeneous ones (*p, w).
+
+    Returns (n, g): n is the primitive normal, in no particular orientation,
     and g the gcd of the simplex's cross product X, which is therefore
     +/- g * n.  This is the kernel's integer cross product, unrolled in
     Z^4 over the six 2x2 minors of the last two edges.  The hull engine
-    takes it for the starting simplex's pieces and, in the known-plane
-    form, for the weight g of each live piece at the merge; the planes of
-    its later pieces come from the pencil through their ridge, and this
-    function is their reference.  For d < 4 the points and ref are padded
-    with zeros and the edges completed by the unit edges e_d, ..., e_3,
-    whose minors vanish off the first d coordinates: the Z^4 cross product
-    is then zero after entry d, and its first d entries are the Z^d one.
+    takes it for the starting simplex's pieces, which it orients itself,
+    and, in the known-plane form, for the weight g of each live piece at
+    the merge; the planes of its later pieces come from the pencil through
+    their ridge, and this function is their reference.  _hull_cleared takes
+    it for the normal of a codimension-1 flat, and mixed for its volume
+    polynomial's cofactors.  Points of d + 1 entries are homogeneous, and
+    their edges (_edges) are w_0 * w_i times the rational ones: X is
+    w_0^(d-1) * prod_{i>0} w_i times the rational cross product, and n is
+    the same.  For d < 4 the edges are padded with zeros and completed by
+    the unit edges e_d, ..., e_3, whose minors vanish off the first d
+    coordinates: the Z^4 cross product is then zero after entry d, and its
+    first d entries are the Z^d one.  Only points of Z^4 in the common form,
+    the engine's most frequent call, are subtracted in place.
 
     known is the plane (*n, ...) of a piece the points are known to lie in,
     with n padded to Z^4 as the engine keeps it.  Then only X_j / n_j at the
-    first nonzero n_j is returned: one cofactor of X, with no gcd, offset or
-    orientation test.  It is +g when the points run positively about n and
-    -g otherwise, so the engine's merge takes its absolute value, and the
-    volume polynomial of mixed.mixed_volume reads the sign.
-
+    first nonzero n_j is returned: one cofactor of X, with no gcd.  It is
+    +g when the points run positively about n and -g otherwise, so the
+    engine's merge takes its absolute value, and the volume polynomial of
+    mixed.mixed_volume reads the sign.
     """
-    d = len(ref)
-    if d < 4:
+    if d < 4 or len(points[0]) > d:
+        # the edges as points beside the origin, which the subtraction
+        # below leaves as they are
         pad = (0,) * (4 - d)
-        b = points[0] + pad
-        units = [b[:j] + (b[j] + 1,) + b[j + 1:] for j in range(d, 4)]
-        points = [b, *(p + pad for p in points[1:]), *units]
-        ref += pad
+        units = [(0,) * j + (1,) + (0,) * (3 - j) for j in range(d, 4)]
+        points = [e + pad for e in _edges(points, d)] + units
     b0, b1, b2, b3 = points[0]
     u0, u1, u2, u3 = points[1]
     v0, v1, v2, v3 = points[2]
@@ -197,37 +217,7 @@ def _plane(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, know
     g = gcd(x0, x1, x2, x3)
     if g == 0:
         raise RuntimeError("degenerate facet candidate")
-    x0 //= g; x1 //= g; x2 //= g; x3 //= g
-    c = x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3
-    r0, r1, r2, r3 = ref
-    side = x0 * r0 + x1 * r1 + x2 * r2 + x3 * r3 - k * c
-    if side == 0:
-        raise RuntimeError("interior reference lies on facet hyperplane")
-    if side > 0:
-        x0 = -x0; x1 = -x1; x2 = -x2; x3 = -x3; c = -c
-    return (x0, x1, x2, x3)[:d], c, g
-
-
-def _plane_hom(points: Sequence[tuple[int, ...]], ref: tuple[int, ...], k: int, known=None):
-    """_plane for homogeneous points (*p, w), the per-point form of the
-    module docstring.
-
-    The edges, w_0 * w_i times the rational ones, go to _plane as points
-    beside the origin, and ref / k moves by the same map, to
-    w_0 * ref - k * p_0.  So X is w_0^(d-1) * prod_{i>0} w_i
-    times the rational cross product, n is the same, and c = <n, p_0> is w_0
-    times the rational offset.
-    """
-    *b, w = points[0]
-    d = len(b)
-    edges = [(0,) * d]
-    for p in points[1:]:
-        f = p[d]
-        edges.append(tuple([w * x - f * y for x, y in zip(p, b)]))
-    if known is not None:
-        return _plane(edges, ref, k, known)
-    n, _, g = _plane(edges, tuple([w * r - k * x for r, x in zip(ref, b)]), 1)
-    return n, sum(map(mul, n, b)), g
+    return (x0 // g, x1 // g, x2 // g, x3 // g)[:d], g
 
 
 class _Piece:
@@ -236,9 +226,10 @@ class _Piece:
     plane is (*n, c), with n the primitive outward normal padded by zeros
     to Z^4 and c = <n, x> on the plane; on homogeneous points it is
     (*n, c, w) with c / w the rational offset in lowest terms.  The
-    starting simplex's pieces take it from _plane or _plane_hom; every later
-    piece from the pencil through its ridge, in insert, or as the very tuple
-    of its horizon neighbour when the new point lies on that plane.  g, the
+    starting simplex's pieces take n from _plane, oriented away from the
+    corner each one omits; every later piece takes its plane from the
+    pencil through its ridge, in insert, or as the very tuple of its
+    horizon neighbour when the new point lies on that plane.  g, the
     gcd of the cross product of the corners, which is g * n, is None until
     the merge computes it for the live pieces.  verts are the sorted labels
     of the corners; nbrs[j] is the piece across ridge j, the j-th of
@@ -294,31 +285,22 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     A point that sees no piece is inside for good and is never tested
     again.
 
-    The starting simplex's pieces are built by piece, from _plane or, on
-    homogeneous points, _plane_hom, bound once per run.  insert gives every
-    later piece, in every dimension and both forms, the plane of the pencil
-    through its ridge that passes through the new point (Chand and Kapur,
-    J. ACM 17, 1970), from the two planes that meet at the ridge and the
-    point's heights over them, which the walk has already taken; it needs
-    no orientation test and meets no degenerate piece.  The merge computes
-    the weight g of each live piece from one known-plane cofactor of
-    _plane or _plane_hom.  Every piece is a _Piece, looked up in the
-    module.  Points of d + 1 entries are homogeneous, in the per-point form
-    of the module docstring.
+    The starting simplex's pieces are built by piece, from _plane's normal
+    oriented away from the simplex's corner that the piece omits: the one
+    orientation test of the run.  insert gives every later piece, in every
+    dimension and both forms, the plane of the pencil through its ridge
+    that passes through the new point (Chand and Kapur, J. ACM 17, 1970),
+    from the two planes that meet at the ridge and the point's heights over
+    them, which the walk has already taken; it needs no orientation test
+    and meets no degenerate piece.  The merge computes the weight g of each
+    live piece from one known-plane cofactor of _plane.  Every piece is a
+    _Piece, looked up in the module.  Points of d + 1 entries are
+    homogeneous, in the per-point form of the module docstring.
     A merged offset is then the pair (c, v) for c / v in lowest terms, and
     G a Fraction.  Otherwise c and G are in the units of the points.
     """
     hom = len(ipts[0]) > d
     k = d + 1
-    # the simplex's centroid, interior2 / kw, is interior to every step; on
-    # homogeneous points kw is k times the lcm of the corners' weights
-    if hom:
-        lw = lcm(*(ipts[i][d] for i in simplex))
-        interior2 = tuple(sum(ipts[i][j] * (lw // ipts[i][d]) for i in simplex) for j in range(d))
-        kw = k * lw
-    else:
-        interior2 = tuple(sum(ipts[i][j] for i in simplex) for j in range(d))
-        kw = k
     # the visibility tests run in Z^4, on points and normals padded by zeros
     # ahead of a homogeneous point's weight
     pad = (0,) * (4 - d)
@@ -328,22 +310,28 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
     # raw holds them by label and ids their indices in ipts
     ids = list(simplex)
     raw = [ipts[i] for i in ids]
-    plane_of = _plane_hom if hom else _plane
 
-    def piece(verts):
-        # a piece of the starting simplex; insert builds every later one
+    def piece(i):
+        # the starting simplex's piece that omits corner i, oriented away
+        # from it: on homogeneous points o = (p, w) is beyond the plane
+        # <n, x> = c / w_0 when w_0 * <n, p> > w * c.  insert builds every
+        # later piece
         P = _Piece()
+        P.verts = verts = tuple(j for j in range(k) if j != i)
         corners = [raw[v] for v in verts]
-        n, c, _ = plane_of(corners, interior2, kw)
+        n, _ = _plane(corners, d)
+        b, o = corners[0], raw[i]
+        c, x = sum(map(mul, n, b)), sum(map(mul, n, o))
+        if x * b[d] > o[d] * c if hom else x > c:
+            n, c = tuple([-y for y in n]), -c
         if hom:
             # the offset c / w in lowest terms, so that equal planes are
             # equal tuples
-            w = corners[0][d]
+            w = b[d]
             h = gcd(c, w)
             P.plane = n + pad + (c // h, w // h)
         else:
             P.plane = n + pad + (c,)
-        P.verts = verts
         P.outside = P.mark = P.g = None
         return P
 
@@ -481,7 +469,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
             V.nbrs = V.outside = None
         return new
 
-    start = [piece(tuple(j for j in range(k) if j != i)) for i in range(k)]
+    start = [piece(i) for i in range(k)]
     for i, P in enumerate(start):
         P.nbrs = [start[j] for j in range(d, -1, -1) if j != i]
     # live pieces in order of creation, so that the merge below is repeatable
@@ -551,7 +539,7 @@ def _hull_engine(ipts: list[tuple[int, ...]], d: int, simplex: list[int], groups
         # g, the one number of the cross product that only the merge reads,
         # from one known-plane cofactor
         corners = [raw[v] for v in P.verts]
-        P.g = g = abs(plane_of(corners, interior2, kw, P.plane))
+        P.g = g = abs(_plane(corners, d, P.plane))
         n, c = P.plane[:d], P.plane[4]
         if hom:
             # the offset (c, w) for c / w, and g over the edge weights
@@ -870,15 +858,10 @@ def _hull_ids(ipts: list[tuple[int, ...]], dim: int, groups=()):
     """
     hom = len(ipts[0]) > dim
     ipts = list(dict.fromkeys(ipts))
-    if hom:
-        *b, w = ipts[0]
-        edges = (tuple(w * x - p[dim] * y for x, y in zip(p, b)) for p in ipts)
-        key = lambda i: [Fraction(x, ipts[i][dim]) for x in ipts[i][:dim]]
-    else:
-        edges = (vec_sub(p, ipts[0]) for p in ipts)
-        key = ipts.__getitem__
+    key = ((lambda i: [Fraction(x, ipts[i][dim]) for x in ipts[i][:dim]]) if hom
+           else ipts.__getitem__)
     # the first edge is zero, so _basis skips it and its ids index ipts
-    chosen, cols = _basis(edges, dim)
+    chosen, cols = _basis(_edges(ipts, dim), dim)
     r = len(chosen)
     merged, chain = [], None
     # projecting onto cols maps the body's affine hull one-to-one and keeps
@@ -910,7 +893,9 @@ def _hull_cleared(hull, dim: int, scale) -> Polytope:
     for points over a common scale, else the lcm of the weights' own
     denominators, and for a codimension-1 body that unit times the factor
     of its facet pair.  sum_F G * c over the engine's facets is the volume's
-    numerator at full rank and the facet pair's G at codimension 1.
+    numerator at full rank and the facet pair's G at codimension 1.  The
+    pair's normal is _plane's, through the flat's basis corners, in either
+    orientation: the pair holds both.
     """
     ipts, chosen, cols, ids, merged = hull
     hom = len(ipts[0]) > dim
@@ -937,12 +922,10 @@ def _hull_cleared(hull, dim: int, scale) -> Polytope:
         # the facet pair (+/-n, G) over the unit |n[skip]| * s * unit, G the
         # projection's volume times r! * s * unit: projecting onto cols
         # scales r-volume by the basis edges' minor there, which is +/- entry
-        # skip (the coordinate not in cols) of their cross product g * n, so
-        # ref lies off the flat
+        # skip (the coordinate not in cols) of their cross product g * n.
+        # The pair holds both orientations, so n needs none
         skip = next(k for k in range(dim) if k not in cols)
-        w = ipts[0][dim] if hom else 1
-        ref = tuple(x + w * (k == skip) for k, x in enumerate(ipts[0][:dim]))
-        n, _, _ = (_plane_hom if hom else _plane)([ipts[0]] + [ipts[i] for i in chosen], ref, w)
+        n, _ = _plane([ipts[0]] + [ipts[i] for i in chosen], dim)
         unit *= abs(n[skip]) * s
         rows = (*n, G, *(-x for x in n), G)
     return Polytope(_raw=(dim, vertices, r, s, unit, rows, total))
@@ -1069,8 +1052,17 @@ def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
         total = [ipts[i] for i in ids]
 
 
+def _require_polytope(what: str, *bodies):
+    """Raise TypeError, naming the type, for a body that is no Polytope,
+    such as a DualPolytope of W*, before any of its fields is read."""
+    for K in bodies:
+        if not isinstance(K, Polytope):
+            raise TypeError(f"{what} expects a Polytope, not {type(K).__name__}")
+
+
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:
     """Exact image {A v : v in P}; changes ambient dimension with A's shape."""
+    _require_polytope("affine_transform", P)
     rows = [tuple(Fraction(x) for x in row) for row in A]
     out_dim = len(rows)
     for row in rows:
@@ -1083,6 +1075,7 @@ def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     """Minkowski sum; h(P+Q, xi) = h(P, xi) + h(Q, xi) for every xi."""
+    _require_polytope("minkowski_sum", P, Q)
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("dimension mismatch in Minkowski sum")
     if P.is_empty or Q.is_empty:
@@ -1097,6 +1090,7 @@ def split_by_hyperplane(P: Polytope, xi: Sequence, c) -> tuple[Polytope, Polytop
     the body come back as flagged empty polytopes, so that valuations can map
     them to the zero body.
     """
+    _require_polytope("split_by_hyperplane", P)
     if len(xi) != P.ambient_dim:
         raise ValueError("dimension mismatch in split direction")
     if P.is_empty:

@@ -22,7 +22,6 @@ from minkval.polytope import (
     Polytope,
     _basis,
     _plane,
-    _plane_hom,
     affine_transform,
     convex_hull,
     minkowski_sum,
@@ -864,7 +863,9 @@ def test_plane_known_form_gives_the_gcd(d):
     # the known-plane form reads the same weight g off one cofactor, for any
     # d points on the plane, signed by the points' orientation about n: +g
     # when det(n, p_1 - p_0, ..., p_{d-1} - p_0) > 0, and -g otherwise, so
-    # swapping two points flips it; it still rejects a degenerate simplex
+    # swapping two points flips it; it still rejects a degenerate simplex.
+    # The full form's normal has no orientation, so other points of the
+    # plane give it up to sign
     rng = random.Random(f"plane:{d}")
     pad = (0,) * (4 - d)
 
@@ -873,23 +874,23 @@ def test_plane_known_form_gives_the_gcd(d):
 
     for _ in range(100):
         face = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(d)]
-        ref = tuple(rng.randint(-9, 9) for _ in range(d))
-        if _orank([vec_sub(p, ref) for p in face], d) < d:
+        if _orank([vec_sub(p, face[0]) for p in face[1:]], d) < d - 1:
             continue
-        n, c, g = _plane(face, ref, 1)
-        assert _plane(face, ref, 1, n + pad + (c,)) == signed(face, n, g)
+        n, g = _plane(face, d)
+        known = n + pad + (sum(a * x for a, x in zip(n, face[0])),)
+        assert _plane(face, d, known) == signed(face, n, g)
         swapped = face[1::-1] + face[2:]
-        assert _plane(swapped, ref, 1, n + pad + (c,)) == -signed(face, n, g)
+        assert _plane(swapped, d, known) == -signed(face, n, g)
         # other points of the plane: integer affine combinations of the face
         other = [tuple(x + sum(a * (q[i] - x) for a, q in zip(co, face[1:]))
                        for i, x in enumerate(face[0]))
                  for co in ([rng.randint(-3, 3) for _ in range(d - 1)] for _ in range(d))]
         if _orank([vec_sub(p, other[0]) for p in other[1:]], d) == d - 1:
-            n2, c2, g2 = _plane(other, ref, 1)
-            assert (n2, c2) == (n, c)
-            assert _plane(other, ref, 1, n + pad + (c,)) == signed(other, n, g2)
+            n2, g2 = _plane(other, d)
+            assert n2 in (n, tuple(-a for a in n))
+            assert _plane(other, d, known) == signed(other, n, g2)
         with pytest.raises(RuntimeError):
-            _plane([face[0]] * d, ref, 1, n + pad + (c,))
+            _plane([face[0]] * d, d, known)
 
 
 # -- per-point denominators ----------------------------------------------------------
@@ -956,42 +957,38 @@ def test_column_denominator_clouds_match_bruteforce(k, shared, monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_plane_per_point_form_scales_only_the_weight(d):
-    # the same normal with and without the per-point form, the offset over
-    # the first point's weight w_0 instead of s, and weights in the ratio
-    # D / s^(d-1), D = w_0^(d-1) * prod_{i>0} w_i the product of the edges'
-    # weights, for the full and the known-plane forms and either corner
-    # order; the known form keeps its sign, as the edges' weights are
-    # positive
+    # the same normal for the homogeneous points as for the points over
+    # their common s, and weights in the ratio D / s^(d-1), D = w_0^(d-1) *
+    # prod_{i>0} w_i the product of the edges' weights, for the full and the
+    # known-plane forms and either corner order; the known form keeps its
+    # sign, as the edges' weights are positive
     rng = random.Random(f"plane-points:{d}")
     for _ in range(60):
         pts = [tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(d))
-               for _ in range(d + 1)]
+               for _ in range(d)]
         s = lcm(*(x.denominator for p in pts for x in p))
-        cleared = [tuple(int(x * s) for x in p) for p in pts]
-        face, ref = cleared[:d], cleared[d]
-        if _orank([vec_sub(p, ref) for p in face], d) < d:
+        face = [tuple(int(x * s) for x in p) for p in pts]
+        if _orank([vec_sub(p, face[0]) for p in face[1:]], d) < d - 1:
             continue
-        hom = []
+        hface = []
         for p in pts:
             w = lcm(*(x.denominator for x in p))
-            hom.append(tuple(int(x * w) for x in p) + (w,))
-        hface, (*href, hk) = hom[:d], hom[d]
+            hface.append(tuple(int(x * w) for x in p) + (w,))
 
         def D(corners):
             ws = [p[d] for p in corners]
             return ws[0] ** (d - 1) * math.prod(ws[1:])
 
-        n, c, g = _plane(face, ref, 1)
-        n2, c2, g2 = _plane_hom(hface, tuple(href), hk)
+        n, g = _plane(face, d)
+        n2, g2 = _plane(hface, d)
         assert n2 == n
-        assert c2 * s == c * hface[0][d]
         assert g2 * s ** (d - 1) == g * D(hface)
-        known = n + (0,) * (4 - d) + (c,)
+        known = n + (0,) * (4 - d) + (sum(a * x for a, x in zip(n, face[0])),)
         for corners, cleared_corners in ((hface, face), (hface[::-1], face[::-1])):
-            x = _plane_hom(corners, tuple(href), hk, known)
-            assert x * s ** (d - 1) == _plane(cleared_corners, ref, 1, known) * D(corners)
+            x = _plane(corners, d, known)
+            assert x * s ** (d - 1) == _plane(cleared_corners, d, known) * D(corners)
             assert abs(x) * s ** (d - 1) == g * D(corners)
-        assert _plane_hom(hface, tuple(href), hk, known) in (g2, -g2)
+        assert _plane(hface, d, known) in (g2, -g2)
 
 
 def flat_cloud(rng, k, r, count, max_den):
@@ -1069,24 +1066,22 @@ def test_plane_integers_do_not_grow_with_the_point_count(monkeypatch):
     # grow with the count (about 2,400 bits of s at 50 points, 27,000 at 800)
     seen = []
 
-    def counted(points, ref, k, known=None):
+    def counted(points, d, known=None):
         seen[-1][0] = max(seen[-1][0], *(abs(x).bit_length() for p in points for x in p))
-        seen[-1][1] = max(seen[-1][1], k.bit_length(), *(abs(x).bit_length() for x in ref),
-                          *(abs(x).bit_length() for x in known or ()))
-        return _plane(points, ref, k, known)
+        seen[-1][1] = max(seen[-1][1], 0, *(abs(x).bit_length() for x in known or ()))
+        return _plane(points, d, known)
 
     monkeypatch.setattr(polytope, "_plane", counted)
     for count in (50, 800):
         seen.append([0, 0])
         P = convex_hull(box_cloud(random.Random(f"box:{count}"), count, 10**6))
         assert P.affine_dim == 4 and P._scale.bit_length() < 1000
-    (small, small_all), (large, large_all) = seen
+    (small, small_known), (large, large_known) = seen
     # the edges w_0 * p_i - w_i * p_0, w a point's own weight, the lcm of
     # four denominators up to 10^6
     assert large <= small + 16 <= 2 * 90
-    # the reference point, the centroid of the starting simplex, is over
-    # the lcm of five such weights, whatever the count
-    assert large_all <= small_all + 64 <= 7 * 90
+    # and the known planes, whose normals and offsets come from them
+    assert large_known <= small_known + 64 <= 7 * 90
 
 
 sparse_int = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
@@ -1587,9 +1582,9 @@ def test_large_clouds_build_pinned_piece_count(monkeypatch):
 
 
 def test_pieces_built_in_place_match_plane(monkeypatch):
-    # every live piece of an engine run against _plane on its corners, or
-    # _plane_hom on homogeneous points, with the centroid of all the run's
-    # points as the reference, not the engine's.  The starting simplex's
+    # every live piece of an engine run against _plane on its corners, in
+    # either integer form, its normal oriented away from the centroid of all
+    # the run's points, not by the engine's test.  The starting simplex's
     # pieces come from _plane, and every later piece takes its plane from
     # the pencil through its ridge or, counted in known, takes the very
     # plane tuple of its horizon neighbour.  Each must hold the same
@@ -1636,14 +1631,20 @@ def test_pieces_built_in_place_match_plane(monkeypatch):
         G = {}
         for P in pieces:
             corners = [points[v] for v in P.verts]
+            n, g = _plane(corners, d)
+            # oriented away from the centroid ref / k, which lies off every
+            # facet plane: on homogeneous points the offset is c / w
+            w = corners[0][d] if hom else 1
+            c = sum(a * x for a, x in zip(n, corners[0]))
+            side = w * sum(a * x for a, x in zip(n, ref)) - k * c
+            assert side != 0
+            if side > 0:
+                n, c = tuple(-a for a in n), -c
             if hom:
-                n, c, g = _plane_hom(corners, ref, k)
-                w = corners[0][d]
                 assert P.plane == n + pad + (c // gcd(c, w), w // gcd(c, w))
                 assert P.g == g
                 g = F(g, w ** (d - 2) * math.prod(p[d] for p in corners))
             else:
-                n, c, g = _plane(corners, ref, k)
                 assert (P.plane, P.g) == (n + pad + (c,), g)
             G[n] = G.get(n, 0) + g
         assert G == {n: g for n, _, g in merged}

@@ -13,6 +13,7 @@ from minkval.cplx import (
     Cplx,
     DualPolytope,
     complex_scale,
+    det_duality,
     det_duality_inverse,
     det_pair,
     dual_action,
@@ -20,7 +21,13 @@ from minkval.cplx import (
 )
 from minkval.harness import homogeneous_decomposition
 from minkval.mixed import mixed_volume_fn
-from minkval.polytope import Polytope, convex_hull, minkowski_sum, split_by_hyperplane
+from minkval.polytope import (
+    Polytope,
+    affine_transform,
+    convex_hull,
+    minkowski_sum,
+    split_by_hyperplane,
+)
 from minkval.valuations import (
     OPERATORS,
     SupportEvaluator,
@@ -720,3 +727,13 @@ def test_dual_bodies_raise_type_error():
         ValuationOp("pi_n", N=DualPolytope(seg_m11()))
     with pytest.raises(TypeError, match="mixed_volume_fn expects a Polytope, not DualPolytope"):
         mixed_volume_fn(DualPolytope(unit_cube4()), unit_cube4().support)
+    # and so for the kernel's body maps, the dual of P beside P included
+    P = unit_cube4()
+    D = det_duality(P)
+    for call, what in ((lambda: minkowski_sum(P, D), "minkowski_sum"),
+                       (lambda: minkowski_sum(D, P), "minkowski_sum"),
+                       (lambda: P + D, "minkowski_sum"),
+                       (lambda: affine_transform(D, [[1, 0, 0, 0]] * 4), "affine_transform"),
+                       (lambda: split_by_hyperplane(D, (1, 0, 0, 0), 0), "split_by_hyperplane")):
+        with pytest.raises(TypeError, match=f"{what} expects a Polytope, not DualPolytope"):
+            call()

@@ -7,13 +7,12 @@ The script wraps these functions and counts their calls:
 
 - polytope._direction, the one clearing of a direction;
 - polytope._hull_engine, one hull engine run;
-- polytope._plane and polytope._plane_hom, one cross product or
-  cofactor each.  _plane_hom calls _plane, so _plane counts every piece
-  that the engine's piece constructor builds, every cofactor that
-  mixed_volume's volume polynomial reads (mixed binds _plane too), and,
-  where the revision computes a piece's weight g at the merge, one
-  known-plane cofactor per live piece of every engine run; pieces that a
-  revision builds without a call (in place, or from the pencil through
+- polytope._plane, one cross product or cofactor each, in either integer
+  form: every piece that the engine's piece constructor builds, every
+  cofactor that mixed_volume's volume polynomial reads (mixed binds _plane
+  too), and, where the revision computes a piece's weight g at the merge,
+  one known-plane cofactor per live piece of every engine run; pieces that
+  a revision builds without a call (in place, or from the pencil through
   their ridge) it does not count;
 - polytope._Piece, one facet piece each: the engine looks the class up in
   the module for every piece it builds, on whichever path, so its count
@@ -68,8 +67,8 @@ from minkval import harness, polytope, valuations
 
 K8_KINDS = ("proj", "diff", "d_m", "dtilde_m", "pi_n")
 INPUTS = ("suite", *(f"K8:{k}" for k in K8_KINDS), "kernel", "recon")
-COUNTED = ("_direction", "_hull_engine", "_plane", "_plane_hom", "_Piece", "_hull_ids",
-           "_sum_points", "_sum_chain")
+COUNTED = ("_direction", "_hull_engine", "_plane", "_Piece", "_hull_ids", "_sum_points",
+           "_sum_chain")
 # (points in, vertices out) of a call, for the functions counted with sizes
 SIZES = {
     "_hull_ids": lambda args, out: (len(args[0]), len(out[3])),
