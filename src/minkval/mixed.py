@@ -15,7 +15,15 @@ to sum_i lam_i v_i for the summand vertices v_i that add up to it.  And
 vol(sum_i lam_i B_i) is a polynomial in lam whose coefficients are the mixed
 volumes (Minkowski; Schneider, Convex Bodies, 2nd ed., Sec. 5.1).  So the
 simplicial boundary pieces of the one hull, their corners moved with lam,
-give the volume at every lam >= 0.  The facet form reads K's area measure and
+give the volume at every lam >= 0.
+
+A corner is split into its summand vertices by a table of the sums a + b of
+the two bodies with the most vertices, after one vertex of each other body,
+taken from its face with the normal u of a facet at the corner, is taken off
+the corner.  Any split serves.  If the corner c = sum_i p_i lies on the facet
+F(u) of the sum, then <u, c> = sum_i h(B_i, u) and <u, p_i> <= h(B_i, u) for
+each i, so every p_i lies in F(B_i, u), and the moved corner sum_i lam_i p_i
+stays on the facet with normal u.  The facet form reads K's area measure and
 L's support instead, and shares none of this.
 """
 
@@ -24,16 +32,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .polytope import Polytope, _plane, _require_polytope, _sum_chain
 
 
-def _check_quadruple(bodies: Sequence[Polytope]):
+def _check_quadruple(what: str, bodies: Sequence[Polytope]):
+    _require_polytope(what, *bodies)
     for K in bodies:
-        if not isinstance(K, Polytope):
-            raise TypeError("mixed volume arguments must be Polytope")
         if K.ambient_dim != 4:
             raise ValueError("mixed volume requires ambient dimension 4")
         if K.is_empty:
@@ -53,7 +60,7 @@ def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Frac
     builds one hull and four distinct bodies one.
     """
     bodies = (K1, K2, K3, K4)
-    _check_quadruple(bodies)
+    _check_quadruple("mixed_volume", bodies)
     # equal bodies are found by ==, on the vertices, identity first, as tuple
     # membership compares
     distinct = [K for i, K in enumerate(bodies) if K not in bodies[:i]]
@@ -75,22 +82,31 @@ def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Frac
 
 def _volume_polynomial(bodies: Sequence[Polytope], lams) -> list[Fraction]:
     """vol(sum_i lam_i B_i) at each tuple lam of integers >= 0 in lams, for
-    the bodies B_i, from the one hull of their sum (module docstring).
+    two or more bodies B_i, from the one hull of their sum (module
+    docstring).
 
     With S the lcm of the bodies' scales, each body's vertices are cleared
     over S (Polytope._cleared), and each corner of the hull's live pieces is
-    split into its summand vertices by linear optimisation: u, the sum of the
-    normals of the facets at the corner, lies in the normal cone of the
-    corner's face, so the maximisers of <u, .> over each body's vertices
-    hold a split, unique at a vertex of the sum.  At lam the corner is
-    sum_i lam_i times its summand vertices, and a piece with normal n and
-    corners p_0, ..., p_3 adds eps * (X_j / n_j) * <n, p_0> / (4! * S^4):
-    X_j / n_j is _plane's signed known-plane cofactor, and eps its sign at
-    lam = 1, where the pieces tile the boundary.  Two chains in a hyperplane
-    with one boundary differ by a cycle of no volume, so any split of a
-    corner that is not a vertex serves.  The value at lam = 1 is checked
-    against the hull's own volume, and a sum of affine rank below 4 has
-    volume 0 at every lam.
+    split into summand vertices p_i, one of each body, that add up to it.
+    A table maps every sum a + b of a vertex of each of the two bodies with
+    the most vertices to (a, b).  Any split serves.  For a corner
+    c = sum_i p_i on a facet F(u) of the sum, <u, c> = sum_i h(B_i, u) while
+    <u, p_i> <= h(B_i, u) for each i, so every p_i lies in the face
+    F(B_i, u), and sum_i lam_i p_i in the facet of sum_i lam_i B_i with
+    normal u.  So only the faces F(B_k, u) of the remaining bodies are
+    searched, u being the normal of any piece at the corner, and the corner
+    less one vertex of each of them is looked up: a split of two bodies, as
+    in V(P, P, P, Q), is one lookup, and of more bodies, whose faces are
+    mostly single vertices, one pass over their vertices and mostly one
+    lookup.  A vertex of the sum has one split;
+    the pieces of one facet at two splits of a corner that is not a vertex
+    are two chains in that facet's hyperplane with one boundary, and they
+    differ by a cycle of no volume.  At lam the corner is sum_i lam_i p_i,
+    and a piece with normal n and corners p_0, ..., p_3 adds
+    eps * (X_j / n_j) * <n, p_0> / (4! * S^4): X_j / n_j is _plane's signed
+    known-plane cofactor, and eps its sign at lam = 1, where the pieces tile
+    the boundary.  The value at lam = 1 is checked against the hull's own
+    volume, and a sum of affine rank below 4 has volume 0 at every lam.
     """
     P, s, chain = _sum_chain([B.vertices for B in bodies])
     if P.affine_dim < 4:
@@ -100,24 +116,26 @@ def _volume_polynomial(bodies: Sequence[Polytope], lams) -> list[Fraction]:
     S = lcm(*(t for t, _ in cleared))
     verts = [[tuple(x * (S // t) for x in p) for p in ps] for t, ps in cleared]
 
-    normals_at: dict[int, set] = {}
-    for piece in pieces:
-        n = piece.plane[:4]
-        for v in piece.verts:
-            normals_at.setdefault(v, set()).add(n)
+    # a split holds the bodies in this order, the table's two first
+    order = sorted(range(len(bodies)), key=lambda i: -len(verts[i]))
+    i, j, *rest = order
+    table = {tuple(map(add, a, b)): (a, b) for a in verts[i] for b in verts[j]}
     split = {}
-    for v, normals in normals_at.items():
-        u = [sum(col) for col in zip(*normals)]
-        faces = []
-        for V in verts:
-            dots = [sum(map(mul, u, p)) for p in V]
-            h = max(dots)
-            faces.append([p for p, x in zip(V, dots) if x == h])
-        # the corner as the rational point p / w, compared over S
+    # each corner with the plane of one piece at it; the plane's first four
+    # entries are the normal u of a facet through the corner, and
+    # map(mul, u, q) stops at q's four
+    for v, u in {v: piece.plane for piece in pieces for v in piece.verts}.items():
+        # the corner p / w over S, in integers: it is a sum of the bodies'
+        # vertices, each an integer point over S
         *p, w = points[v] if s is None else (*points[v], s)
-        want = [S * x for x in p]
-        split[v] = next((c for c in product(*faces)
-                         if [w * sum(col) for col in zip(*c)] == want), None)
+        c = [S * x // w for x in p]
+        faces = []
+        for k in rest:
+            dots = [sum(map(mul, u, q)) for q in verts[k]]
+            h = max(dots)
+            faces.append([q for q, x in zip(verts[k], dots) if x == h])
+        split[v] = next(((*ab, *o) for o in product(*faces)
+                         if (ab := table.get(tuple(x - sum(y) for x, *y in zip(c, *o))))), None)
         if split[v] is None:
             raise RuntimeError("hull corner is no sum of its bodies' vertices")
 
@@ -127,6 +145,7 @@ def _volume_polynomial(bodies: Sequence[Polytope], lams) -> list[Fraction]:
         # raises.  Most such pieces have two corners that meet, their splits
         # differing only in bodies that lam zeroes, and those are given 0
         # without the call
+        lam = [lam[k] for k in order]
         corner = {v: tuple(sum(map(mul, lam, col)) for col in zip(*c)) for v, c in split.items()}
         meet = 0 in lam
         for piece in pieces:
@@ -159,7 +178,7 @@ def mixed_volume_31(K: Polytope, L: Polytope) -> Fraction:
     empty area measure, so the value is 0; a 3-dimensional body contributes
     through its two opposite atoms.
     """
-    _check_quadruple((K, K, K, L))
+    _check_quadruple("mixed_volume_31", (K, K, K, L))
     return mixed_volume_fn(K, L.support)
 
 

@@ -76,8 +76,9 @@ only u and G of each facet, in one flat tuple, and its facets read c off
 the vertices; a codimension-1 body keeps its two sides as the facet pair
 (+/-u, G).  This record is a body's one integer form: area_measure builds
 every body's atoms from it, and the support evaluators read its rows and
-cleared vertices (_cleared_atoms, _cleared).  Lower-dimensional polytopes
-are first-class: operations degrade per contract rather than erroring.
+cleared vertices (_cleared_atoms, _cleared), which a body builds once.
+Lower-dimensional polytopes are first-class: operations degrade per
+contract rather than erroring.
 """
 
 from __future__ import annotations
@@ -644,6 +645,7 @@ class Polytope:
         "_facets",
         "_area",
         "_volume",
+        "_ints",
     )
 
     def __init__(self, *, _raw=None):
@@ -658,7 +660,7 @@ class Polytope:
             self._merged,
             self._volume,
         ) = _raw
-        self._facets = self._area = None
+        self._facets = self._area = self._ints = None
 
     # -- constructors ------------------------------------------------------
 
@@ -709,11 +711,16 @@ class Polytope:
         m, d = self._merged, self.ambient_dim
         return ((m[i:i + d], m[i + d]) for i in range(0, len(m), d + 1))
 
-    def _cleared(self) -> tuple[int, list[tuple[int, ...]]]:
+    def _cleared(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(s, points): the vertices as the integer points s * v, s being
-        _scale, the lcm of their denominators."""
-        s = self._scale
-        return s, [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
+        _scale, the lcm of their denominators.  The first call builds them,
+        and the body keeps them for support, facets, the evaluators and
+        mixed."""
+        if self._ints is None:
+            s = self._scale
+            self._ints = s, tuple(tuple(x.numerator * (s // x.denominator) for x in v)
+                                  for v in self.vertices)
+        return self._ints
 
     def _cleared_atoms(self) -> tuple[int, list[tuple[int, ...]]]:
         """(D, atoms): the area measure's atoms as integer vectors over D,
@@ -747,9 +754,9 @@ class Polytope:
         """Exact support value max_{x in P} <xi, x>, always a Fraction.
 
         The value is taken in integers: xi is cleared once to W = t * xi
-        (_direction) and the vertices to s * v, s being _scale, and the
-        largest <W, s * v> over the vertices gives the one Fraction built.
-        Nothing of it is stored.
+        (_direction) and the vertices to s * v, s being _scale, which the
+        body keeps from its first call (_cleared), and the largest
+        <W, s * v> over the vertices gives the one Fraction built.
         """
         if self.is_empty:
             raise ValueError("support of an empty polytope is undefined")

@@ -97,7 +97,8 @@ def test_oracle_pairs_share_no_code():
     # may reach the other's code: the support evaluators against the
     # summands, the planar-integral route against the evaluators and the
     # duality map, and the facet-form mixed volume against the polarization,
-    # with its volume polynomial and the boundary chain that feeds it
+    # with its volume polynomial and the boundary chain that feeds it, both
+    # ways: the polarization reads no area measure and no support
     val = _definitions(PACKAGE / "valuations.py")
     mixed = _definitions(PACKAGE / "mixed.py")
     evaluators = [d for name, d in val.items() if name.endswith("_support")]
@@ -114,6 +115,10 @@ def test_oracle_pairs_share_no_code():
     assert "_volume_polynomial" in mixed and "_sum_chain" in _definitions(PACKAGE / "polytope.py")
     assert _shared([mixed["mixed_volume_31"], mixed["mixed_volume_fn"]],
                    polarization.__contains__) == []
+    facet_form = {"mixed_volume_fn", "mixed_volume_31", "area_measure", "support",
+                  "_cleared_atoms"}
+    assert _shared([mixed["mixed_volume"], mixed["_volume_polynomial"]],
+                   facet_form.__contains__) == []
 
 
 def _names_in(tree):

@@ -291,6 +291,57 @@ def test_volume_polynomial_matches_hulling_every_sum_on_fixtures():
     assert mixed_volume(*flats) == 0
 
 
+def _split_counts(bodies):
+    """For each corner of the live pieces of the bodies' sum (_sum_chain),
+    the number of its splits: tuples of one vertex of each body that add up
+    to it, compared as integer points over the lcm D of every denominator."""
+    _, s, (points, pieces) = _sum_chain([B.vertices for B in bodies])
+    D = math.lcm(*(x.denominator for B in bodies for v in B.vertices for x in v))
+    *firsts, last = sorted(([tuple(int(x * D) for x in v) for v in B.vertices] for B in bodies),
+                           key=len)
+    last = set(last)
+    counts = []
+    for v in {v for piece in pieces for v in piece.verts}:
+        *p, w = points[v] if s is None else (*points[v], s)
+        corner = [x * D // w for x in p]
+        counts.append(sum(tuple(c - sum(xs) for c, *xs in zip(corner, *combo)) in last
+                          for combo in itertools.product(*firsts)))
+    return counts
+
+
+def _shifted(B, rng, den):
+    """B moved by a vector with coordinates a / den."""
+    return B.translate([F(rng.randint(-4 * den, 4 * den), den) for _ in range(4)])
+
+
+# distinct bodies whose sum's corners split several ways, and the quadruples
+# that take every one of them: a cube and a parallel segment, a cube and two
+# parallel segments, and a cube, its double and two of its edge directions
+SPLIT_CASES = {
+    "2": (lambda: [unit_cube4(), axis_segment(0)], [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]),
+    "3": (lambda: [unit_cube4(), axis_segment(0), axis_segment(0).scale(2)],
+          [(0, 0, 1, 2), (0, 1, 1, 2), (0, 1, 2, 2)]),
+    "4": (lambda: [unit_cube4(), unit_cube4().scale(2), axis_segment(0), axis_segment(1)],
+          [(0, 1, 2, 3)]),
+}
+
+
+@pytest.mark.parametrize("den", [1, 2**100], ids=["den1", "den2e100"])
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_any_split_of_a_corner_serves(case, den):
+    # _volume_polynomial takes the first split it finds of each corner; on
+    # bodies with shared edge directions some corners of the sum's pieces,
+    # which are no vertices of it, have several, and the mixed volumes
+    # still equal those of a hull for every sum
+    make, quads = SPLIT_CASES[case]
+    rng = random.Random(f"splits:{case}:{den}")
+    bodies = [_shifted(B, rng, den) for B in make()]
+    assert max(_split_counts(bodies)) > 1
+    for slots in quads:
+        quad = [bodies[i] for i in slots]
+        assert mixed_volume(*quad) == _polarization_by_hulls(*quad)
+
+
 # -- structural properties ---------------------------------------------------------
 
 
@@ -374,13 +425,13 @@ CUBE3 = list(itertools.product((0, 1), repeat=3))
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: mixed_volume(*[DualPolytope(unit_cube4())] * 4), TypeError,
-     "arguments must be Polytope"),
+     "mixed_volume expects a Polytope, not DualPolytope"),
     (lambda: mixed_volume(*[convex_hull(CUBE3)] * 4), ValueError,
      "mixed volume requires ambient dimension 4"),
     (lambda: mixed_volume(unit_cube4(), unit_cube4(), unit_cube4(), Polytope.empty(4)),
      ValueError, "mixed volume of an empty body is undefined"),
     (lambda: mixed_volume_31(unit_cube4(), DualPolytope(unit_cube4())), TypeError,
-     "arguments must be Polytope"),
+     "mixed_volume_31 expects a Polytope, not DualPolytope"),
     (lambda: mixed_volume_31(unit_cube4(), convex_hull(CUBE3)), ValueError,
      "mixed volume requires ambient dimension 4"),
     (lambda: mixed_volume_31(Polytope.empty(4), unit_cube4()), ValueError,

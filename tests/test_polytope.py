@@ -17,6 +17,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from minkval.cplx import DualPolytope, det_image
 from minkval.linalg import det, dot, mat_inverse, vec_sub
+from minkval.mixed import mixed_volume, mixed_volume_31
 import minkval.polytope as polytope
 from minkval.polytope import (
     Polytope,
@@ -344,7 +345,7 @@ def test_empty_body_maps_sums_and_splits():
     assert E.is_empty and repr(E) == "Polytope.empty(4)"
     assert E.area_measure().atoms == () and E.area_measure().ambient_dim == 4
     assert E.volume() == 0
-    assert E._cleared() == (1, []) and E._cleared_atoms() == (1, [])
+    assert E._cleared() == (1, ()) and E._cleared_atoms() == (1, [])
     for B in (E.image(lambda v: v), E.translate((1, 2, 3, 4)), E.scale(3), -E):
         assert B.is_empty and B.ambient_dim == 4
     flat = affine_transform(E, [[1, 0, 0, 0], [0, 1, 0, 0]])
@@ -1412,8 +1413,6 @@ def test_integer_forms_give_equal_records(k, monkeypatch):
     # clouds of every rank (codimension-1 flats, whose facet pair is kept
     # as rows, among them) with small and large denominators, and on clouds
     # with many points per facet plane
-    from minkval.mixed import mixed_volume, mixed_volume_31
-
     Q = convex_hull([(F(0),) * k] + [tuple(F(int(j == i), 2 + i) for j in range(k))
                                      for i in range(k)])
     rng = random.Random(f"forms:{k}")
@@ -1555,6 +1554,37 @@ def test_hull_large_clouds_certified(seed, monkeypatch):
     for _ in range(64):
         u = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
         assert P.support(u) == max(_odot(u, p) for p in pts)
+
+
+def test_cleared_vertices_are_kept():
+    # a body builds its integer vertices s * v on the first call of _cleared
+    # and keeps them: support, the evaluators and both mixed-volume routes
+    # read that one record, on the kernel benchmark's clouds, whose s reaches
+    # hundreds of bits, and on a cloud hulled in the per-point form
+    import work_counts
+
+    kernel = work_counts.workload("Kernel")()
+    kernel.prepare(1, None)
+    Q = convex_hull(kernel.Q)
+    rng = random.Random("kept")
+    dirs = [tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)) for _ in range(4)]
+    ops = [ValuationOp("diff"), ValuationOp("d_m", M=convex_hull([(0, 0), (1, 0), (0, 1)]))]
+    for pts in [*kernel.clouds, large_cloud("per-point")]:
+        P = convex_hull(pts)
+        s, ivs = kept = P._cleared()
+        assert s == lcm(*(x.denominator for v in P.vertices for x in v))
+        assert all(type(x) is int for v in ivs for x in v)
+        assert ivs == tuple(tuple(x * s for x in v) for v in P.vertices)
+        assert P._cleared() is kept
+        # the readers: support, the evaluators, the volume polynomial of
+        # P + Q and the facet form's support calls on P
+        for w in dirs:
+            P.support(w)
+        for op in ops:
+            SupportEvaluator(op, P).at_many(dirs)
+        mixed_volume(P, P, P, Q)
+        mixed_volume_31(Q, P)
+        assert P._cleared() is kept
 
 
 def test_large_clouds_build_pinned_piece_count(monkeypatch):
