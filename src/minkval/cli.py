@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_op(args):
-    M = load_polytope(args.m_file) if args.m_file else None
-    N = load_polytope(args.n_file) if args.n_file else None
+    M = _load_body(args.m_file, 2, "--M needs") if args.m_file else None
+    N = _load_body(args.n_file, 2, "--N needs") if args.n_file else None
     return build_op(args.kind, M, N)
 
 
@@ -122,17 +122,18 @@ def _cmd_support(args) -> int:
     return 0
 
 
-def _load_4d(path, needs: str):
-    """The body at path, refused unless it lives in ambient dimension 4; the
-    message names who needs 4 (needs, e.g. "operators need")."""
+def _load_body(path, dim: int, needs: str):
+    """The body at path, refused unless it lives in ambient dimension dim;
+    the message names the file and who needs dim (needs, e.g. "operators
+    need")."""
     K = load_polytope(path)
-    if K.ambient_dim != 4:
-        raise FormatError(f"{path}: field ambient_dim is {K.ambient_dim}, {needs} 4")
+    if K.ambient_dim != dim:
+        raise FormatError(f"{path}: field ambient_dim is {K.ambient_dim}, {needs} {dim}")
     return K
 
 
 def _cmd_mixed(args) -> int:
-    print(mixed_volume(*(_load_4d(f, "mixed volume needs") for f in args.bodies)))
+    print(mixed_volume(*(_load_body(f, 4, "mixed volume needs") for f in args.bodies)))
     return 0
 
 
@@ -140,7 +141,7 @@ def _cmd_op(args) -> int:
     if not args.out and not args.dir:
         raise FormatError("op needs --out and/or --dir")
     op = _load_op(args)
-    K = _load_4d(args.body, "operators need")
+    K = _load_body(args.body, 4, "operators need")
     w = parse_inline_direction(args.dir, 4) if args.dir else None
     # write --out before printing, so that a failed write leaves stdout empty
     if args.out:
@@ -156,7 +157,7 @@ def _cmd_op(args) -> int:
 
 def _cmd_decompose(args) -> int:
     op = _load_op(args)
-    K = _load_4d(args.body, "operators need")
+    K = _load_body(args.body, 4, "operators need")
     dirs = dirs_from_json(read_json(args.dirs))
     table = homogeneous_decomposition(op, K, dirs)
     payload = {
@@ -179,7 +180,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     op = _load_op(args)
-    K = _load_4d(args.body, "operators need")
+    K = _load_body(args.body, 4, "operators need")
     grid = _sphere_grid(args.sphere_grid)
     values = SupportEvaluator(op, K).at_many(grid)
     lines = [

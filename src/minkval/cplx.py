@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polytope import Polytope, convex_hull
+from .polytope import Polytope, _require_polytope, convex_hull
 
 
 @dataclass(frozen=True)
@@ -192,23 +192,16 @@ class DualPolytope:
         return self.body.support(w)
 
 
-def _require_primal(P, what: str):
-    if isinstance(P, DualPolytope):
-        raise TypeError(f"{what} expects a body in W, got a DualPolytope in W*")
-    if not isinstance(P, Polytope):
-        raise TypeError(f"{what} expects a Polytope")
-
-
-def _require_dual(Q, what: str):
+def _require_dual(what: str, Q):
+    """_require_polytope's contract for a body of W*."""
     if not isinstance(Q, DualPolytope):
-        raise TypeError(f"{what} expects a DualPolytope in W*")
-    if Q.body.ambient_dim != 4:
-        raise ValueError(f"{what} expects a body of ambient dimension 4 in W*")
+        raise TypeError(f"{what} expects a DualPolytope, not {type(Q).__name__}")
+    _require_polytope(what, Q.body, dim=4)
 
 
 def complex_scale(alpha: Cplx, P: Polytope) -> Polytope:
     """The image {alpha * k : k in P} for P in W (ambient 4) or in C (ambient 2)."""
-    _require_primal(P, "complex_scale")
+    _require_polytope("complex_scale", P)
     if P.ambient_dim not in (2, 4):
         raise ValueError("complex scaling needs an ambient-4 or planar body")
     return P.image(lambda v: scale_point(alpha, v))
@@ -223,9 +216,7 @@ def det_pair(u, v) -> Cplx:
 
 def det_image(K: Polytope, w) -> Polytope:
     """The planar body {det(k, w) : k in K} inside C."""
-    _require_primal(K, "det_image")
-    if K.ambient_dim != 4:
-        raise ValueError("det_image expects a body of ambient dimension 4")
+    _require_polytope("det_image", K, dim=4)
     w = from_complex_pair(*to_complex_pair(w))
     if K.is_empty:
         return Polytope.empty(2)
@@ -250,18 +241,18 @@ def det_duality_inverse_point(xi) -> tuple:
 
 def det_duality(P: Polytope) -> DualPolytope:
     """The identification W -> W*, u -> Re det(u, .), applied vertexwise."""
-    _require_primal(P, "det_duality")
+    _require_polytope("det_duality", P, dim=4)
     return DualPolytope(P.image(det_duality_point))
 
 
 def det_duality_inverse(Q: DualPolytope) -> Polytope:
-    _require_dual(Q, "det_duality_inverse")
+    _require_dual("det_duality_inverse", Q)
     return Q.body.image(det_duality_inverse_point)
 
 
 def group_action(g: ComplexMatrix2, P: Polytope) -> Polytope:
     """gK for a body K in W."""
-    _require_primal(P, "group_action")
+    _require_polytope("group_action", P, dim=4)
     if g.det().is_zero():
         raise ValueError("group_action requires invertible g")
     return P.image(g.apply)
@@ -269,11 +260,11 @@ def group_action(g: ComplexMatrix2, P: Polytope) -> Polytope:
 
 def dual_action(g: ComplexMatrix2, Q: DualPolytope) -> DualPolytope:
     """g^{-*} Q, characterized by <g^{-*} xi, w> = <xi, g^{-1} w>."""
-    _require_dual(Q, "dual_action")
+    _require_dual("dual_action", Q)
     return DualPolytope(Q.body.image(g.inverse().adjoint().apply))
 
 
 def dual_scalar_scale(alpha: Cplx, Q: DualPolytope) -> DualPolytope:
     """Complex scalar action on W*: (alpha . xi)(w) = xi(alpha w)."""
-    _require_dual(Q, "dual_scalar_scale")
+    _require_dual("dual_scalar_scale", Q)
     return DualPolytope(complex_scale(alpha.conjugate(), Q.body))

@@ -39,12 +39,9 @@ from .polytope import Polytope, _plane, _require_polytope, _sum_chain
 
 
 def _check_quadruple(what: str, bodies: Sequence[Polytope]):
-    _require_polytope(what, *bodies)
-    for K in bodies:
-        if K.ambient_dim != 4:
-            raise ValueError("mixed volume requires ambient dimension 4")
-        if K.is_empty:
-            raise ValueError("mixed volume of an empty body is undefined")
+    _require_polytope(what, *bodies, dim=4)
+    if any(K.is_empty for K in bodies):
+        raise ValueError("mixed volume of an empty body is undefined")
 
 
 def mixed_volume(K1: Polytope, K2: Polytope, K3: Polytope, K4: Polytope) -> Fraction:
@@ -188,9 +185,7 @@ def mixed_volume_fn(K: Polytope, phi: Callable[[tuple], Fraction]) -> Fraction:
     Every integrand value must be a Fraction; anything else raises
     ValueError, so nothing rounds.
     """
-    _require_polytope("mixed_volume_fn", K)
-    if K.ambient_dim != 4:
-        raise ValueError("mixed_volume_fn requires ambient dimension 4")
+    _require_polytope("mixed_volume_fn", K, dim=4)
     total = Fraction(0)
     for atom in K.area_measure():
         v = phi(atom)

@@ -760,9 +760,7 @@ class Polytope:
         """
         if self.is_empty:
             raise ValueError("support of an empty polytope is undefined")
-        if len(xi) != self.ambient_dim:
-            raise ValueError("dimension mismatch in support direction")
-        t, W = _direction(xi)
+        t, W = _direction(xi, self.ambient_dim)
         s, ivs = self._cleared()
         return Fraction(max(sum(map(mul, W, v)) for v in ivs), t * s)
 
@@ -938,12 +936,14 @@ def _hull_cleared(hull, dim: int, scale) -> Polytope:
     return Polytope(_raw=(dim, vertices, r, s, unit, rows, total))
 
 
-def _direction(xi: Sequence) -> tuple[int, tuple[int, ...]]:
+def _direction(xi: Sequence, dim: int) -> tuple[int, tuple[int, ...]]:
     """(t, W) with xi = W / t, W integer and t > 0 the lcm of the
     components' denominators: the one clearing of a direction, for
-    Polytope.support and the support evaluators.  Components other than int
-    and Fraction, such as floats and strings like "1/3", are read exactly by
-    Fraction."""
+    Polytope.support and the support evaluators, and the one check that it
+    has dim components.  Components other than int and Fraction, such as
+    floats and strings like "1/3", are read exactly by Fraction."""
+    if len(xi) != dim:
+        raise ValueError(f"direction has {len(xi)} components, expected {dim}")
     xi = [x if type(x) is Fraction or type(x) is int else Fraction(x) for x in xi]
     t = lcm(*(x.denominator for x in xi))
     return t, tuple(x.numerator * (t // x.denominator) for x in xi)
@@ -1059,12 +1059,17 @@ def _cleared_sum(groups: Sequence[Sequence[Sequence]]):
         total = [ipts[i] for i in ids]
 
 
-def _require_polytope(what: str, *bodies):
-    """Raise TypeError, naming the type, for a body that is no Polytope,
-    such as a DualPolytope of W*, before any of its fields is read."""
+def _require_polytope(what: str, *bodies, dim: int | None = None):
+    """The argument contract for bodies, checked before any of their fields
+    is read: a body that is no Polytope, such as a DualPolytope of W* or a
+    list of points, raises TypeError naming what and the type; with dim
+    given, a body of another ambient dimension raises ValueError naming
+    what and both dimensions."""
     for K in bodies:
         if not isinstance(K, Polytope):
             raise TypeError(f"{what} expects a Polytope, not {type(K).__name__}")
+        if dim is not None and K.ambient_dim != dim:
+            raise ValueError(f"{what} expects ambient dimension {dim}, not {K.ambient_dim}")
 
 
 def affine_transform(P: Polytope, A: Sequence[Sequence]) -> Polytope:

@@ -28,7 +28,7 @@ from .cplx import (
     det_image,
     scale_point,
 )
-from .polytope import Polytope, _direction, _sum_points
+from .polytope import Polytope, _direction, _require_polytope, _sum_points
 
 
 def zero_body() -> Polytope:
@@ -42,8 +42,7 @@ def planar_atoms(M: Polytope) -> tuple[Cplx, ...]:
     segment the two opposite normals scaled by its length; for a point there
     are none.
     """
-    if M.ambient_dim != 2:
-        raise ValueError("parameter body must be planar (ambient dimension 2)")
+    _require_polytope("planar_atoms", M, dim=2)
     if M.is_empty:
         raise ValueError("parameter body must be nonempty")
     return tuple(Cplx(a[0], a[1]) for a in M.area_measure())
@@ -75,10 +74,10 @@ class ValuationOp:
             body = getattr(self, name)
             if needed != (body is not None):
                 raise ValueError(f"kind {self.kind!r} {'requires' if needed else 'forbids'} {name}")
-            if body is not None and not isinstance(body, Polytope):
-                raise TypeError(f"parameter {name} must be a Polytope, not {type(body).__name__}")
-            if body is not None and (body.ambient_dim != 2 or body.is_empty):
-                raise ValueError(f"parameter {name} must be a nonempty planar body")
+            if body is not None:
+                _require_polytope(f"ValuationOp {name}", body, dim=2)
+                if body.is_empty:
+                    raise ValueError(f"parameter {name} must be nonempty")
 
     @property
     def is_companion(self) -> bool:
@@ -106,13 +105,6 @@ def covariant_of(op: ValuationOp) -> ValuationOp:
 
 
 # -- Minkowski summands ------------------------------------------------------------
-
-
-def _check_source(K: Polytope):
-    if isinstance(K, DualPolytope):
-        raise TypeError("valuations act on bodies in W, not W*")
-    if K.ambient_dim != 4:
-        raise ValueError("source body must live in ambient dimension 4")
 
 
 def _projection_summands(K: Polytope):
@@ -281,7 +273,7 @@ OPERATORS: dict[str, OpSpec] = {
 def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
     """The output body: the sum of the kind's summand groups (_sum_points).
     The empty K gives the zero body."""
-    _check_source(K)
+    _require_polytope("apply_valuation", K, dim=4)
     groups = op.spec.summands(*op.params, K) if not K.is_empty else []
     if not groups:
         total = zero_body()
@@ -294,10 +286,7 @@ def apply_valuation(op: ValuationOp, K: Polytope) -> Polytope | DualPolytope:
 
 def cleared_directions(ws) -> list[tuple[int, tuple[int, ...]]]:
     """The directions of W or W* cleared to (t, W), one _direction each."""
-    for w in ws:
-        if len(w) != 4:
-            raise ValueError(f"direction has {len(w)} components, expected 4")
-    return [_direction(w) for w in ws]
+    return [_direction(w, 4) for w in ws]
 
 
 class SupportEvaluator:
@@ -311,7 +300,7 @@ class SupportEvaluator:
     """
 
     def __init__(self, op: ValuationOp, K: Polytope):
-        _check_source(K)
+        _require_polytope("SupportEvaluator", K, dim=4)
         self.op = op
         self.K = K
         h = op.spec.support(*op.params, K)
@@ -345,7 +334,7 @@ def dual_diff_support_via_det(M: Polytope, K: Polytope, w, conjugate_atoms: bool
     alternative; h(., b) is the planar pairing <a, b> = Re(conj(a) b).  The
     consistency harness pins the convention against the duality-map route.
     """
-    _check_source(K)
+    _require_polytope("dual_diff_support_via_det", K, dim=4)
     atoms = planar_atoms(M)
     P = det_image(K, w)
     if P.is_empty:

@@ -434,6 +434,17 @@ def test_dimension_mismatch_reports_file(bodies, capsys):
     assert "seg_m11.json" in err and "ambient_dim" in err
 
 
+@pytest.mark.parametrize("kind,flag", [("d_m", "--M"), ("pi_n", "--N")])
+def test_parameter_dimension_mismatch_reports_file(bodies, capsys, kind, flag):
+    # a parameter body is read by the loader of --body, so a 4-D one names
+    # its file and field as a wrong --body does
+    code, out, err = run(capsys, ["op", kind, "--body", bodies["cube.json"],
+                                  flag, bodies["cube.json"], "--dir", "1,0,0,0"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "cube.json" in err and "ambient_dim" in err
+
+
 def test_bad_direction_count(bodies, capsys):
     code, _, err = run(capsys, ["support", bodies["cube.json"], "--dir", "1,2"])
     assert code == 2

@@ -160,6 +160,31 @@ def test_every_top_level_definition_is_named_elsewhere():
     assert unused == []
 
 
+# the body checks, and Polytope's refusal of direct construction
+BODY_CHECKS = {"_require_polytope", "_require_dual", "Polytope.__init__"}
+
+
+def _raises_of(tree, scope=""):
+    """(the qualified name of the function it sits in, the raised expression)
+    for each raise statement."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raises_of(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            yield scope, ast.unparse(node.exc)
+        yield from _raises_of(node, scope)
+
+
+def test_type_errors_raised_only_by_the_body_checks():
+    # a module that checks a body's type by itself would grow its own
+    # wording of the argument contract beside _require_polytope's
+    outside = [f"{path.name}:{scope}" for path in MODULES
+               for scope, exc in _raises_of(ast.parse(path.read_text()))
+               if exc.split("(")[0] == "TypeError" and scope not in BODY_CHECKS]
+    assert outside == []
+
+
 CODE_LINES = Path(__file__).parent / "code_lines.py"
 
 

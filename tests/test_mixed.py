@@ -427,17 +427,17 @@ CUBE3 = list(itertools.product((0, 1), repeat=3))
     (lambda: mixed_volume(*[DualPolytope(unit_cube4())] * 4), TypeError,
      "mixed_volume expects a Polytope, not DualPolytope"),
     (lambda: mixed_volume(*[convex_hull(CUBE3)] * 4), ValueError,
-     "mixed volume requires ambient dimension 4"),
+     "mixed_volume expects ambient dimension 4, not 3"),
     (lambda: mixed_volume(unit_cube4(), unit_cube4(), unit_cube4(), Polytope.empty(4)),
      ValueError, "mixed volume of an empty body is undefined"),
     (lambda: mixed_volume_31(unit_cube4(), DualPolytope(unit_cube4())), TypeError,
      "mixed_volume_31 expects a Polytope, not DualPolytope"),
     (lambda: mixed_volume_31(unit_cube4(), convex_hull(CUBE3)), ValueError,
-     "mixed volume requires ambient dimension 4"),
+     "mixed_volume_31 expects ambient dimension 4, not 3"),
     (lambda: mixed_volume_31(Polytope.empty(4), unit_cube4()), ValueError,
      "mixed volume of an empty body is undefined"),
     (lambda: mixed_volume_fn(convex_hull(CUBE3), abs), ValueError,
-     "mixed_volume_fn requires ambient dimension 4"),
+     "mixed_volume_fn expects ambient dimension 4, not 3"),
 ], ids=["polarization-dual", "polarization-3d", "polarization-empty", "facet-form-dual",
         "facet-form-3d", "facet-form-empty", "fn-3d"])
 def test_mixed_volume_argument_checks(call, error, message):

@@ -15,12 +15,14 @@ from minkval.cplx import (
     complex_scale,
     det_duality,
     det_duality_inverse,
+    det_image,
     det_pair,
     dual_action,
+    dual_scalar_scale,
     group_action,
 )
 from minkval.harness import homogeneous_decomposition
-from minkval.mixed import mixed_volume_fn
+from minkval.mixed import mixed_volume, mixed_volume_31, mixed_volume_fn
 from minkval.polytope import (
     Polytope,
     affine_transform,
@@ -310,9 +312,10 @@ def test_det_route_argument_errors():
         for w in ((1, 0, 0), (1, 0, 0, 0, 0)):
             with pytest.raises(ValueError, match="expected a point of R\\^4"):
                 dual_diff_support_via_det(M, body, w)
-        with pytest.raises(ValueError, match="parameter body must be planar"):
+        with pytest.raises(ValueError, match="planar_atoms expects ambient dimension 2, not 4"):
             dual_diff_support_via_det(simplex4(), body, (1, 0, 0, 0))
-    with pytest.raises(TypeError, match="valuations act on bodies in W, not W\\*"):
+    with pytest.raises(TypeError,
+                       match="dual_diff_support_via_det expects a Polytope, not DualPolytope"):
         dual_diff_support_via_det(M, DualPolytope(K), (1, 0, 0, 0))
 
 
@@ -705,11 +708,11 @@ def test_operator_table_entry(kind, spec):
 
 @pytest.mark.parametrize("call,error,message", [
     (lambda: apply_valuation(ValuationOp("proj"), DualPolytope(unit_cube4())), TypeError,
-     "valuations act on bodies in W, not W\\*"),
+     "apply_valuation expects a Polytope, not DualPolytope"),
     (lambda: apply_valuation(ValuationOp("diff"), convex_hull([(0, 0, 0), (1, 2, 3)])),
-     ValueError, "source body must live in ambient dimension 4"),
+     ValueError, "apply_valuation expects ambient dimension 4, not 3"),
     (lambda: dual_diff_support_via_det(simplex4(), unit_cube4(), (1, 0, 0, 0)), ValueError,
-     "parameter body must be planar"),
+     "planar_atoms expects ambient dimension 2, not 4"),
     (lambda: dual_diff_support_via_det(Polytope.empty(2), unit_cube4(), (1, 0, 0, 0)),
      ValueError, "parameter body must be nonempty"),
 ], ids=["apply-dual", "apply-3d", "det-route-4d-M", "det-route-empty-M"])
@@ -718,12 +721,69 @@ def test_argument_checks(call, error, message):
         call()
 
 
+G_ONE = ComplexMatrix2.identity()
+# every public function that takes a body: the name its messages give, the
+# call on the body B, whether B lives in W*, and B's ambient dimension when
+# the function fixes it
+BODY_ARGUMENTS = [
+    ("minkowski_sum", lambda B: minkowski_sum(unit_cube4(), B), False, None),
+    ("affine_transform", lambda B: affine_transform(B, [[1, 0, 0, 0]]), False, None),
+    ("split_by_hyperplane", lambda B: split_by_hyperplane(B, (1, 0, 0, 0), 0), False, None),
+    ("mixed_volume", lambda B: mixed_volume(B, unit_cube4(), unit_cube4(), unit_cube4()), False, 4),
+    ("mixed_volume_31", lambda B: mixed_volume_31(unit_cube4(), B), False, 4),
+    ("mixed_volume_fn", lambda B: mixed_volume_fn(B, abs), False, 4),
+    ("complex_scale", lambda B: complex_scale(C_ONE, B), False, None),
+    ("det_image", lambda B: det_image(B, (1, 0, 0, 0)), False, 4),
+    ("det_duality", det_duality, False, 4),
+    ("group_action", lambda B: group_action(G_ONE, B), False, 4),
+    ("apply_valuation", lambda B: apply_valuation(ValuationOp("proj"), B), False, 4),
+    ("SupportEvaluator", lambda B: SupportEvaluator(ValuationOp("proj"), B), False, 4),
+    ("dual_diff_support_via_det", lambda B: dual_diff_support_via_det(triangle2(), B, (1, 0, 0, 0)),
+     False, 4),
+    # the parameter body of the planar-integral route is read by planar_atoms
+    ("planar_atoms", lambda B: dual_diff_support_via_det(B, unit_cube4(), (1, 0, 0, 0)), False, 2),
+    ("ValuationOp M", lambda B: ValuationOp("d_m", M=B), False, 2),
+    ("ValuationOp N", lambda B: ValuationOp("pi_n", N=B), False, 2),
+    ("det_duality_inverse", det_duality_inverse, True, 4),
+    ("dual_action", lambda B: dual_action(G_ONE, B), True, 4),
+    ("dual_scalar_scale", lambda B: dual_scalar_scale(C_ONE, B), True, 4),
+]
+
+
+def _wrong_bodies():
+    """For each function: a list of points, the other space's body and, where
+    the dimension is fixed, a body of another ambient dimension, with the
+    exception and the whole message each raises."""
+    cube3 = convex_hull(list(itertools.product((0, 1), repeat=3)))
+    for name, call, dual, dim in BODY_ARGUMENTS:
+        other = unit_cube4() if dual else DualPolytope(unit_cube4())
+        want = "DualPolytope" if dual else "Polytope"
+        cases = [("list", [(0, 0, 0, 0), (1, 0, 0, 0)], TypeError,
+                  f"{name} expects a {want}, not list"),
+                 ("other-space", other, TypeError,
+                  f"{name} expects a {want}, not {type(other).__name__}")]
+        if dim is not None:
+            wrong = unit_cube4() if dim == 2 else cube3
+            cases.append(("wrong-dim", DualPolytope(wrong) if dual else wrong, ValueError,
+                          f"{name} expects ambient dimension {dim}, not {wrong.ambient_dim}"))
+        for case, body, error, message in cases:
+            yield pytest.param(call, body, error, message, id=f"{name}-{case}")
+
+
+@pytest.mark.parametrize("call,body,error,message", _wrong_bodies())
+def test_body_argument_contract(call, body, error, message):
+    # a TypeError names the function and the type it got, a ValueError both
+    # dimensions; no AttributeError escapes from a field of the argument
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(body)
+
+
 def test_dual_bodies_raise_type_error():
     # a body of W* where a Polytope is expected is a TypeError, as for the
     # source body of apply_valuation, not an AttributeError from its fields
-    with pytest.raises(TypeError, match="parameter M must be a Polytope, not DualPolytope"):
+    with pytest.raises(TypeError, match="ValuationOp M expects a Polytope, not DualPolytope"):
         ValuationOp("d_m", M=DualPolytope(triangle2()))
-    with pytest.raises(TypeError, match="parameter N must be a Polytope, not DualPolytope"):
+    with pytest.raises(TypeError, match="ValuationOp N expects a Polytope, not DualPolytope"):
         ValuationOp("pi_n", N=DualPolytope(seg_m11()))
     with pytest.raises(TypeError, match="mixed_volume_fn expects a Polytope, not DualPolytope"):
         mixed_volume_fn(DualPolytope(unit_cube4()), unit_cube4().support)
